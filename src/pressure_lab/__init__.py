@@ -16,7 +16,6 @@ from .geometry import (
     CutoffProfile,
     GeodesicChart,
     GeometryError,
-    OutOfCollarError,
     build_curve,
     build_cutoffs,
     default_cutoffs,
@@ -51,7 +50,6 @@ from .elliptic import (
     green_kernel_image,
     solve_dirichlet_stream,
     solve_neumann,
-    solve_slab_mixed,
 )
 from .mollify import (
     MollifierKernel,
@@ -109,7 +107,6 @@ __all__ = [
     "solve_dirichlet_stream",
     "solve_neumann",
     "solve_pressure",
-    "solve_slab_mixed",
     "split_Pb",
     "split_stream",
     "BoundaryCurve",
@@ -119,7 +116,6 @@ __all__ = [
     "GeometryError",
     "GridField",
     "InteriorChart",
-    "OutOfCollarError",
     "RadialFlow",
     "RoughStream",
     "StreamFunction",

@@ -61,19 +61,6 @@ def trig_interp(values, period, t):
     return out[..., 0] if squeeze else out
 
 
-def trig_interp_diff(values, period, t, order=1):
-    """Derivative of the trigonometric interpolant at arbitrary points."""
-    values = np.asarray(values, dtype=float)
-    n = values.shape[0]
-    k = fourier_wavenumbers(n, period)
-    mult = (1j * k) ** order
-    if order % 2 == 1 and n % 2 == 0:
-        mult[n // 2] = 0.0
-    coeffs = np.fft.fft(values, axis=0)
-    dvals = np.fft.ifft(mult[:, None] * coeffs if values.ndim > 1 else mult * coeffs, axis=0).real
-    return trig_interp(dvals, period, t)
-
-
 def cumulative_from_samples(speed, period):
     """Antiderivative table of a periodic function from its samples.
 

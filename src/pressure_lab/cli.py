@@ -25,7 +25,7 @@ from .norms import build_pair_plan
 from .elliptic import SolverError
 from .mollify import MollifyError
 from .pressure import (EstimateLedger, PressureError, _collar_resample,
-                       boundary_trace, eta_study_record, solve_pressure)
+                       boundary_trace, eta_study, solve_pressure)
 from . import report, verification
 
 DEFAULT_CONFIG = {
@@ -34,7 +34,7 @@ DEFAULT_CONFIG = {
              "collar_n_s": 64, "collar_n_theta": 128},
     "cutoffs": {"delta": 0.4, "epsilon": 0.05,
                 "delta1": 0.1, "delta2": 0.2, "delta3": 0.25},
-    "solver": {"tol": 1.0e-10, "maxiter": 100000},
+    "solver": {"tol": 1.0e-10},
     "mollify": {"n_sub": 4, "probe_n": 128},
     "field": {"kind": "rough", "alpha": 1.0 / 3.0, "seed": 7, "j_max": 2,
               "eta": 0.0125},
@@ -251,19 +251,10 @@ def _study_worker(args):
     plan = build_pair_plan(chart.points, seed=cfg["norms"]["plan_seed"],
                            n_random=cfg["norms"]["n_random"])
     rough = make_rough_stream(alpha, seed, cfg["field"]["j_max"], chart)
-    records = []
-    prev = None
-    for eta in sorted(cfg["study"]["etas"], reverse=True):
-        try:
-            rec, prev = eta_study_record(
-                rough, eta, cutoffs, collar, plan, prev_p=prev,
-                mollify_kwargs={"n_sub": cfg["mollify"]["n_sub"],
-                                "probe_n": cfg["mollify"]["probe_n"]})
-        except Exception as exc:
-            rec = {"alpha": float(alpha), "seed": int(seed),
-                   "eta": float(eta), "error": str(exc)}
-        records.append(rec)
-    return records
+    return eta_study([rough], cfg["study"]["etas"], cutoffs, collar, plan,
+                     mollify_kwargs={"n_sub": cfg["mollify"]["n_sub"],
+                                     "probe_n": cfg["mollify"]["probe_n"]}
+                     ).records
 
 
 def cmd_study(cfg):

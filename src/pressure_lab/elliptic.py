@@ -3,9 +3,10 @@ Dirichlet stream solve, the mixed Neumann/Dirichlet slab problem on the
 collar, and the image-method Green kernel diagnostic.
 
 The interior solvers use a vertex-centered finite-volume stencil on the
-(rho, theta) chart with a dedicated pole cell, so the operator is symmetric
-(positive semidefinite for Neumann) and conjugate gradients applies; the
-constant nullspace of the Neumann problem is projected out every iteration.
+polar (rho, theta) chart of the disk with a dedicated pole cell, so the
+operator is symmetric (positive semidefinite for Neumann) and conjugate
+gradients applies; the constant nullspace of the Neumann problem is
+projected out every iteration.
 Boundary data enter through face fluxes: with theta an arc-length parameter
 the outer face of a boundary cell carries exactly -g * h_theta for interior
 normal data d_n p = g.
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_banded
 
-from . import _kernels
 from .fields import GridField, InteriorChart, StreamFunction
 from .geometry import GeodesicChart, GeometryError
 
@@ -42,23 +42,17 @@ class LinearSolveReport:
 
 
 # ----------------------------------------------------------------------
-# star-chart stencil
+# interior-chart stencil
 # ----------------------------------------------------------------------
 
 class _StarStencil:
     """Face coefficients and cell volumes of the interior-chart Laplacian.
 
-    Requires an orthogonal chart (grad rho orthogonal to grad theta), i.e. a
-    disk; the face-flux coefficients below drop the cross-metric term.
+    The polar chart of the disk is orthogonal (grad rho orthogonal to grad
+    theta), so the face-flux coefficients below carry no cross-metric term.
     """
 
     def __init__(self, chart: InteriorChart):
-        v_dot_t = np.einsum("ij,ij->i", chart.v, chart.vt)
-        scale = np.linalg.norm(chart.v, axis=1) * np.linalg.norm(chart.vt, axis=1)
-        if np.max(np.abs(v_dot_t) / scale) > 1e-10:
-            raise GeometryError(
-                "interior solves need an orthogonal (rho, theta) chart; "
-                "use a disk domain")
         self.chart = chart
         n, h, ht = chart.n_rho, chart.h_rho, chart.h_theta
         w = chart.w
@@ -88,8 +82,27 @@ class _StarStencil:
         self.diag_pole = float(np.sum(self.cp))
 
     def matvec(self, p, pole, pole_coupled=True):
-        return _kernels.star_matvec(p, pole, self.cs, self.cp, self.ct,
-                                    pole_coupled)
+        """5-point stencil plus the pole unknown: cs couples rows i and i+1
+        through the rho face between them, cp the pole cell to row 0, ct
+        columns j and j+1 (periodic) within a row.  A is the negative
+        discrete flux divergence: symmetric positive semidefinite with
+        nullspace = constants."""
+        out = np.zeros_like(p)
+        # rho-direction fluxes between consecutive rows
+        flux = self.cs * (p[1:] - p[:-1])                  # (n_rho-1, nt)
+        out[:-1] -= flux
+        out[1:] += flux
+        # theta-direction fluxes (periodic)
+        tflux = self.ct * (np.roll(p, -1, axis=1) - p)
+        out -= tflux
+        out += np.roll(tflux, 1, axis=1)
+        if pole_coupled:
+            pflux = self.cp * (p[0] - pole)                # pole -> row 0
+            out[0] += pflux
+            out_pole = -float(np.sum(pflux))
+        else:
+            out_pole = 0.0
+        return out, out_pole
 
 
 def _pcg(apply_a, b, diag, x0, tol, maxiter, project=None):
@@ -134,7 +147,7 @@ def _pcg(apply_a, b, diag, x0, tol, maxiter, project=None):
 # ----------------------------------------------------------------------
 
 def solve_neumann(f, g, chart: InteriorChart, mean_target=0.0, tol=1e-10,
-                  maxiter=100_000, x0=None, compat_tol=1e-6):
+                  maxiter=100_000, x0=None):
     """-Delta p = f in Omega, d_n p = g on the boundary (interior normal),
     with the volume mean of p pinned to mean_target.
 
@@ -239,9 +252,9 @@ class SlabOperator:
     Neumann at s=0, homogeneous Dirichlet at s=delta.
 
     Unknowns live on rows i = 0..n_s-1 (the Dirichlet row is eliminated).
-    A w = J F V (+ boundary terms); constant-curvature charts diagonalize in
-    theta and are solved mode by mode with tridiagonal factorizations, which
-    also preconditions the general case.
+    A w = J F V (+ boundary terms).  The collar of a disk has constant
+    curvature, so A diagonalizes in theta and is solved mode by mode with
+    tridiagonal factorizations; other collars are rejected.
     """
 
     def __init__(self, chart: GeodesicChart):
@@ -263,10 +276,12 @@ class SlabOperator:
         self.vol = self.height[:, None] * ht * np.ones((1, nt))
         self.J = chart.J[:ns]
         self.gamma_const = float(np.mean(gam))
-        self.gamma_flat = bool(np.max(np.abs(gam - self.gamma_const)) < 1e-12)
+        if np.max(np.abs(gam - self.gamma_const)) >= 1e-12:
+            raise GeometryError(
+                "slab solves need a collar of constant curvature (a disk)")
         self._factors = None
 
-    # -- per-mode tridiagonal machinery (constant-curvature fast path) -----
+    # -- per-mode tridiagonal machinery ------------------------------------
 
     def _mode_bands(self):
         if self._factors is not None:
@@ -292,7 +307,7 @@ class SlabOperator:
         return bands
 
     def solve_modes(self, rhs):
-        """Direct solve of A w = rhs (flat/constant-curvature charts)."""
+        """Direct solve of A w = rhs."""
         bands = self._mode_bands()
         rhat = np.fft.rfft(rhs, axis=1)
         out = np.empty_like(rhat)
@@ -317,58 +332,26 @@ class SlabOperator:
             b[0] -= np.asarray(neumann, dtype=float) * self.chart.h_theta
         return b
 
-    def solve(self, b, tol=1e-10, maxiter=2000):
+    def solve(self, b):
         """Solve A w = b for a raw right-hand side; returns the full grid
         (n_s+1, n_theta) including the zero Dirichlet row plus a report."""
         ns, nt = self.chart.n_s, self.chart.n_theta
-        if self.gamma_flat:
-            w = self.solve_modes(b)
-            res = float(np.linalg.norm(self.matvec(w) - b))
-            bn = float(np.linalg.norm(b))
-            report = LinearSolveReport(1, res / bn if bn else 0.0)
-        else:
-            bnorm = float(np.linalg.norm(b))
-            if bnorm == 0.0:
-                w = np.zeros((ns, nt))
-                report = LinearSolveReport(0, 0.0)
-            else:
-                w = self.solve_modes(b)
-                residuals = []
-                for it in range(1, maxiter + 1):
-                    r = b - self.matvec(w)
-                    rnorm = float(np.linalg.norm(r))
-                    residuals.append(rnorm)
-                    if rnorm <= tol * bnorm:
-                        break
-                    w = w + self.solve_modes(r)
-                else:
-                    raise SolverError(
-                        "slab iteration stalled at relative residual "
-                        f"{residuals[-1] / bnorm:.3e}", residuals)
-                report = LinearSolveReport(it, rnorm / bnorm)
+        w = self.solve_modes(b)
+        res = float(np.linalg.norm(self.matvec(w) - b))
+        bn = float(np.linalg.norm(b))
+        report = LinearSolveReport(1, res / bn if bn else 0.0)
         full = np.zeros((ns + 1, nt))
         full[:ns] = w
         return full, report
 
-    def green_column(self, i0, j0, tol=1e-12):
+    def green_column(self, i0, j0):
         """Discrete Green kernel column k(., .; s_i0, theta_j0): the solve
         with a unit point load, so that sum(G * (J F) * vol) reproduces the
         solution value at (i0, j0) by symmetry of the stencil."""
         b = np.zeros((self.chart.n_s, self.chart.n_theta))
         b[i0, j0] = 1.0
-        full, _ = self.solve(b, tol=tol)
+        full, _ = self.solve(b)
         return full
-
-
-def solve_slab_mixed(F, chart: GeodesicChart = None, neumann=None, tol=1e-10):
-    """(1/J) d_s(J d_s w) + (1/J) d_theta((1/J) d_theta w) = -F on the collar,
-    d_s w = neumann (default 0) at s=0, w = 0 at s=delta."""
-    if isinstance(F, GridField):
-        chart = F.chart
-        F = F.values
-    op = SlabOperator(chart)
-    b = op.rhs_from_source(np.asarray(F, dtype=float), neumann=neumann)
-    return op.solve(b, tol=tol)
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Fields on the two structured charts and the differential operators on them.
 
 Two charts are used throughout:
-  * interior star-shaped chart (rho, theta): x = c + rho*(x(theta) - c),
+  * interior polar chart (rho, theta) of the disk: x = c + rho*(x(theta) - c),
     rho_i = (i+1)/n_rho (the boundary row rho=1 is on the grid, the pole is
     not; pole values are carried separately when needed);
   * collar chart (s, theta) of the GeodesicChart, s_i = i*delta/n_s.
@@ -30,11 +30,18 @@ class FieldError(ValueError):
 # ----------------------------------------------------------------------
 
 class InteriorChart:
-    """Star-shaped chart x = c + rho*(x(theta)-c) with metric tables."""
+    """Polar chart x = c + rho*(x(theta)-c) of a disk with metric tables.
 
-    kind = "interior"
+    The interior pipeline (stencils, samplers, field generators) runs on
+    disks only, and this is the one place that says so; the other curve
+    presets serve the geometry checks.
+    """
 
     def __init__(self, curve: BoundaryCurve, n_rho, n_theta):
+        if curve.spec["kind"] != "circle":
+            raise GeometryError(
+                f"the interior pipeline runs on disks only, not on a "
+                f"{curve.spec['kind']!r} domain")
         self.curve = curve
         self.n_rho = int(n_rho)
         self.n_theta = int(n_theta)
@@ -47,14 +54,10 @@ class InteriorChart:
         self.v = curve.point(self.theta) - self.center          # (nt, 2)
         self.vt = curve.tangent(self.theta)                     # d v / d theta
         self.w = self.v[:, 0] * self.vt[:, 1] - self.v[:, 1] * self.vt[:, 0]
-        if np.min(self.w) <= 0:
-            raise GeometryError("chart center does not see a star-shaped boundary")
         self.points = self.center + self.rho[:, None, None] * self.v[None, :, :]
         # gradients of the chart coordinates (used for Cartesian derivatives)
         self.grad_rho = np.stack([self.vt[:, 1], -self.vt[:, 0]], axis=-1) / self.w[:, None]
         self.grad_theta_num = np.stack([-self.v[:, 1], self.v[:, 0]], axis=-1) / self.w[:, None]
-        # jacobian rho*w and cell measure tables
-        self.jac = self.rho[:, None] * self.w[None, :]
 
     # -- basic derivatives ------------------------------------------------
 
@@ -109,7 +112,7 @@ class InteriorChart:
         return RectBivariateSpline(self.rho, th, vals, kx=kx, ky=ky)
 
     def chart_coords(self, pts):
-        """(rho, theta) coordinates of physical points (star inversion)."""
+        """(rho, theta) coordinates of physical points (polar inversion)."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         rel = pts - self.center
         phi = np.arctan2(rel[:, 1], rel[:, 0])
@@ -147,9 +150,6 @@ class GridField:
     @property
     def is_vector(self):
         return self.values.ndim == 3
-
-    def copy(self):
-        return GridField(self.chart, self.values.copy(), self.pole)
 
 
 @dataclass
@@ -208,10 +208,7 @@ class RadialFlow:
 
 
 def radial_flow(profile, chart: InteriorChart) -> GridField:
-    spec = chart.curve.spec
-    if spec.get("kind") != "circle":
-        raise FieldError("radial_flow requires a disk domain")
-    flow = RadialFlow(profile, spec["radius"], chart.center)
+    flow = RadialFlow(profile, chart.curve.spec["radius"], chart.center)
     return GridField(chart, flow.velocity(chart.points), pole=np.zeros(2))
 
 
@@ -228,14 +225,11 @@ class RoughStream:
     def __init__(self, alpha, seed, j_max, chart: InteriorChart):
         if not 0.0 < alpha < 1.0:
             raise FieldError("alpha must lie in (0, 1)")
-        spec = chart.curve.spec
-        if spec.get("kind") != "circle":
-            raise FieldError("rough stream generator requires a disk chart")
         self.alpha = float(alpha)
         self.seed = int(seed)
         self.j_max = int(j_max)
         self.chart = chart
-        self.radius = float(spec["radius"])
+        self.radius = float(chart.curve.spec["radius"])
         self.center = chart.center.copy()
 
         finest = 2.0 * np.pi / (self.base_wavenumber * 4.0**self.j_max)
@@ -340,13 +334,6 @@ def divergence_collar(v: GridField, chart: GeodesicChart = None):
     return (_d_s(chart, chart.J * vn) + _d_theta(chart, vt)) / chart.J
 
 
-def curl_collar(v: GridField, chart: GeodesicChart = None):
-    """(1/J)(d_s(J (v.tau)) - d_theta(v.n))."""
-    chart = chart or v.chart
-    vn, vt = collar_components(v, chart)
-    return (_d_s(chart, chart.J * vt) - _d_theta(chart, vn)) / chart.J
-
-
 def laplacian_collar(q, chart: GeodesicChart):
     """(1/J) d_s(J d_s q) + (1/J) d_theta((1/J) d_theta q), conservative."""
     q = np.asarray(q, dtype=float)
@@ -384,12 +371,3 @@ def rhs_double_divergence(u: GridField):
     m2 = chart.cart_gradient(T12)[..., 0] + chart.cart_gradient(T22)[..., 1]
     return chart.cart_gradient(m1)[..., 0] + chart.cart_gradient(m2)[..., 1]
 
-
-def hessian_identity_rhs(psi: StreamFunction):
-    """2(psi_12^2 - psi_11 psi_22) for u = grad^perp psi (cross-check route)."""
-    chart = psi.field.chart
-    g = chart.cart_gradient(psi.field.values)
-    g1, g2 = g[..., 0], g[..., 1]
-    g11 = chart.cart_gradient(g1)
-    g22 = chart.cart_gradient(g2)
-    return 2.0 * (g11[..., 1] * g22[..., 0] - g11[..., 0] * g22[..., 1])

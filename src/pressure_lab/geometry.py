@@ -23,16 +23,20 @@ class GeometryError(ValueError):
     pass
 
 
-class OutOfCollarError(ValueError):
-    """Raised when a point is outside the collar neighborhood of the boundary."""
-
-
 # ----------------------------------------------------------------------
 # curve presets
 # ----------------------------------------------------------------------
 
 def _preset_samples(spec, t):
     kind = spec["kind"]
+    try:
+        return _preset_points(kind, spec, t)
+    except KeyError as exc:
+        raise GeometryError(
+            f"curve preset {kind!r} needs the key {exc.args[0]!r}") from None
+
+
+def _preset_points(kind, spec, t):
     if kind == "circle":
         r = float(spec["radius"])
         if r <= 0:
@@ -172,10 +176,6 @@ def build_curve(spec, n_nodes):
     )
 
 
-def curvature(curve: BoundaryCurve, theta):
-    return curve.curvature(theta)
-
-
 def reach_estimate(curve: BoundaryCurve, margin=0.5):
     """Maximal admissible collar depth.
 
@@ -228,15 +228,6 @@ class GeodesicChart:
             )
         self.X = self.x_b[None, :, :] + self.s[:, None, None] * self.n_b[None, :, :]
 
-    def chart_forward(self, s, theta):
-        s = np.asarray(s, dtype=float)
-        if np.any(np.abs(s) > self.delta * (1 + 1e-12)):
-            raise OutOfCollarError("depth outside [-delta, delta]")
-        theta = np.asarray(theta, dtype=float)
-        x = self.curve.point(theta)
-        n = self.curve.interior_normal(theta)
-        return x + s[..., None] * n
-
     def project_points(self, pts, tol=1e-12, maxiter=60):
         """Closest-point coordinates of an array of points.
 
@@ -272,21 +263,6 @@ class GeodesicChart:
         theta = theta % c.length
         ok = (s >= -1e-10) & (s <= self.delta + 1e-10)
         return s, theta, ok
-
-    def closest_point(self, x):
-        """Scalar closest-point projection; raises outside the collar."""
-        s, theta, ok = self.project_points(np.asarray(x, dtype=float)[None, :])
-        if not ok[0]:
-            raise OutOfCollarError(f"point at signed depth {s[0]:.6g} not in collar")
-        return float(s[0]), float(theta[0])
-
-
-def chart_forward(chart: GeodesicChart, s, theta):
-    return chart.chart_forward(s, theta)
-
-
-def closest_point(chart: GeodesicChart, x):
-    return chart.closest_point(x)
 
 
 # ----------------------------------------------------------------------
@@ -412,17 +388,11 @@ class CutoffProfile:
     def phi_i(self, s):
         return self._phi_i(s)
 
-    def phi_d1(self, s):
-        return self._phi.d1(s)
-
     def phi_b_d1(self, s):
         return self._phi_b.d1(s)
 
     def phi_b_d2(self, s):
         return self._phi_b.d2(s)
-
-    def phi_i_d1(self, s):
-        return self._phi_i.d1(s)
 
 
 def build_cutoffs(delta, epsilon, delta1, delta2, delta3):

@@ -61,15 +61,6 @@ class MollifierKernel:
     def spacing(self):
         return self.eta / self.n_sub
 
-    def profile(self, r):
-        """Normalized continuum profile rho_eta(r) (unit mass in the plane)."""
-        from scipy.integrate import quad
-        r = np.asarray(r, dtype=float)
-        raw = lambda t: np.where(np.abs(t) < 1.0,
-                                 np.exp(-1.0 / np.maximum(1.0 - t**2, 1e-300)), 0.0)
-        mass = 2.0 * np.pi * quad(lambda t: raw(t) * t, 0.0, 1.0)[0]
-        return raw(r / self.eta) / (mass * self.eta**2)
-
 
 class _StencilConvolution:
     """Pointwise convolution of a 2-variable sampler with a MollifierKernel,
@@ -113,30 +104,18 @@ class _StencilConvolution:
 # samplers
 # ----------------------------------------------------------------------
 
+def point_depth(pts, curve):
+    """Distance of physical points to the boundary circle."""
+    pts = np.asarray(pts, dtype=float)
+    return curve.spec["radius"] - np.linalg.norm(pts - curve.center, axis=-1)
+
+
 def boundary_depth(chart: InteriorChart):
-    """Distance to the boundary at the chart nodes (exact on disks)."""
-    spec = chart.curve.spec
-    if spec.get("kind") == "circle":
-        r = np.linalg.norm(chart.points - chart.center, axis=-1)
-        depth = spec["radius"] - r
-        depth[-1] = 0.0
-        return depth
-    fine = chart.curve.point(np.linspace(0.0, chart.curve.length, 4096,
-                                         endpoint=False))
-    diff = chart.points[:, :, None, :] - fine[None, None, :, :]
-    depth = np.min(np.linalg.norm(diff, axis=-1), axis=-1)
+    """Distance to the boundary at the chart nodes; the boundary row is
+    pinned to zero exactly."""
+    depth = point_depth(chart.points, chart.curve)
     depth[-1] = 0.0
     return depth
-
-
-def point_depth(pts, curve):
-    spec = curve.spec
-    pts = np.asarray(pts, dtype=float)
-    if spec.get("kind") == "circle":
-        return spec["radius"] - np.linalg.norm(pts - curve.center, axis=-1)
-    fine = curve.point(np.linspace(0.0, curve.length, 4096, endpoint=False))
-    diff = pts[:, None, :] - fine[None, :, :]
-    return np.min(np.linalg.norm(diff, axis=-1), axis=-1)
 
 
 class _BoundarySampler:
@@ -149,10 +128,8 @@ class _BoundarySampler:
     def __init__(self, psi: StreamFunction, cutoffs: CutoffProfile,
                  collar: GeodesicChart):
         self.cutoffs = cutoffs
-        self.collar = collar
         self.curve = collar.curve
-        spec = self.curve.spec
-        self.analytic = psi.analytic if spec.get("kind") == "circle" else None
+        self.analytic = psi.analytic
         if self.analytic is None:
             vals = _collar_stream_samples(psi, collar)
             self._spline = _collar_spline(collar, vals)
@@ -191,8 +168,7 @@ class _InteriorSampler:
         self.cutoffs = cutoffs
         chart = psi.field.chart
         self.curve = chart.curve
-        spec = self.curve.spec
-        self.analytic = psi.analytic if spec.get("kind") == "circle" else None
+        self.analytic = psi.analytic
         if self.analytic is None:
             self.chart = chart
             self._spline = chart.spline(psi.field.values)
@@ -213,12 +189,9 @@ class _InteriorSampler:
 
 
 def _collar_stream_samples(psi: StreamFunction, collar: GeodesicChart):
-    if psi.analytic is not None:
-        vals = psi.analytic(collar.X.reshape(-1, 2)).reshape(collar.X.shape[:2])
-    else:
-        sp = psi.field.chart.spline(psi.field.values)
-        rho, th = psi.field.chart.chart_coords(collar.X.reshape(-1, 2))
-        vals = sp(np.clip(rho, 0.0, 1.0), th, grid=False).reshape(collar.X.shape[:2])
+    sp = psi.field.chart.spline(psi.field.values)
+    rho, th = psi.field.chart.chart_coords(collar.X.reshape(-1, 2))
+    vals = sp(np.clip(rho, 0.0, 1.0), th, grid=False).reshape(collar.X.shape[:2])
     vals[0] = 0.0
     return vals
 
@@ -306,28 +279,15 @@ class RegularizedVelocity:
                 "divergence_max": self.divergence_max}
 
 
-def collar_coords_of_points(pts, curve, collar: GeodesicChart, s_max):
-    """(s, theta) of physical points relative to the boundary; exact on disks
-    (where the collar extends to the center), closest-point projection
-    otherwise.  Points deeper than s_max get s = +inf."""
+def collar_coords_of_points(pts, curve):
+    """(s, theta) of physical points relative to the boundary circle, exact
+    (the collar coordinates of a disk extend to its center)."""
     pts = np.asarray(pts, dtype=float)
-    spec = curve.spec
-    if spec.get("kind") == "circle":
-        radius = spec["radius"]
-        rel = pts - curve.center
-        s = radius - np.linalg.norm(rel, axis=-1)
-        th = (np.arctan2(rel[..., 1], rel[..., 0]) * radius) % curve.length
-        return s, th
-    flat = pts.reshape(-1, 2)
-    depth = point_depth(flat, curve)
-    near = depth < min(s_max, collar.delta * 0.999)
-    s = np.full(flat.shape[0], np.inf)
-    th = np.zeros(flat.shape[0])
-    if np.any(near):
-        sv, tv, ok = collar.project_points(flat[near])
-        s[near] = np.where(ok, sv, np.inf)
-        th[near] = tv
-    return s.reshape(pts.shape[:-1]), th.reshape(pts.shape[:-1])
+    radius = curve.spec["radius"]
+    rel = pts - curve.center
+    s = radius - np.linalg.norm(rel, axis=-1)
+    th = (np.arctan2(rel[..., 1], rel[..., 0]) * radius) % curve.length
+    return s, th
 
 
 def _chart_collar_frame(chart: InteriorChart, collar: GeodesicChart):
@@ -336,8 +296,7 @@ def _chart_collar_frame(chart: InteriorChart, collar: GeodesicChart):
     cache = getattr(chart, "_collar_frame_cache", None)
     if cache is not None and cache[0] is collar:
         return cache[1]
-    s, th = collar_coords_of_points(chart.points, chart.curve, collar,
-                                    s_max=np.inf)
+    s, th = collar_coords_of_points(chart.points, chart.curve)
     s[-1] = 0.0
     th[-1] = chart.theta[None, :] * np.ones_like(s[-1])
     tau = chart.curve.tangent(th.ravel()).reshape(th.shape + (2,))
@@ -404,8 +363,8 @@ def mollify_velocity(u: GridField, eta, cutoffs: CutoffProfile,
     trace_vals, _, trace_dt = conv_b(np.zeros_like(collar.theta), collar.theta)
     trace_max = float(np.max(np.abs(trace_vals)))
     tangency_max = float(np.max(np.abs(trace_dt)))   # J = 1 at s = 0
-    divergence_max = _probe_divergence(conv_b, conv_i, curve, collar,
-                                       cutoffs, probe_n)
+    divergence_max = _probe_divergence(conv_b, conv_i, curve, cutoffs,
+                                       probe_n)
 
     ut_boundary = -conv_b(np.zeros_like(chart.theta), chart.theta)[1]
 
@@ -425,7 +384,7 @@ def mollify_velocity(u: GridField, eta, cutoffs: CutoffProfile,
     )
 
 
-def _probe_divergence(conv_b, conv_i, curve, collar, cutoffs, probe_n):
+def _probe_divergence(conv_b, conv_i, curve, cutoffs, probe_n):
     """Discrete divergence of grad^perp psi^eta on a uniform Cartesian probe
     grid (centered differences commute there, so this measures pure rounding
     noise -- the structural divergence-free property)."""
@@ -442,8 +401,7 @@ def _probe_divergence(conv_b, conv_i, curve, collar, cutoffs, probe_n):
     psi = np.zeros_like(X)
     # boundary part of psi on the probe points near the collar
     eta = conv_b.kernel.eta
-    s_np, t_np = collar_coords_of_points(pts, curve, collar,
-                                         s_max=cutoffs.delta + 2.0 * eta)
+    s_np, t_np = collar_coords_of_points(pts, curve)
     s_np = s_np.reshape(X.shape)
     t_np = t_np.reshape(X.shape)
     near = inside & (s_np <= cutoffs.delta + 2.0 * eta)

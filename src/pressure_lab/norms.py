@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from .fields import GridField
 
 
@@ -36,10 +35,6 @@ class PairPlan:
     @property
     def n_pairs(self):
         return self.idx_a.size
-
-    def subset(self, n):
-        return PairPlan(self.idx_a[:n], self.idx_b[:n], self.dist[:n],
-                        self.seed, self.n_random, self.description + f"[:{n}]")
 
 
 def build_pair_plan(points, seed=0, n_random=100_000, min_dist=None):
@@ -125,7 +120,10 @@ def holder_norm(f, alpha, plan: PairPlan) -> HolderEstimate:
     if plan.n_pairs == 0:
         raise NormError("empty pair plan")
     inv = plan.dist ** (-alpha)
-    semi = _kernels.pair_seminorm(flat, plan.idx_a, plan.idx_b, inv)
+    diff = np.abs(flat[plan.idx_a] - flat[plan.idx_b])
+    if diff.ndim > 1:
+        diff = diff.max(axis=tuple(range(1, diff.ndim)))
+    semi = float(np.max(diff * inv))
     sup = float(np.max(np.abs(flat)))
     return HolderEstimate(float(alpha), sup, float(semi),
                           plan.seed, int(plan.n_pairs))
@@ -176,14 +174,3 @@ def h_minus2_norm(samples, period):
         mult[-1] = 1.0
     value = float(np.sqrt(np.sum(weights * mags * mult)))
     return NegSobolevNorm(-2, float(period), value)
-
-
-def l2_coefficient_norm(samples):
-    """l2 norm of the Fourier coefficients (the H^0 analogue of h_minus2_norm)."""
-    g = np.asarray(samples, dtype=float)
-    coeffs = np.fft.rfft(g) / g.size
-    mult = np.full(coeffs.size, 2.0)
-    mult[0] = 1.0
-    if g.size % 2 == 0:
-        mult[-1] = 1.0
-    return float(np.sqrt(np.sum(np.abs(coeffs) ** 2 * mult)))

@@ -12,13 +12,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import (GridField, InteriorChart, collar_components,
+from .fields import (FieldError, GridField, InteriorChart, collar_components,
                      rhs_double_divergence, _d_s, _d_theta)
-from .geometry import CutoffProfile, GeodesicChart
-from .elliptic import LinearSolveReport, SlabOperator, solve_neumann
-from .mollify import (RegularizedVelocity, _chart_collar_frame,
+from .geometry import CutoffProfile, GeodesicChart, GeometryError
+from .elliptic import (LinearSolveReport, SlabOperator, SolverError,
+                       solve_neumann)
+from .mollify import (MollifyError, RegularizedVelocity, _chart_collar_frame,
                       boundary_depth)
-from .norms import h_minus2_norm, holder_norm, c0_distance
+from .norms import NormError, h_minus2_norm, holder_norm, c0_distance
 
 
 class PressureError(RuntimeError):
@@ -212,7 +213,7 @@ class SplitPb:
 
 
 def split_Pb(u, P_collar, cutoffs: CutoffProfile, collar: GeodesicChart,
-             n_probes=10, seed=0, tol=1e-12):
+             n_probes=10, seed=0):
     """Decompose phi_b P into the wall-data piece plus the slab-source piece
     and evaluate the Green-term functionals at seeded probe points."""
     un, ut = collar_components(u, collar)
@@ -223,10 +224,10 @@ def split_Pb(u, P_collar, cutoffs: CutoffProfile, collar: GeodesicChart,
     ns, nt = collar.n_s, collar.n_theta
 
     b_bb = op.rhs_from_source(np.zeros((ns + 1, nt)), neumann=g_wall)
-    P_bb, _ = op.solve(b_bb, tol=tol)
+    P_bb, _ = op.solve(b_bb)
 
     rhs_vals, audit = sanss2_rhs(u, P_collar, cutoffs, collar)
-    P_bi, _ = op.solve(op.rhs_from_source(rhs_vals), tol=tol)
+    P_bi, _ = op.solve(op.rhs_from_source(rhs_vals))
 
     s = collar.s[:, None]
     target = cutoffs.phi_b(s) * P_collar
@@ -257,7 +258,7 @@ def split_Pb(u, P_collar, cutoffs: CutoffProfile, collar: GeodesicChart,
     at_probes = np.empty(n_probes)
     gam_row = collar.gamma_b[None, :]
     for k, (i0, j0) in enumerate(probes):
-        G = op.green_column(i0, j0, tol=tol)       # (ns+1, nt), zero last row
+        G = op.green_column(i0, j0)       # (ns+1, nt), zero last row
         Gr = G[rows]
         I1[k] = float(np.sum(Gr * (phi_b * (A + B - C))[rows] * vol))
         # integration by parts in s' and theta' of the first-order terms
@@ -394,10 +395,17 @@ def eta_study_record(rough, eta, cutoffs, collar, plan, prev_p=None,
     return rec, sol.p.values
 
 
+# domain errors of the pipeline: a run that raises one of these becomes an
+# error row of the ledger; anything else is a bug and propagates
+_DOMAIN_ERRORS = (SolverError, PressureError, MollifyError, FieldError,
+                  GeometryError, NormError)
+
+
 def eta_study(rough_fields, etas, cutoffs, collar, plan,
               ledger: EstimateLedger = None, mollify_kwargs=None):
-    """Sweep eta over each rough field; failed runs are recorded with their
-    error string and the sweep continues."""
+    """Sweep eta over each rough field, largest first; a run that fails with
+    a domain error is recorded with its error string and the sweep
+    continues."""
     ledger = ledger or EstimateLedger()
     for rough in rough_fields:
         prev = None
@@ -406,7 +414,7 @@ def eta_study(rough_fields, etas, cutoffs, collar, plan,
                 rec, prev = eta_study_record(rough, eta, cutoffs, collar,
                                              plan, prev_p=prev,
                                              mollify_kwargs=mollify_kwargs)
-            except Exception as exc:   # partial-failure policy
+            except _DOMAIN_ERRORS as exc:   # partial-failure policy
                 rec = {"alpha": float(rough.alpha), "seed": int(rough.seed),
                        "eta": float(eta), "error": str(exc)}
             ledger.append(rec)

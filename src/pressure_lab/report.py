@@ -1,19 +1,16 @@
-"""Artifact serialization: byte-reproducible CSV, versioned JSON reports,
-and the compact binary field dump.
+"""Artifact serialization: byte-reproducible CSV and versioned JSON reports.
 
 CSV floats use repr (shortest round-trip representation) so that identical
 runs produce byte-identical files.
 """
 
 import json
-import struct
 
 import numpy as np
 
 from .fields import GridField
 
 SCHEMA = "pressure-lab/1"
-_MAGIC = b"PLAB"
 
 
 def format_value(v):
@@ -58,29 +55,6 @@ def write_field_csv(path, f: GridField):
     header = ["x1", "x2"] + (["value"] if ncomp == 1
                              else [f"value{i+1}" for i in range(ncomp)])
     write_csv(path, field_csv_rows(f), header)
-
-
-def write_field_binary(path, f: GridField, chart_tag):
-    """Header: magic 'PLAB', chart tag (8 bytes, space padded), ndim (u32),
-    dims (u32 each); payload: float64 row-major values."""
-    vals = np.ascontiguousarray(f.values, dtype="<f8")
-    tag = chart_tag.encode("ascii")[:8].ljust(8)
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC + tag + struct.pack("<I", vals.ndim))
-        fh.write(struct.pack(f"<{vals.ndim}I", *vals.shape))
-        fh.write(vals.tobytes())
-
-
-def read_field_binary(path):
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:4] != _MAGIC:
-        raise ValueError("not a field dump (bad magic)")
-    tag = raw[4:12].decode("ascii").strip()
-    ndim = struct.unpack_from("<I", raw, 12)[0]
-    shape = struct.unpack_from(f"<{ndim}I", raw, 16)
-    vals = np.frombuffer(raw[16 + 4 * ndim:], dtype="<f8").reshape(shape)
-    return tag, vals.copy()
 
 
 def _jsonable(obj):

@@ -108,6 +108,23 @@ def test_main_config_error_exit_code(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_solve_non_disk_domain_exit_code(tmp_path, capsys):
+    # the ellipse preset needs axes the domain config does not carry
+    rc = main(["solve", "--set", "domain.kind=ellipse", *SMALL,
+               "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "needs the key 'a'" in err
+    assert "Traceback" not in err
+    # a star domain builds, but the interior pipeline runs on disks only
+    rc = main(["solve", "--set", "domain.kind=star", *SMALL,
+               "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "disks only" in err
+    assert "Traceback" not in err
+
+
 def test_solve_rigid(tmp_path):
     rc = main(["solve", "--set", "field.kind=rigid", *SMALL,
                "--out", str(tmp_path)])

@@ -7,7 +7,15 @@ from pressure_lab.fields import (FieldError, GridField, InteriorChart,
                                  make_rough_stream, radial_flow,
                                  rhs_double_divergence, stream_to_velocity)
 
+from pressure_lab.geometry import GeometryError, build_curve
+
 from conftest import disk_radii
+
+
+def test_interior_chart_rejects_non_disk():
+    ellipse = build_curve({"kind": "ellipse", "a": 2.0, "b": 1.0}, 256)
+    with pytest.raises(GeometryError, match="disks only"):
+        InteriorChart(ellipse, 32, 64)
 
 
 def test_chart_gradient_exact_on_polynomials(disk_chart):

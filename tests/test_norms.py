@@ -115,14 +115,3 @@ def test_c0_distance():
     assert c0_distance(a, b) == 2.0
     assert c0_distance(a, a) == 0.0
 
-
-def test_kernels_numpy_numba_agree():
-    import pressure_lab._kernels as K
-    rng = np.random.default_rng(0)
-    vals = rng.normal(size=400)
-    idx_a = rng.integers(0, 400, 500)
-    idx_b = rng.integers(0, 400, 500)
-    w = rng.uniform(0.5, 2.0, 500)
-    a = K.pair_seminorm_numpy(vals, idx_a, idx_b, w)
-    b = K.pair_seminorm_numba(vals, idx_a, idx_b, w) if K.HAVE_NUMBA else a
-    assert abs(a - b) < 1e-14

@@ -256,6 +256,19 @@ def test_eta_study_partial_failure(disk_chart, cutoffs, collar):
     assert ledger.per_field() == {}
 
 
+def test_eta_study_propagates_programming_errors(disk_chart, cutoffs, collar,
+                                                monkeypatch):
+    # only domain errors become ledger rows; a bug must not be recorded as
+    # a failed run
+    def broken(*args, **kwargs):
+        raise TypeError("bug")
+    monkeypatch.setattr("pressure_lab.pressure.eta_study_record", broken)
+    rough = make_rough_stream(0.5, 1, 1, disk_chart)
+    plan = build_pair_plan(disk_chart.points, seed=0, n_random=200)
+    with pytest.raises(TypeError, match="bug"):
+        eta_study([rough], [0.0125], cutoffs, collar, plan)
+
+
 def test_tensor_square(disk_chart):
     u = rigid_field(disk_chart)
     sq = tensor_square(u)
