@@ -34,7 +34,6 @@ DEFAULT_CONFIG = {
              "collar_n_s": 64, "collar_n_theta": 128},
     "cutoffs": {"delta": 0.4, "epsilon": 0.05,
                 "delta1": 0.1, "delta2": 0.2, "delta3": 0.25},
-    "solver": {"tol": 1.0e-10},
     "mollify": {"n_sub": 4, "probe_n": 128},
     "field": {"kind": "rough", "alpha": 1.0 / 3.0, "seed": 7, "j_max": 2,
               "eta": 0.0125},
@@ -199,13 +198,11 @@ def cmd_solve(cfg):
                               psi=rough.stream_field(),
                               n_sub=cfg["mollify"]["n_sub"],
                               probe_n=cfg["mollify"]["probe_n"])
-        sol = solve_pressure(rv, chart=chart, collar=collar, cutoffs=cutoffs,
-                             tol=cfg["solver"]["tol"], source_id=fname)
+        sol = solve_pressure(rv, chart=chart, cutoffs=cutoffs, source_id=fname)
         moll_diag = rv.diagnostics()
         u_for_trace = rv.u_eta
     else:
-        sol = solve_pressure(u, chart=chart, collar=collar, cutoffs=cutoffs,
-                             tol=cfg["solver"]["tol"], source_id=fname)
+        sol = solve_pressure(u, chart=chart, cutoffs=cutoffs, source_id=fname)
         moll_diag = None
         u_for_trace = u
 

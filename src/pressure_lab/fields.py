@@ -11,6 +11,7 @@ Vector fields are stored in Cartesian components; collar frame components
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import RectBivariateSpline
@@ -34,7 +35,9 @@ class InteriorChart:
 
     The interior pipeline (stencils, samplers, field generators) runs on
     disks only, and this is the one place that says so; the other curve
-    presets serve the geometry checks.
+    presets serve the geometry checks.  It is also the one owner of the
+    disk's coordinates: chart and collar coordinates of physical points,
+    depths, the boundary frame at the nodes, and interpolation.
     """
 
     def __init__(self, curve: BoundaryCurve, n_rho, n_theta):
@@ -50,6 +53,7 @@ class InteriorChart:
         self.rho = (np.arange(self.n_rho) + 1.0) * self.h_rho
         self.theta = np.arange(self.n_theta) * self.h_theta
         self.center = curve.center.copy()
+        self.radius = float(curve.spec["radius"])
 
         self.v = curve.point(self.theta) - self.center          # (nt, 2)
         self.vt = curve.tangent(self.theta)                     # d v / d theta
@@ -99,40 +103,71 @@ class InteriorChart:
         gy = self.cart_gradient(vec[..., 1], None if poles is None else poles[1])
         return gy[..., 0] - gx[..., 1]
 
-    # -- interpolation ----------------------------------------------------
+    # -- disk coordinates -------------------------------------------------
 
-    def spline(self, values, kx=3, ky=3):
-        """Bicubic spline in chart coordinates with periodic theta padding."""
-        p = _THETA_PAD
-        th = np.concatenate([
-            self.theta[-p:] - self.curve.length, self.theta,
-            self.theta[:p] + self.curve.length,
-        ])
-        vals = np.concatenate([values[:, -p:], values, values[:, :p]], axis=1)
-        return RectBivariateSpline(self.rho, th, vals, kx=kx, ky=ky)
+    def depth(self, pts):
+        """Distance of physical points to the boundary circle."""
+        pts = np.asarray(pts, dtype=float)
+        return self.radius - np.linalg.norm(pts - self.center, axis=-1)
+
+    def _arc(self, rel):
+        """Arc-length angle in [0, L] of points relative to the center."""
+        return (np.arctan2(rel[..., 1], rel[..., 0]) * self.radius) \
+            % self.curve.length
+
+    def collar_coords(self, pts):
+        """(s, theta) of physical points, exact (the collar coordinates of a
+        disk extend to its center)."""
+        rel = np.asarray(pts, dtype=float) - self.center
+        return self.radius - np.linalg.norm(rel, axis=-1), self._arc(rel)
 
     def chart_coords(self, pts):
-        """(rho, theta) coordinates of physical points (polar inversion)."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        rel = pts - self.center
-        phi = np.arctan2(rel[:, 1], rel[:, 0])
-        node_phi = np.unwrap(np.arctan2(self.v[:, 1], self.v[:, 0]))
-        node_phi = node_phi - 2.0 * np.pi * np.floor(node_phi[0] / (2.0 * np.pi))
-        order = np.argsort(node_phi)
-        phi_mod = (phi - node_phi[order][0]) % (2.0 * np.pi) + node_phi[order][0]
-        theta = np.interp(phi_mod, node_phi[order], self.theta[order],
-                          period=2.0 * np.pi)
-        # Newton refinement of angle(v(theta)) = phi
-        for _ in range(4):
-            vv = self.curve.point(theta) - self.center
-            tt = self.curve.tangent(theta)
-            ang = np.arctan2(vv[:, 1], vv[:, 0])
-            dang = (vv[:, 0] * tt[:, 1] - vv[:, 1] * tt[:, 0]) / np.einsum("ij,ij->i", vv, vv)
-            err = np.arctan2(np.sin(ang - phi), np.cos(ang - phi))
-            theta = theta - err / dang
-        vv = self.curve.point(theta) - self.center
-        rho = np.linalg.norm(rel, axis=1) / np.linalg.norm(vv, axis=1)
-        return rho, theta % self.curve.length
+        """(rho, theta) of physical points, in closed form."""
+        rel = np.asarray(pts, dtype=float) - self.center
+        return np.linalg.norm(rel, axis=-1) / self.radius, self._arc(rel)
+
+    @cached_property
+    def node_depth(self):
+        """Distance to the boundary at the nodes; the boundary row is pinned
+        to zero exactly.  This is also the collar depth s of the nodes."""
+        depth = self.depth(self.points)
+        depth[-1] = 0.0
+        return depth
+
+    @cached_property
+    def collar_frame(self):
+        """(theta, tau, n, gamma) at the nodes: the collar angle (the node
+        angle exactly on the boundary row) and the boundary frame and
+        curvature there."""
+        th = self._arc(self.points - self.center)
+        th[-1] = self.theta
+        tau = self.curve.tangent(th.ravel()).reshape(th.shape + (2,))
+        nrm = np.stack([-tau[..., 1], tau[..., 0]], axis=-1)
+        gam = self.curve.curvature(th.ravel()).reshape(th.shape)
+        return th, tau, nrm, gam
+
+    # -- interpolation ----------------------------------------------------
+
+    def spline(self, values):
+        """Bicubic spline in chart coordinates with periodic theta padding,
+        through the pole value at rho = 0 (a spline starting at the innermost
+        ring would hold its value constant inside that ring)."""
+        p, L = _THETA_PAD, self.curve.length
+        rho = np.concatenate([[0.0], self.rho])
+        th = np.concatenate([self.theta[-p:] - L, self.theta, self.theta[:p] + L])
+        vals = np.vstack([np.full(self.n_theta, self.pole_value(values)), values])
+        vals = np.concatenate([vals[:, -p:], vals, vals[:, :p]], axis=1)
+        return RectBivariateSpline(rho, th, vals, kx=3, ky=3)
+
+    def interpolant(self, values):
+        """pts -> spline of the node values at physical points; points past
+        the boundary read its row."""
+        sp = self.spline(values)
+
+        def evaluate(pts):
+            rho, th = self.chart_coords(pts)
+            return sp(np.clip(rho, 0.0, 1.0), th, grid=False)
+        return evaluate
 
 
 # ----------------------------------------------------------------------
@@ -208,7 +243,7 @@ class RadialFlow:
 
 
 def radial_flow(profile, chart: InteriorChart) -> GridField:
-    flow = RadialFlow(profile, chart.curve.spec["radius"], chart.center)
+    flow = RadialFlow(profile, chart.radius, chart.center)
     return GridField(chart, flow.velocity(chart.points), pole=np.zeros(2))
 
 
@@ -229,7 +264,7 @@ class RoughStream:
         self.seed = int(seed)
         self.j_max = int(j_max)
         self.chart = chart
-        self.radius = float(chart.curve.spec["radius"])
+        self.radius = chart.radius
         self.center = chart.center.copy()
 
         finest = 2.0 * np.pi / (self.base_wavenumber * 4.0**self.j_max)
@@ -302,10 +337,8 @@ def collar_components(u, chart: GeodesicChart):
     elif isinstance(u, GridField) and isinstance(u.chart, GeodesicChart):
         vals = u.values.reshape(-1, 2)
     elif isinstance(u, GridField):
-        sx = u.chart.spline(u.values[..., 0])
-        sy = u.chart.spline(u.values[..., 1])
-        rho, th = u.chart.chart_coords(pts)
-        vals = np.stack([sx(rho, th, grid=False), sy(rho, th, grid=False)], axis=-1)
+        vals = np.stack([u.chart.interpolant(u.values[..., k])(pts)
+                         for k in (0, 1)], axis=-1)
     else:
         raise FieldError("unsupported velocity representation")
     vals = vals.reshape(chart.n_s + 1, chart.n_theta, 2)

@@ -14,13 +14,17 @@ rounding, for every eta.  Velocities are centered derivatives of the smoothed
 stream, so the divergence vanishes identically for commuting difference
 stencils; the diagnostic is evaluated on a uniform Cartesian probe grid
 where the commutation is exact.
+
+Both samplers read the stream function through one callable of physical
+points: the analytic stream when the caller supplies one, otherwise the
+chart interpolant of the recovered stream's node values.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import (FieldError, GridField, InteriorChart, StreamFunction,
+from .fields import (GridField, InteriorChart, StreamFunction,
                      stream_to_velocity)
 from .geometry import CutoffProfile, GeodesicChart
 from .elliptic import solve_dirichlet_stream
@@ -104,51 +108,34 @@ class _StencilConvolution:
 # samplers
 # ----------------------------------------------------------------------
 
-def point_depth(pts, curve):
-    """Distance of physical points to the boundary circle."""
-    pts = np.asarray(pts, dtype=float)
-    return curve.spec["radius"] - np.linalg.norm(pts - curve.center, axis=-1)
+class _Sampler:
+    """A cutoff-weighted part of the stream psi, a callable of physical
+    points (the analytic stream or the chart interpolant)."""
+
+    def __init__(self, psi, cutoffs: CutoffProfile, chart: InteriorChart):
+        self.psi = psi
+        self.cutoffs = cutoffs
+        self.chart = chart
 
 
-def boundary_depth(chart: InteriorChart):
-    """Distance to the boundary at the chart nodes; the boundary row is
-    pinned to zero exactly."""
-    depth = point_depth(chart.points, chart.curve)
-    depth[-1] = 0.0
-    return depth
-
-
-class _BoundarySampler:
+class _BoundarySampler(_Sampler):
     """Odd-in-s sampler of the boundary stream part phi(s) * psi(X(s, theta)).
 
     Exactly odd: f(-s, theta) = -f(s, theta); zero for s >= delta (the cutoff
     vanishes there), which keeps the convolution footprint inside the collar.
     """
 
-    def __init__(self, psi: StreamFunction, cutoffs: CutoffProfile,
-                 collar: GeodesicChart):
-        self.cutoffs = cutoffs
-        self.curve = collar.curve
-        self.analytic = psi.analytic
-        if self.analytic is None:
-            vals = _collar_stream_samples(psi, collar)
-            self._spline = _collar_spline(collar, vals)
-
     def _positive(self, s, theta):
         out = np.zeros_like(s)
         mask = s < self.cutoffs.delta
         if not np.any(mask):
             return out
-        sm, tm = s[mask], theta[mask] % self.curve.length
-        if self.analytic is not None:
-            radius = self.curve.spec["radius"]
-            ang = tm / radius
-            pts = self.curve.center + (radius - sm)[:, None] * \
-                np.stack([np.cos(ang), np.sin(ang)], axis=-1)
-            vals = self.analytic(pts)
-        else:
-            vals = self._spline(sm, tm, grid=False)
-        out[mask] = self.cutoffs.phi(sm) * vals
+        chart = self.chart
+        sm, tm = s[mask], theta[mask] % chart.curve.length
+        ang = tm / chart.radius
+        pts = chart.center + (chart.radius - sm)[:, None] * \
+            np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+        out[mask] = self.cutoffs.phi(sm) * self.psi(pts)
         return out
 
     def __call__(self, s, theta):
@@ -159,58 +146,27 @@ class _BoundarySampler:
         return (np.sign(s.ravel()) * vals).reshape(s.shape)
 
 
-class _InteriorSampler:
+class _InteriorSampler(_Sampler):
     """(1 - phi(depth)) * psi in Cartesian coordinates; zero within
     delta - epsilon of the boundary, so its mollification never reaches
     the wall."""
 
-    def __init__(self, psi: StreamFunction, cutoffs: CutoffProfile):
-        self.cutoffs = cutoffs
-        chart = psi.field.chart
-        self.curve = chart.curve
-        self.analytic = psi.analytic
-        if self.analytic is None:
-            self.chart = chart
-            self._spline = chart.spline(psi.field.values)
-
     def __call__(self, x1, x2):
         pts = np.stack([np.ravel(x1), np.ravel(x2)], axis=-1)
-        depth = point_depth(pts, self.curve)
+        depth = self.chart.depth(pts)
         out = np.zeros(pts.shape[0])
         mask = depth > self.cutoffs.delta - self.cutoffs.epsilon
         if np.any(mask):
-            if self.analytic is not None:
-                vals = self.analytic(pts[mask])
-            else:
-                rho, th = self.chart.chart_coords(pts[mask])
-                vals = self._spline(np.clip(rho, 0.0, 1.0), th, grid=False)
-            out[mask] = (1.0 - self.cutoffs.phi(depth[mask])) * vals
+            out[mask] = (1.0 - self.cutoffs.phi(depth[mask])) * \
+                self.psi(pts[mask])
         return out.reshape(np.shape(x1))
-
-
-def _collar_stream_samples(psi: StreamFunction, collar: GeodesicChart):
-    sp = psi.field.chart.spline(psi.field.values)
-    rho, th = psi.field.chart.chart_coords(collar.X.reshape(-1, 2))
-    vals = sp(np.clip(rho, 0.0, 1.0), th, grid=False).reshape(collar.X.shape[:2])
-    vals[0] = 0.0
-    return vals
-
-
-def _collar_spline(collar: GeodesicChart, vals):
-    from scipy.interpolate import RectBivariateSpline
-    p = 4
-    L = collar.curve.length
-    th = np.concatenate([collar.theta[-p:] - L, collar.theta,
-                         collar.theta[:p] + L])
-    v = np.concatenate([vals[:, -p:], vals, vals[:, :p]], axis=1)
-    return RectBivariateSpline(collar.s, th, v, kx=3, ky=3)
 
 
 # ----------------------------------------------------------------------
 # spec-shaped pipeline pieces
 # ----------------------------------------------------------------------
 
-def recover_stream(u: GridField, tol=1e-6, solver_tol=1e-10):
+def recover_stream(u: GridField, tol=1e-6):
     """Stream function of a divergence-free tangential field: solve
     -Delta psi = -curl u with zero boundary trace, so grad^perp psi = u."""
     chart = u.chart
@@ -219,15 +175,13 @@ def recover_stream(u: GridField, tol=1e-6, solver_tol=1e-10):
     if div_max > tol:
         raise MollifyError(f"velocity is not discretely divergence-free: "
                            f"max |div u| = {div_max:.3e} > {tol:.1e}")
-    normal = np.stack([-chart.vt[:, 1], chart.vt[:, 0]], axis=-1)
-    normal /= np.linalg.norm(normal, axis=-1, keepdims=True)
-    tang = float(np.max(np.abs(np.einsum("jk,jk->j", u.values[-1], normal))))
+    _, _, normal, _ = chart.collar_frame
+    tang = float(np.max(np.abs(np.einsum("jk,jk->j", u.values[-1], normal[-1]))))
     if tang > tol:
         raise MollifyError(f"velocity is not tangential: max |u.n| = "
                            f"{tang:.3e} > {tol:.1e}")
     omega = chart.curl(u.values)
-    psi, report = solve_dirichlet_stream(
-        GridField(chart, -omega), tol=solver_tol)
+    psi, report = solve_dirichlet_stream(GridField(chart, -omega))
     round_trip = float(np.max(np.abs(
         stream_to_velocity(psi).values[:-1] - u.values[:-1])))
     psi.round_trip_error = round_trip
@@ -238,8 +192,7 @@ def recover_stream(u: GridField, tol=1e-6, solver_tol=1e-10):
 def split_stream(psi: StreamFunction, cutoffs: CutoffProfile):
     """psi = psi_b + psi_i with psi_b = phi(depth) psi near the boundary."""
     chart = psi.field.chart
-    depth = boundary_depth(chart)
-    phi = cutoffs.phi(depth)
+    phi = cutoffs.phi(chart.node_depth)
     psi_b = GridField(chart, phi * psi.field.values)
     psi_i = GridField(chart, (1.0 - phi) * psi.field.values)
     return psi_b, psi_i
@@ -279,34 +232,6 @@ class RegularizedVelocity:
                 "divergence_max": self.divergence_max}
 
 
-def collar_coords_of_points(pts, curve):
-    """(s, theta) of physical points relative to the boundary circle, exact
-    (the collar coordinates of a disk extend to its center)."""
-    pts = np.asarray(pts, dtype=float)
-    radius = curve.spec["radius"]
-    rel = pts - curve.center
-    s = radius - np.linalg.norm(rel, axis=-1)
-    th = (np.arctan2(rel[..., 1], rel[..., 0]) * radius) % curve.length
-    return s, th
-
-
-def _chart_collar_frame(chart: InteriorChart, collar: GeodesicChart):
-    """Cached collar coordinates and boundary frame at the chart nodes; the
-    boundary row is pinned to s = 0 exactly."""
-    cache = getattr(chart, "_collar_frame_cache", None)
-    if cache is not None and cache[0] is collar:
-        return cache[1]
-    s, th = collar_coords_of_points(chart.points, chart.curve)
-    s[-1] = 0.0
-    th[-1] = chart.theta[None, :] * np.ones_like(s[-1])
-    tau = chart.curve.tangent(th.ravel()).reshape(th.shape + (2,))
-    nrm = np.stack([-tau[..., 1], tau[..., 0]], axis=-1)
-    gam = chart.curve.curvature(th.ravel()).reshape(th.shape)
-    frame = (s, th, tau, nrm, gam)
-    chart._collar_frame_cache = (collar, frame)
-    return frame
-
-
 def mollify_velocity(u: GridField, eta, cutoffs: CutoffProfile,
                      collar: GeodesicChart, psi: StreamFunction = None,
                      n_sub=4, probe_n=128):
@@ -323,23 +248,27 @@ def mollify_velocity(u: GridField, eta, cutoffs: CutoffProfile,
     chart = u.chart
     if psi is None:
         psi = recover_stream(u)
+    sample = psi.analytic
+    if sample is None:
+        sample = chart.interpolant(psi.field.values)
     kernel = MollifierKernel(float(eta), n_sub=n_sub)
-    conv_b = _StencilConvolution(_BoundarySampler(psi, cutoffs, collar), kernel)
-    conv_i = _StencilConvolution(_InteriorSampler(psi, cutoffs), kernel)
-    curve = chart.curve
+    conv_b = _StencilConvolution(_BoundarySampler(sample, cutoffs, chart),
+                                 kernel)
+    conv_i = _StencilConvolution(_InteriorSampler(sample, cutoffs, chart),
+                                 kernel)
 
     # --- chart evaluation -------------------------------------------------
-    s, th, tau, nrm, gam = _chart_collar_frame(chart, collar)
-    depth = boundary_depth(chart)
+    th, tau, nrm, gam = chart.collar_frame
+    depth = chart.node_depth             # the collar depth s of the nodes
     psi_vals = np.zeros_like(depth)
     u_vals = np.zeros(depth.shape + (2,))
     un_vals = np.zeros_like(depth)
 
     # the smoothed boundary part reaches at most depth delta + eta
-    bmask = s <= cutoffs.delta + eta + 2.0 * kernel.spacing
+    bmask = depth <= cutoffs.delta + eta + 2.0 * kernel.spacing
     if np.any(bmask):
-        pb, ds, dt = conv_b(s[bmask], th[bmask])
-        J = 1.0 + s[bmask] * gam[bmask]
+        pb, ds, dt = conv_b(depth[bmask], th[bmask])
+        J = 1.0 + depth[bmask] * gam[bmask]
         ut = -ds
         un = dt / J
         psi_vals[bmask] += pb
@@ -363,7 +292,7 @@ def mollify_velocity(u: GridField, eta, cutoffs: CutoffProfile,
     trace_vals, _, trace_dt = conv_b(np.zeros_like(collar.theta), collar.theta)
     trace_max = float(np.max(np.abs(trace_vals)))
     tangency_max = float(np.max(np.abs(trace_dt)))   # J = 1 at s = 0
-    divergence_max = _probe_divergence(conv_b, conv_i, curve, cutoffs,
+    divergence_max = _probe_divergence(conv_b, conv_i, chart, cutoffs,
                                        probe_n)
 
     ut_boundary = -conv_b(np.zeros_like(chart.theta), chart.theta)[1]
@@ -384,29 +313,26 @@ def mollify_velocity(u: GridField, eta, cutoffs: CutoffProfile,
     )
 
 
-def _probe_divergence(conv_b, conv_i, curve, cutoffs, probe_n):
+def _probe_divergence(conv_b, conv_i, chart, cutoffs, probe_n):
     """Discrete divergence of grad^perp psi^eta on a uniform Cartesian probe
     grid (centered differences commute there, so this measures pure rounding
     noise -- the structural divergence-free property)."""
-    lo = np.min(curve.x, axis=0) - 0.0
-    hi = np.max(curve.x, axis=0)
+    lo = np.min(chart.curve.x, axis=0) - 0.0
+    hi = np.max(chart.curve.x, axis=0)
     xs = np.linspace(lo[0], hi[0], probe_n)
     ys = np.linspace(lo[1], hi[1], probe_n)
     hp_x = xs[1] - xs[0]
     hp_y = ys[1] - ys[0]
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     pts = np.stack([X.ravel(), Y.ravel()], axis=-1)
-    depth = point_depth(pts, curve).reshape(X.shape)
+    depth, theta = (c.reshape(X.shape) for c in chart.collar_coords(pts))
     inside = depth > 2.0 * max(hp_x, hp_y)
     psi = np.zeros_like(X)
     # boundary part of psi on the probe points near the collar
     eta = conv_b.kernel.eta
-    s_np, t_np = collar_coords_of_points(pts, curve)
-    s_np = s_np.reshape(X.shape)
-    t_np = t_np.reshape(X.shape)
-    near = inside & (s_np <= cutoffs.delta + 2.0 * eta)
+    near = inside & (depth <= cutoffs.delta + 2.0 * eta)
     if np.any(near):
-        psi[near] += conv_b(s_np[near], t_np[near])[0]
+        psi[near] += conv_b(depth[near], theta[near])[0]
     deep = inside & (depth >= cutoffs.delta - cutoffs.epsilon -
                      2.0 * conv_i.kernel.eta)
     if np.any(deep):

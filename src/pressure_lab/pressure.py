@@ -17,9 +17,12 @@ from .fields import (FieldError, GridField, InteriorChart, collar_components,
 from .geometry import CutoffProfile, GeodesicChart, GeometryError
 from .elliptic import (LinearSolveReport, SlabOperator, SolverError,
                        solve_neumann)
-from .mollify import (MollifyError, RegularizedVelocity, _chart_collar_frame,
-                      boundary_depth)
+from .mollify import MollifyError, RegularizedVelocity, mollify_velocity
 from .norms import NormError, h_minus2_norm, holder_norm, c0_distance
+
+
+# largest |u.n| on the wall that solve_pressure accepts for a GridField
+_TANGENCY_TOL = 1e-6
 
 
 class PressureError(RuntimeError):
@@ -53,12 +56,13 @@ class PressureSolution:
 
 
 def solve_pressure(u, chart: InteriorChart = None, collar: GeodesicChart = None,
-                   cutoffs: CutoffProfile = None, tol=1e-10, tangency_tol=1e-6,
-                   eta="unmollified", source_id=""):
+                   cutoffs: CutoffProfile = None, eta="unmollified",
+                   source_id=""):
     """-Delta p = div div (u x u), d_n p = gamma (u.tau)^2, mean(p) = 0,
     then P = p + phi(depth) (u.n)^2 with its interior/boundary pieces.
 
     u: vector GridField on the interior chart, or a RegularizedVelocity.
+    collar is not read: the chart owns the boundary frame.
     """
     if isinstance(u, RegularizedVelocity):
         ut_b = u.boundary_tangential
@@ -67,21 +71,20 @@ def solve_pressure(u, chart: InteriorChart = None, collar: GeodesicChart = None,
         eta = u.eta
     else:
         ufield = u
-        s, th, tau, nrm, gam_nodes = _chart_collar_frame(u.chart, collar)
+        _, tau, nrm, _ = u.chart.collar_frame
         un = np.einsum("ijk,ijk->ij", u.values, nrm)
         ut_b = np.einsum("jk,jk->j", u.values[-1], tau[-1])
         tang = float(np.max(np.abs(un[-1])))
-        if tang > tangency_tol:
+        if tang > _TANGENCY_TOL:
             raise PressureError(f"velocity is not tangential: |u.n| = "
                                 f"{tang:.3e} on the boundary")
     chart = chart or ufield.chart
     gam = chart.curve.curvature(chart.theta)
     f = rhs_double_divergence(ufield)
     g = gam * ut_b**2
-    p, report = solve_neumann(GridField(chart, f), g, chart, mean_target=0.0,
-                              tol=tol)
+    p, report = solve_neumann(GridField(chart, f), g, chart, mean_target=0.0)
 
-    depth = boundary_depth(chart)
+    depth = chart.node_depth
     phi = cutoffs.phi(depth)
     normal_sq = un**2
     P_vals = p.values + phi * normal_sq
@@ -101,10 +104,7 @@ def solve_pressure(u, chart: InteriorChart = None, collar: GeodesicChart = None,
 
 def _collar_resample(fieldv: GridField, collar: GeodesicChart):
     """Interior-chart scalar resampled onto the collar grid."""
-    sp = fieldv.chart.spline(fieldv.values)
-    rho, th = fieldv.chart.chart_coords(collar.X.reshape(-1, 2))
-    vals = sp(np.clip(rho, 0.0, 1.0), th, grid=False)
-    return vals.reshape(collar.X.shape[:2])
+    return fieldv.chart.interpolant(fieldv.values)(collar.X)
 
 
 def _reste_term(un, ut, collar):
@@ -365,11 +365,10 @@ def eta_study_record(rough, eta, cutoffs, collar, plan, prev_p=None,
     """One (field, eta) run: mollify, solve, measure.  Returns the ledger
     record plus the pressure samples (for the successive-eta C0 diagnostic).
     """
-    from .mollify import mollify_velocity
     chart = rough.chart
     rv = mollify_velocity(rough.velocity_field(), eta, cutoffs, collar,
                           psi=rough.stream_field(), **(mollify_kwargs or {}))
-    sol = solve_pressure(rv, chart=chart, collar=collar, cutoffs=cutoffs,
+    sol = solve_pressure(rv, chart=chart, cutoffs=cutoffs,
                          source_id=f"rough(alpha={rough.alpha},seed={rough.seed})")
     alpha = rough.alpha
     uu = holder_norm(tensor_square(rv.u_eta), alpha, plan)

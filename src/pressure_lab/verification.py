@@ -126,7 +126,7 @@ def verify_pressure(cutoffs=None):
     cutoffs = cutoffs or default_cutoffs(0.4)
     collar = GeodesicChart(curve, cutoffs.delta, 64, 128)
     u = radial_flow(lambda r: r, chart)
-    sol = solve_pressure(u, chart=chart, collar=collar, cutoffs=cutoffs)
+    sol = solve_pressure(u, chart=chart, cutoffs=cutoffs)
     r = np.linalg.norm(chart.points - chart.center, axis=-1)
     exact = r**2 / 2 - 0.25
     checks = {

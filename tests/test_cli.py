@@ -1,4 +1,7 @@
+import csv
+import io
 import json
+import os
 
 import numpy as np
 import pytest
@@ -7,6 +10,10 @@ import yaml
 from pressure_lab.cli import (ConfigError, DEFAULT_CONFIG, load_config, main,
                               validate_config)
 
+
+# ledger.csv of the study in test_study_deterministic_across_jobs, frozen
+REFERENCE_LEDGER = os.path.join(os.path.dirname(__file__), "data",
+                                "study_small_ledger.csv")
 
 SMALL = [
     "--set", "domain.nodes=128",
@@ -50,9 +57,9 @@ def test_unknown_nested_key_rejected(tmp_path):
 
 
 def test_set_override_types():
-    cfg = load_config(overrides=["solver.tol=1e-8", "grid.n_rho=16",
+    cfg = load_config(overrides=["field.eta=1e-3", "grid.n_rho=16",
                                  "field.kind=zero"])
-    assert cfg["solver"]["tol"] == 1e-8
+    assert cfg["field"]["eta"] == 1e-3
     assert cfg["grid"]["n_rho"] == 16
     assert cfg["field"]["kind"] == "zero"
 
@@ -189,6 +196,26 @@ def test_study_deterministic_across_jobs(tmp_path):
     # ledgers are sorted by (alpha, seed, eta)
     keys = [tuple(float(r.split(",")[i]) for i in range(3)) for r in rows[1:]]
     assert keys == sorted(keys)
+    # against the frozen reference ledger of this config
+    got = list(csv.DictReader(io.StringIO(csv_a.decode())))
+    with open(REFERENCE_LEDGER, newline="") as fh:
+        ref = list(csv.DictReader(fh))
+    assert len(got) == len(ref)
+    for g, r in zip(got, ref):
+        for col in ("alpha", "seed", "eta", "n_rho", "n_theta", "plan_seed",
+                    "pair_count", "error"):
+            assert g[col] == r[col], col
+        for col in ("uu_holder", "p_holder", "P_holder", "P_sup", "C_meas",
+                    "C1_meas", "p_c0_step"):
+            if r[col] == "":
+                assert g[col] == "", col
+            else:
+                assert float(g[col]) == pytest.approx(float(r[col]),
+                                                      rel=1e-8, abs=0.0), col
+        # rounding noise: held to the mollifier bounds, not to the reference
+        assert float(g["trace_max"]) <= 1e-10
+        assert float(g["tangency_max"]) <= 1e-8
+        assert float(g["divergence_max"]) <= 1e-8
 
 
 def test_study_partial_failure_exit_code(tmp_path, capsys):

@@ -18,6 +18,30 @@ def test_interior_chart_rejects_non_disk():
         InteriorChart(ellipse, 32, 64)
 
 
+def test_chart_coords_closed_form_inverse(disk_chart):
+    # nodes map back to (rho_i, theta_j); theta is compared modulo L, since
+    # the theta = 0 column may come back as L across the seam
+    rho, th = disk_chart.chart_coords(disk_chart.points)
+    L = disk_chart.curve.length
+    assert np.max(np.abs(rho - disk_chart.rho[:, None])) <= 1e-14
+    dth = (th - disk_chart.theta[None, :] + L / 2) % L - L / 2
+    assert np.max(np.abs(dth)) <= 1e-14
+    assert np.all((th >= 0.0) & (th <= L))
+    # points just either side of the seam
+    eps = 1e-9
+    ang = np.array([eps, -eps]) / disk_chart.radius
+    pts = disk_chart.center + 0.5 * np.stack([np.cos(ang), np.sin(ang)], -1)
+    rho, th = disk_chart.chart_coords(pts)
+    assert np.max(np.abs(th - np.array([eps, L - eps]))) <= 1e-14
+    assert np.max(np.abs(rho - 0.5)) <= 1e-15
+    # the boundary circle is rho = 1
+    t = np.linspace(0.0, 2.0 * np.pi, 1001)
+    circle = disk_chart.center + disk_chart.radius * np.stack(
+        [np.cos(t), np.sin(t)], axis=-1)
+    for pts in (circle, disk_chart.curve.x):
+        assert np.max(np.abs(disk_chart.chart_coords(pts)[0] - 1.0)) <= 1e-15
+
+
 def test_chart_gradient_exact_on_polynomials(disk_chart):
     pts = disk_chart.points
     f = pts[..., 0] ** 2 - 3.0 * pts[..., 0] * pts[..., 1]

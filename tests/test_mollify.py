@@ -79,6 +79,32 @@ def test_mollify_invariants_one_field(disk_chart, cutoffs, collar):
     assert rv.u_eta.values.shape == disk_chart.points.shape
 
 
+def test_mollify_recovered_stream(disk_chart, cutoffs, collar):
+    # psi=None recovers the stream by the Dirichlet solve and samples its
+    # chart interpolant; for u = (y, -x) the stream is (1 - r^2)/2, so the
+    # result must match the run on the analytic stream
+    pts = disk_chart.points
+    u = GridField(disk_chart, np.stack([pts[..., 1], -pts[..., 0]], axis=-1),
+                  pole=np.zeros(2))
+
+    def psi_fn(x):
+        rel = x - disk_chart.center
+        return (1.0 - np.einsum("...k,...k->...", rel, rel)) / 2.0
+
+    vals = psi_fn(pts)
+    vals[-1] = 0.0
+    exact = StreamFunction(GridField(disk_chart, vals), analytic=psi_fn)
+    for eta in (0.0125, 0.003125):
+        rv = mollify_velocity(u, eta, cutoffs, collar)
+        assert rv.provenance["analytic"] is False
+        assert rv.trace_max <= 1e-10
+        assert rv.tangency_max <= 1e-8
+        assert rv.divergence_max <= 1e-8
+        ref = mollify_velocity(u, eta, cutoffs, collar, psi=exact)
+        assert np.max(np.abs(rv.u_eta.values - ref.u_eta.values)) <= 1e-6
+        assert np.max(np.abs(rv.u_eta.pole - ref.u_eta.pole)) <= 1e-6
+
+
 def test_mollify_smooth_field_convergence(disk_chart, cutoffs, collar):
     # analytic smooth stream: convergence of u^eta -> u under eta halving
     r2 = 1.0 - disk_radii(disk_chart) ** 2
