@@ -10,12 +10,17 @@ projected out every iteration.
 Boundary data enter through face fluxes: with theta an arc-length parameter
 the outer face of a boundary cell carries exactly -g * h_theta for interior
 normal data d_n p = g.
+
+The slab operator is diagonal in theta on the disk's collar: it factors the
+symmetric tridiagonal system of every theta-mode once, and each solve is an
+rFFT, one forward and one backward sweep over the rows acting on all modes
+together, and the inverse rFFT.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .fields import GridField, InteriorChart, StreamFunction
 from .geometry import GeodesicChart, GeometryError
@@ -253,8 +258,10 @@ class SlabOperator:
 
     Unknowns live on rows i = 0..n_s-1 (the Dirichlet row is eliminated).
     A w = J F V (+ boundary terms).  The collar of a disk has constant
-    curvature, so A diagonalizes in theta and is solved mode by mode with
-    tridiagonal factorizations; other collars are rejected.
+    curvature, so A diagonalizes in theta; other collars are rejected.  The
+    tridiagonal systems of all n_theta/2+1 modes are factored once per
+    operator, on first use, and every solve (green_column included) sweeps
+    the rows once forward and once backward over all modes together.
     """
 
     def __init__(self, chart: GeodesicChart):
@@ -279,41 +286,49 @@ class SlabOperator:
         if np.max(np.abs(gam - self.gamma_const)) >= 1e-12:
             raise GeometryError(
                 "slab solves need a collar of constant curvature (a disk)")
-        self._factors = None
 
     # -- per-mode tridiagonal machinery ------------------------------------
 
-    def _mode_bands(self):
-        if self._factors is not None:
-            return self._factors
+    @cached_property
+    def _factors(self):
+        """Symmetric tridiagonal factors of every theta-mode, built once.
+
+        Mode m has diagonal cs_{i-1} + cs_i + ct_i lam_m and off-diagonal
+        -cs_i.  Its factorization L D L^T has pivots d_i = diag_i -
+        cs_{i-1}^2 / d_{i-1} and multipliers l_i = -cs_i / d_i.  Every mode
+        matrix is weakly diagonally dominant and irreducible, with a strictly
+        dominant Dirichlet row, so the pivots stay positive without pivoting.
+        Returns (pivots, multipliers), shapes (n_s, n_modes) and
+        (n_s-1, n_modes).
+        """
         ns, nt = self.chart.n_s, self.chart.n_theta
         h, ht = self.chart.h_s, self.chart.h_theta
         gam = self.gamma_const
         s = self.chart.s[:ns]
         cs = (1.0 + (s + 0.5 * h) * gam) * ht / h            # (ns,)
         ctheta = (self.height / (1.0 + s * gam)) / ht        # (ns,)
-        lam = 2.0 - 2.0 * np.cos(2.0 * np.pi * np.fft.rfftfreq(nt) )
-        # rfftfreq gives m/nt; eigenvalue of the periodic second difference
-        n_modes = lam.size
-        bands = np.zeros((n_modes, 3, ns))
-        diag = np.empty(ns)
-        diag[:] = cs
+        # eigenvalues of the periodic second difference; rfftfreq gives m/nt
+        lam = 2.0 - 2.0 * np.cos(2.0 * np.pi * np.fft.rfftfreq(nt))
+        diag = cs.copy()
         diag[1:] += cs[:-1]
-        for m in range(n_modes):
-            bands[m, 1] = diag + ctheta * lam[m]
-            bands[m, 0, 1:] = -cs[:-1]                       # superdiag
-            bands[m, 2, :-1] = -cs[:-1]                      # subdiag
-        self._factors = bands
-        return bands
+        pivots = diag[:, None] + ctheta[:, None] * lam[None, :]
+        mult = np.empty((ns - 1, lam.size))
+        for i in range(ns - 1):
+            mult[i] = -cs[i] / pivots[i]
+            pivots[i + 1] += cs[i] * mult[i]
+        return pivots, mult
 
     def solve_modes(self, rhs):
-        """Direct solve of A w = rhs."""
-        bands = self._mode_bands()
-        rhat = np.fft.rfft(rhs, axis=1)
-        out = np.empty_like(rhat)
-        for m in range(rhat.shape[1]):
-            out[:, m] = solve_banded((1, 1), bands[m], rhat[:, m])
-        return np.fft.irfft(out, n=rhs.shape[1], axis=1)
+        """Direct solve of A w = rhs: one forward and one backward sweep over
+        the rows, each row step acting on all theta-modes at once."""
+        pivots, mult = self._factors
+        y = np.fft.rfft(rhs, axis=1)                         # (ns, n_modes)
+        for i in range(len(mult)):
+            y[i + 1] -= mult[i] * y[i]
+        y /= pivots
+        for i in range(len(mult) - 1, -1, -1):
+            y[i] -= mult[i] * y[i + 1]
+        return np.fft.irfft(y, n=rhs.shape[1], axis=1)
 
     def matvec(self, w):
         out = np.zeros_like(w)

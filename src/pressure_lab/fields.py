@@ -169,6 +169,22 @@ class InteriorChart:
             return sp(np.clip(rho, 0.0, 1.0), th, grid=False)
         return evaluate
 
+    def on_collar(self, values, collar: GeodesicChart):
+        """Node values resampled onto the collar grid, shape (n_s+1, n_theta).
+
+        The collar grid of the disk is a tensor grid of this chart,
+        rho = 1 - s/R by the collar's theta, so the spline is evaluated once
+        on that grid instead of point by point.  Rows follow the collar's
+        (s ascending, rho descending)."""
+        spec = collar.curve.spec
+        if (spec["kind"] != "circle"
+                or float(spec["radius"]) != self.radius
+                or np.max(np.abs(collar.curve.center - self.center))
+                > 1e-12 * self.radius):
+            raise GeometryError("the collar is not on this chart's circle")
+        rho = np.clip(1.0 - collar.s / self.radius, 0.0, 1.0)
+        return self.spline(values)(rho[::-1], collar.theta)[::-1]
+
 
 # ----------------------------------------------------------------------
 # grid fields
@@ -328,16 +344,15 @@ def make_rough_stream(alpha, seed, j_max, chart) -> RoughStream:
 def collar_components(u, chart: GeodesicChart):
     """Frame components (u.n, u.tau) tabulated on the collar grid.
 
-    u may be a GridField on any chart (sampled via its evaluator) or a
-    callable pts -> (..., 2).
+    u may be a GridField on either chart (an interior one is resampled on
+    the collar grid) or a callable pts -> (..., 2).
     """
-    pts = chart.X.reshape(-1, 2)
     if callable(u):
-        vals = u(pts)
+        vals = u(chart.X.reshape(-1, 2))
     elif isinstance(u, GridField) and isinstance(u.chart, GeodesicChart):
         vals = u.values.reshape(-1, 2)
     elif isinstance(u, GridField):
-        vals = np.stack([u.chart.interpolant(u.values[..., k])(pts)
+        vals = np.stack([u.chart.on_collar(u.values[..., k], chart)
                          for k in (0, 1)], axis=-1)
     else:
         raise FieldError("unsupported velocity representation")

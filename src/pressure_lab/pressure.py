@@ -103,8 +103,10 @@ def solve_pressure(u, chart: InteriorChart = None, collar: GeodesicChart = None,
 # ----------------------------------------------------------------------
 
 def _collar_resample(fieldv: GridField, collar: GeodesicChart):
-    """Interior-chart scalar resampled onto the collar grid."""
-    return fieldv.chart.interpolant(fieldv.values)(collar.X)
+    """Interior-chart scalar resampled onto the collar grid.  On the disk
+    the collar grid is the chart's own tensor grid rho = 1 - s/R by theta,
+    so this is one tensor-product spline evaluation, not a pointwise one."""
+    return fieldv.chart.on_collar(fieldv.values, collar)
 
 
 def _reste_term(un, ut, collar):

@@ -98,6 +98,37 @@ def test_slab_curved_residual(collar):
     assert rep.converged
 
 
+def test_slab_solve_matches_dense_matvec_all_modes(circle):
+    # the dense matrix of matvec reaches every theta-mode, mode 0 and the
+    # Nyquist mode m = n_theta/2 included
+    collar = GeodesicChart(circle, 0.4, 16, 32)
+    op = SlabOperator(collar)
+    shape = (collar.n_s, collar.n_theta)
+    n = shape[0] * shape[1]
+    A = np.empty((n, n))
+    for k in range(n):
+        e = np.zeros(n)
+        e[k] = 1.0
+        A[:, k] = op.matvec(e.reshape(shape)).ravel()
+    b = np.random.default_rng(3).normal(size=shape)
+    w, _ = op.solve(b)
+    exact = np.linalg.solve(A, b.ravel()).reshape(shape)
+    assert np.max(np.abs(w[:collar.n_s] - exact)) <= 1e-12 * np.max(np.abs(exact))
+    assert np.all(w[collar.n_s] == 0.0)
+    pivots, _ = op._factors
+    assert pivots.shape == (collar.n_s, collar.n_theta // 2 + 1)
+    assert np.all(pivots > 0.0)
+
+
+def test_green_columns_reuse_one_factorization(collar):
+    op = SlabOperator(collar)
+    op.green_column(0, 0)
+    factors = op._factors
+    for k in range(1, 10):
+        op.green_column(k, 7 * k)
+    assert op._factors is factors
+
+
 def test_slab_rejects_non_disk_collar():
     # only the disk's collar has constant curvature, which the per-mode
     # solve needs

@@ -7,7 +7,7 @@ from pressure_lab.fields import (FieldError, GridField, InteriorChart,
                                  make_rough_stream, radial_flow,
                                  rhs_double_divergence, stream_to_velocity)
 
-from pressure_lab.geometry import GeometryError, build_curve
+from pressure_lab.geometry import GeodesicChart, GeometryError, build_curve
 
 from conftest import disk_radii
 
@@ -40,6 +40,23 @@ def test_chart_coords_closed_form_inverse(disk_chart):
         [np.cos(t), np.sin(t)], axis=-1)
     for pts in (circle, disk_chart.curve.x):
         assert np.max(np.abs(disk_chart.chart_coords(pts)[0] - 1.0)) <= 1e-15
+
+
+def test_on_collar_matches_pointwise_interpolant(disk_chart, collar):
+    # the tensor-grid resample equals the pointwise spline on every collar
+    # row, the wall row s = 0 and the deepest row s = delta included
+    r = disk_radii(disk_chart)
+    rough = make_rough_stream(1.0 / 3.0, 7, 2, disk_chart)
+    for values in (r**4 / 4.0 - 1.0 / 12.0,
+                   rough.stream_field().field.values):
+        grid = disk_chart.on_collar(values, collar)
+        points = disk_chart.interpolant(values)(collar.X)
+        assert grid.shape == (collar.n_s + 1, collar.n_theta)
+        assert np.max(np.abs(grid - points)) <= 1e-12
+    wide = GeodesicChart(build_curve({"kind": "circle", "radius": 2.0}, 256),
+                         0.4, 16, 64)
+    with pytest.raises(GeometryError, match="circle"):
+        disk_chart.on_collar(r, wide)
 
 
 def test_chart_gradient_exact_on_polynomials(disk_chart):
