@@ -108,7 +108,10 @@ class InteriorChart:
     def depth(self, pts):
         """Distance of physical points to the boundary circle."""
         pts = np.asarray(pts, dtype=float)
-        return self.radius - np.linalg.norm(pts - self.center, axis=-1)
+        dx = pts[..., 0] - self.center[0]
+        dy = pts[..., 1] - self.center[1]
+        # the sum np.linalg.norm forms, by component instead of per point
+        return self.radius - np.sqrt(dx * dx + dy * dy)
 
     def _arc(self, rel):
         """Arc-length angle in [0, L] of points relative to the center."""
@@ -297,25 +300,40 @@ class RoughStream:
         self.phases = rng.uniform(0.0, 2.0 * np.pi, size=js.size)
         self.amps = 4.0 ** (-js * (1.0 + self.alpha))
         self.freqs = self.base_wavenumber * 4.0**js
+        self.kvec = self.freqs[:, None] * self.dirs                # (J, 2)
 
-    def _beta(self, rel):
-        return 1.0 - (rel[..., 0] ** 2 + rel[..., 1] ** 2) / self.radius**2
+    def _beta(self, x, y):
+        return 1.0 - (x * x + y * y) / self.radius**2
 
     def psi(self, pts):
+        """Pointwise: a point's value does not depend on the points
+        evaluated with it."""
         pts = np.asarray(pts, dtype=float)
-        rel = pts - self.center
-        phase = np.tensordot(rel, (self.freqs[:, None] * self.dirs).T, axes=1) + self.phases
-        series = np.sum(self.amps * np.sin(phase), axis=-1)
-        return self._beta(rel) * series
+        x = pts[..., 0] - self.center[0]
+        y = pts[..., 1] - self.center[1]
+        rel = np.stack([x.ravel(), y.ravel()], axis=-1)
+        # one matrix product forms k_j . x for every point; BLAS adds the
+        # two products of a lone row in the other order, so a lone point
+        # goes in beside a copy of itself
+        rows = np.repeat(rel, 2, axis=0) if len(rel) == 1 else rel
+        phase = (self.kvec @ rows.T)[:, :len(rel)]                  # (J, M)
+        phase += self.phases[:, None]
+        np.sin(phase, out=phase)
+        phase *= self.amps[:, None]
+        # the modes added left to right from zero, as np.sum adds them
+        series = np.zeros(len(rel))
+        for term in phase:
+            series += term
+        return self._beta(x, y) * series.reshape(x.shape)
 
     def grad_psi(self, pts):
         pts = np.asarray(pts, dtype=float)
         rel = pts - self.center
-        kvec = self.freqs[:, None] * self.dirs                      # (J, 2)
+        kvec = self.kvec
         phase = np.tensordot(rel, kvec.T, axes=1) + self.phases
         series = np.sum(self.amps * np.sin(phase), axis=-1)
         dseries = np.tensordot(self.amps * np.cos(phase), kvec, axes=1)
-        beta = self._beta(rel)
+        beta = self._beta(rel[..., 0], rel[..., 1])
         dbeta = -2.0 * rel / self.radius**2
         return dbeta * series[..., None] + beta[..., None] * dseries
 

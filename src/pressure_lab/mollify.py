@@ -1,4 +1,4 @@
-"""Tangency- and divergence-preserving regularization u -> u^eta.
+"""Tangency-preserving regularization u -> u^eta.
 
 Pipeline: recover the stream function, split it into a boundary part (cutoff
 times psi, handled in collar coordinates with odd extension through the wall)
@@ -10,10 +10,23 @@ stencil of offsets xi_k = (eta/4) * k, |xi_k| < eta, so every invariant is
 structural: the kernel weights are even in each offset axis, the extended
 boundary stream is odd in s, hence the smoothed stream (and its theta
 derivative) vanish identically at s = 0 -- tangency and zero trace hold to
-rounding, for every eta.  Velocities are centered derivatives of the smoothed
-stream, so the divergence vanishes identically for commuting difference
-stencils; the diagnostic is evaluated on a uniform Cartesian probe grid
-where the commutation is exact.
+rounding, for every eta.  Velocities are centered differences (weights w1,
+w2 on a stencil one ring wider) of each smoothed part.
+
+The shift-sum runs in blocks.  The active shifts are walked in row-major
+order; each sampler is evaluated once per block of shifts, on the
+(shift, point) pairs of the whole block, with the work that a shift
+component leaves unchanged done once per block; each output then adds
+w * sample shift by shift in that order, so the blocked sums are the
+per-shift sums bit for bit.  A request for the smoothed value alone visits
+only the shifts of the kernel's support.
+
+divergence_max does not measure the returned u_eta.  It is the rounding of
+the centered-difference divergence of a centered-difference curl of
+psi^eta on a uniform Cartesian probe grid, where the two difference
+operators commute, so it reads rounding noise for any psi^eta.  The
+returned u_eta differentiates the boundary and interior parts in their own
+coordinates, and is not divergence-free across the cutoff band.
 
 Both samplers read the stream function through one callable of physical
 points: the analytic stream when the caller supplies one, otherwise the
@@ -32,6 +45,13 @@ from .elliptic import solve_dirichlet_stream
 
 class MollifyError(ValueError):
     pass
+
+
+# (point, shift) pairs per sampler evaluation: bounds the temporaries of one
+# block of stencil shifts (psi's phases are a few times this many floats);
+# twice as many raised the peak RSS of a 64x128 study record by about 1 MB
+# and ran no faster
+_BLOCK_POINTS = 8192
 
 
 # ----------------------------------------------------------------------
@@ -68,7 +88,8 @@ class MollifierKernel:
 
 class _StencilConvolution:
     """Pointwise convolution of a 2-variable sampler with a MollifierKernel,
-    returning the smoothed value and its two centered first derivatives."""
+    returning the smoothed value and its two centered first derivatives.
+    A block of shifts covers at most _BLOCK_POINTS (point, shift) pairs."""
 
     def __init__(self, sampler, kernel: MollifierKernel):
         self.sampler = sampler
@@ -83,25 +104,24 @@ class _StencilConvolution:
         self.w1 = (np.roll(w, -1, axis=0) - np.roll(w, 1, axis=0)) / (2.0 * d)
         self.w2 = (np.roll(w, -1, axis=1) - np.roll(w, 1, axis=1)) / (2.0 * d)
 
-    def __call__(self, x1, x2):
+    def __call__(self, x1, x2, value_only=False):
+        """(value, d1, d2) at the points, or the value alone, which visits
+        only the shifts of the kernel's own support."""
         x1 = np.asarray(x1, dtype=float)
         x2 = np.asarray(x2, dtype=float)
-        val = np.zeros_like(x1)
-        d1 = np.zeros_like(x1)
-        d2 = np.zeros_like(x1)
-        for a, sa in enumerate(self.shifts):
-            for b, sb in enumerate(self.shifts):
-                if self.w0[a, b] == 0.0 and self.w1[a, b] == 0.0 \
-                        and self.w2[a, b] == 0.0:
-                    continue
-                sample = self.sampler(x1 - sa, x2 - sb)
-                if self.w0[a, b] != 0.0:
-                    val += self.w0[a, b] * sample
-                if self.w1[a, b] != 0.0:
-                    d1 += self.w1[a, b] * sample
-                if self.w2[a, b] != 0.0:
-                    d2 += self.w2[a, b] * sample
-        return val, d1, d2
+        weights = (self.w0,) if value_only else (self.w0, self.w1, self.w2)
+        active = np.argwhere(np.any([w != 0.0 for w in weights], axis=0))
+        outs = [np.zeros_like(x1) for _ in weights]
+        per_block = max(1, _BLOCK_POINTS // max(x1.size, 1))
+        for start in range(0, len(active), per_block):
+            block = active[start:start + per_block]
+            samples = self.sampler(x1, x2, self.shifts[block[:, 0]],
+                                   self.shifts[block[:, 1]])
+            for (a, b), sample in zip(block, samples):
+                for out, w in zip(outs, weights):
+                    if w[a, b] != 0.0:
+                        out += w[a, b] * sample
+        return outs[0] if value_only else tuple(outs)
 
 
 # ----------------------------------------------------------------------
@@ -110,7 +130,12 @@ class _StencilConvolution:
 
 class _Sampler:
     """A cutoff-weighted part of the stream psi, a callable of physical
-    points (the analytic stream or the chart interpolant)."""
+    points (the analytic stream or the chart interpolant).
+
+    A sampler is called with N base points (x1, x2) and a block of K shifts
+    (sa, sb) and returns the (K, N) samples at (x1 - sa_k, x2 - sb_k); psi
+    is evaluated once, on the points of all K shifts stacked together.
+    """
 
     def __init__(self, psi, cutoffs: CutoffProfile, chart: InteriorChart):
         self.psi = psi
@@ -123,43 +148,51 @@ class _BoundarySampler(_Sampler):
 
     Exactly odd: f(-s, theta) = -f(s, theta); zero for s >= delta (the cutoff
     vanishes there), which keeps the convolution footprint inside the collar.
+    The depth terms (|s - sa|, its sign, the cutoff and the radius factor)
+    are computed once per distinct sa of the block and the angle terms once
+    per distinct sb; only psi is evaluated per shift.
     """
 
-    def _positive(self, s, theta):
-        out = np.zeros_like(s)
-        mask = s < self.cutoffs.delta
-        if not np.any(mask):
-            return out
+    def __call__(self, s, theta, sa, sb):
         chart = self.chart
-        sm, tm = s[mask], theta[mask] % chart.curve.length
-        ang = tm / chart.radius
-        pts = chart.center + (chart.radius - sm)[:, None] * \
-            np.stack([np.cos(ang), np.sin(ang)], axis=-1)
-        out[mask] = self.cutoffs.phi(sm) * self.psi(pts)
-        return out
-
-    def __call__(self, s, theta):
-        s = np.asarray(s, dtype=float)
-        flat_s = np.abs(s).ravel()
-        flat_t = np.asarray(theta, dtype=float).ravel()
-        vals = self._positive(flat_s, flat_t)
-        return (np.sign(s.ravel()) * vals).reshape(s.shape)
+        ua, ia = np.unique(sa, return_inverse=True)
+        shifted = s - ua[:, None]
+        depth = np.abs(shifted)
+        inside = depth < self.cutoffs.delta
+        pairs = inside[ia]
+        out = np.zeros(pairs.shape)
+        k, n = np.nonzero(pairs)
+        if len(k):
+            cut = np.zeros_like(depth)
+            cut[inside] = self.cutoffs.phi(depth[inside])
+            ub, ib = np.unique(sb, return_inverse=True)
+            ang = ((theta - ub[:, None]) % chart.curve.length) / chart.radius
+            # flat (sa, point) and (sb, point) positions of the pairs
+            at, bt = ia[k] * len(s) + n, ib[k] * len(s) + n
+            rad = (chart.radius - depth).take(at)
+            pts = np.stack([chart.center[0] + rad * np.cos(ang).take(bt),
+                            chart.center[1] + rad * np.sin(ang).take(bt)],
+                           axis=-1)
+            out[pairs] = cut.take(at) * self.psi(pts)
+        return np.sign(shifted)[ia] * out
 
 
 class _InteriorSampler(_Sampler):
     """(1 - phi(depth)) * psi in Cartesian coordinates; zero within
     delta - epsilon of the boundary, so its mollification never reaches
-    the wall."""
+    the wall.  The cutoff is evaluated on the band delta - epsilon < depth
+    < delta only: deeper, 1 - phi is exactly 1."""
 
-    def __call__(self, x1, x2):
-        pts = np.stack([np.ravel(x1), np.ravel(x2)], axis=-1)
-        depth = self.chart.depth(pts)
-        out = np.zeros(pts.shape[0])
+    def __call__(self, x1, x2, sa, sb):
+        p1, p2 = x1 - sa[:, None], x2 - sb[:, None]
+        depth = self.chart.depth(np.stack([p1, p2], axis=-1))
+        out = np.zeros(depth.shape)
         mask = depth > self.cutoffs.delta - self.cutoffs.epsilon
         if np.any(mask):
-            out[mask] = (1.0 - self.cutoffs.phi(depth[mask])) * \
-                self.psi(pts[mask])
-        return out.reshape(np.shape(x1))
+            out[mask] = self.psi(np.stack([p1[mask], p2[mask]], axis=-1))
+            band = mask & (depth < self.cutoffs.delta)
+            out[band] *= 1.0 - self.cutoffs.phi(depth[band])
+        return out
 
 
 # ----------------------------------------------------------------------
@@ -314,9 +347,11 @@ def mollify_velocity(u: GridField, eta, cutoffs: CutoffProfile,
 
 
 def _probe_divergence(conv_b, conv_i, chart, cutoffs, probe_n):
-    """Discrete divergence of grad^perp psi^eta on a uniform Cartesian probe
-    grid (centered differences commute there, so this measures pure rounding
-    noise -- the structural divergence-free property)."""
+    """Rounding of a difference-curl's divergence: psi^eta is resampled on a
+    uniform Cartesian probe grid (value-only shift-sums) and the centered
+    difference divergence of its centered-difference curl is taken there.
+    The two operators commute on that grid, so the result is rounding noise
+    for any psi^eta; it reads nothing of the returned u_eta."""
     lo = np.min(chart.curve.x, axis=0) - 0.0
     hi = np.max(chart.curve.x, axis=0)
     xs = np.linspace(lo[0], hi[0], probe_n)
@@ -332,11 +367,11 @@ def _probe_divergence(conv_b, conv_i, chart, cutoffs, probe_n):
     eta = conv_b.kernel.eta
     near = inside & (depth <= cutoffs.delta + 2.0 * eta)
     if np.any(near):
-        psi[near] += conv_b(depth[near], theta[near])[0]
+        psi[near] += conv_b(depth[near], theta[near], value_only=True)
     deep = inside & (depth >= cutoffs.delta - cutoffs.epsilon -
                      2.0 * conv_i.kernel.eta)
     if np.any(deep):
-        psi[deep] += conv_i(X[deep], Y[deep])[0]
+        psi[deep] += conv_i(X[deep], Y[deep], value_only=True)
     # u = grad^perp psi by centered differences, divergence likewise
     core = np.zeros_like(inside)
     core[2:-2, 2:-2] = True

@@ -159,6 +159,7 @@ def test_08_sanss2_consistency(circle, cutoffs):
 
 # 9 -- mollifier suite -------------------------------------------------------
 
+@pytest.mark.slow
 def test_09_mollifier_suite(disk_chart, cutoffs, collar):
     plan = build_pair_plan(disk_chart.points, seed=0, n_random=20000)
     for alpha in (0.25, 1.0 / 3.0, 0.5, 0.75):
@@ -181,6 +182,7 @@ def test_09_mollifier_suite(disk_chart, cutoffs, collar):
 
 # 10 -- measured boundedness of the pressure map -----------------------------
 
+@pytest.mark.slow
 def test_10_pressure_map_boundedness(disk_chart, cutoffs, collar):
     t0 = time.perf_counter()
     plan = build_pair_plan(disk_chart.points, seed=0, n_random=20000)

@@ -110,6 +110,30 @@ def test_rough_stream_determinism(disk_chart):
     assert not np.array_equal(a.psi(pts), c.psi(pts))
 
 
+@pytest.mark.parametrize("j_max", [0, 1, 2, 3])
+def test_rough_stream_psi_is_pointwise(disk_chart_fine, j_max):
+    # the mollifier evaluates psi on stacked (shift, point) pairs, which is
+    # exact only if a point's value does not depend on the points beside it
+    rough = make_rough_stream(1.0 / 3.0, 5, j_max, disk_chart_fine)
+    rng = np.random.default_rng(j_max)
+    pts = rng.uniform(-1.0, 1.0, (600, 2))
+    stacked = rough.psi(pts)
+    assert np.array_equal(stacked, [rough.psi(p) for p in pts])
+    assert np.array_equal(stacked, np.concatenate(
+        [rough.psi(pts[i:i + 7]) for i in range(0, len(pts), 7)]))
+    assert np.array_equal(rough.psi(pts.reshape(20, 30, 2)),
+                          stacked.reshape(20, 30))
+    # the modes are added as np.sum adds them (on two or more points: a
+    # lone row takes another BLAS path, whose products add the other way)
+    rel = pts - rough.center
+    phase = np.tensordot(rel, (rough.freqs[:, None] * rough.dirs).T,
+                         axes=1) + rough.phases
+    beta = 1.0 - (rel[..., 0] ** 2 + rel[..., 1] ** 2) / rough.radius**2
+    old = beta * np.sum(rough.amps * np.sin(phase), axis=-1)
+    assert np.array_equal(stacked, old)
+    assert np.array_equal(np.signbit(stacked), np.signbit(old))
+
+
 def test_rough_stream_boundary_values(disk_chart):
     rough = make_rough_stream(1.0 / 3.0, 7, 2, disk_chart)
     psi = rough.stream_field()

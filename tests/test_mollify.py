@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pressure_lab import mollify
 from pressure_lab.fields import GridField, StreamFunction, make_rough_stream
 from pressure_lab.mollify import (MollifierKernel, MollifyError, odd_extend,
                                   mollify_velocity, recover_stream,
@@ -155,3 +156,96 @@ def test_mollify_diagnostics_record(disk_chart, cutoffs, collar):
     d = rv.diagnostics()
     assert set(d) == {"eta", "trace_max", "tangency_max", "divergence_max"}
     assert d["eta"] == 0.00625
+
+
+# ----------------------------------------------------------------------
+# the per-shift shift-sum, kept as the oracle of the blocked one
+# ----------------------------------------------------------------------
+
+def _boundary_shift(sampler, s, theta):
+    """Boundary sampler at one shift, as it was evaluated shift by shift."""
+    chart, cutoffs = sampler.chart, sampler.cutoffs
+    r = np.abs(s)
+    out = np.zeros_like(r)
+    mask = r < cutoffs.delta
+    if np.any(mask):
+        sm = r[mask]
+        ang = (theta[mask] % chart.curve.length) / chart.radius
+        pts = chart.center + (chart.radius - sm)[:, None] * \
+            np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+        out[mask] = cutoffs.phi(sm) * sampler.psi(pts)
+    return np.sign(s) * out
+
+
+def _interior_shift(sampler, x1, x2):
+    """Interior sampler at one shift, as it was evaluated shift by shift."""
+    pts = np.stack([x1, x2], axis=-1)
+    depth = sampler.chart.depth(pts)
+    out = np.zeros(len(pts))
+    mask = depth > sampler.cutoffs.delta - sampler.cutoffs.epsilon
+    if np.any(mask):
+        out[mask] = (1.0 - sampler.cutoffs.phi(depth[mask])) * \
+            sampler.psi(pts[mask])
+    return out
+
+
+def _per_shift_sum(conv, shift_sample, x1, x2):
+    """(value, d1, d2) one shift at a time, in row-major shift order."""
+    val, d1, d2 = (np.zeros_like(x1) for _ in range(3))
+    for a, sa in enumerate(conv.shifts):
+        for b, sb in enumerate(conv.shifts):
+            if conv.w0[a, b] == 0.0 and conv.w1[a, b] == 0.0 \
+                    and conv.w2[a, b] == 0.0:
+                continue
+            sample = shift_sample(x1 - sa, x2 - sb)
+            if conv.w0[a, b] != 0.0:
+                val += conv.w0[a, b] * sample
+            if conv.w1[a, b] != 0.0:
+                d1 += conv.w1[a, b] * sample
+            if conv.w2[a, b] != 0.0:
+                d2 += conv.w2[a, b] * sample
+    return val, d1, d2
+
+
+@pytest.mark.parametrize("stream", ["analytic", "interpolant"])
+@pytest.mark.parametrize("part", ["boundary", "interior"])
+# one point set inside a single block of shifts, one spread over many
+@pytest.mark.parametrize("n_points", [40, mollify._BLOCK_POINTS // 3 + 1])
+def test_blocked_shift_sum_matches_per_shift_loop(disk_chart, cutoffs, stream,
+                                                  part, n_points):
+    rough = make_rough_stream(1.0 / 3.0, 7, 2, disk_chart)
+    psi = rough.psi if stream == "analytic" else \
+        disk_chart.interpolant(rough.stream_field().field.values)
+    kernel = MollifierKernel(0.0125)
+    rng = np.random.default_rng(n_points)
+    if part == "boundary":
+        # depths on both sides of the wall and past the cutoff's support
+        x1 = rng.uniform(-0.1, cutoffs.delta + 0.05, n_points)
+        x2 = rng.uniform(0.0, disk_chart.curve.length, n_points)
+        sampler = mollify._BoundarySampler(psi, cutoffs, disk_chart)
+        shift_sample = _boundary_shift
+    else:
+        # the disk, including the cutoff band and the core
+        r = np.sqrt(rng.uniform(0.0, 1.0, n_points))
+        t = rng.uniform(0.0, 2.0 * np.pi, n_points)
+        x1, x2 = r * np.cos(t), r * np.sin(t)
+        sampler = mollify._InteriorSampler(psi, cutoffs, disk_chart)
+        shift_sample = _interior_shift
+    blocks = []
+
+    def counted(x1, x2, sa, sb):
+        blocks.append(len(sa))
+        return sampler(x1, x2, sa, sb)
+
+    conv = mollify._StencilConvolution(counted, kernel)
+    expected = _per_shift_sum(
+        conv, lambda x1, x2: shift_sample(sampler, x1, x2), x1, x2)
+    got = conv(x1, x2)
+    assert (len(blocks) == 1) == (n_points == 40)
+    for e, g in zip(expected, got):
+        assert np.array_equal(e, g)
+    assert np.any(expected[0] != 0.0) and np.any(expected[1] != 0.0)
+    blocks.clear()
+    assert np.array_equal(conv(x1, x2, value_only=True), expected[0])
+    # the value alone visits only the kernel's own support
+    assert sum(blocks) == np.count_nonzero(kernel.weights)
