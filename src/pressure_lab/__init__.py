@@ -1,12 +1,12 @@
 """pressure-lab: pressure regularity experiments for 2D steady incompressible
-flow in smooth bounded domains.
+flow on the disk.
 
 Layout:
-  geometry  boundary curves, collar (geodesic) charts, cutoff profiles
+  geometry  the boundary circle, its collar (geodesic) chart, cutoff profiles
   fields    grid fields, analytic field families, collar operators
   norms     Holder / sup / negative-Sobolev estimators
   elliptic  Neumann, Dirichlet and collar-slab Poisson solvers
-  mollify   tangency- and divergence-preserving regularization
+  mollify   tangency-preserving regularization
   pressure  pressure solves, collar identities, boundary traces, eta studies
   cli       configuration-driven runner (verify | solve | study)
 """
@@ -19,7 +19,6 @@ from .geometry import (
     build_curve,
     build_cutoffs,
     default_cutoffs,
-    reach_estimate,
 )
 from .fields import (
     FieldError,
@@ -124,7 +123,6 @@ __all__ = [
     "default_cutoffs",
     "make_rough_stream",
     "radial_flow",
-    "reach_estimate",
     "rhs_double_divergence",
     "stream_to_velocity",
 ]

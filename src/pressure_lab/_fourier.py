@@ -3,11 +3,6 @@
 import numpy as np
 
 
-def fourier_wavenumbers(n, period):
-    """Angular wavenumbers 2*pi*k/period in FFT ordering."""
-    return 2.0 * np.pi * np.fft.fftfreq(n, d=1.0 / n) / period
-
-
 def fourier_diff(values, period, order=1, axis=-1):
     """Spectral derivative of uniformly sampled periodic data.
 
@@ -16,7 +11,7 @@ def fourier_diff(values, period, order=1, axis=-1):
     """
     values = np.asarray(values, dtype=float)
     n = values.shape[axis]
-    k = fourier_wavenumbers(n, period)
+    k = 2.0 * np.pi * np.fft.fftfreq(n, d=1.0 / n) / period
     coeffs = np.fft.fft(values, axis=axis)
     cap = 1e-14 * np.max(np.abs(coeffs))
     coeffs[np.abs(coeffs) < cap] = 0.0
@@ -60,33 +55,3 @@ def trig_interp(values, period, t):
     out = out.reshape(t.shape + (values.shape[1],))
     return out[..., 0] if squeeze else out
 
-
-def cumulative_from_samples(speed, period):
-    """Antiderivative table of a periodic function from its samples.
-
-    Returns (mean, osc_coeffs) so that
-    F(t) = mean*t + Re sum_k osc_coeffs[k] * (exp(i k w t) - 1)
-    reconstructs int_0^t speed.
-    """
-    speed = np.asarray(speed, dtype=float)
-    n = speed.shape[0]
-    coeffs = np.fft.fft(speed) / n
-    k = fourier_wavenumbers(n, period)
-    osc = np.zeros(n, dtype=complex)
-    nz = k != 0.0
-    osc[nz] = coeffs[nz] / (1j * k[nz])
-    if n % 2 == 0:
-        osc[n // 2] = 0.0
-    return coeffs[0].real, osc
-
-
-def eval_cumulative(mean, osc, period, t):
-    t = np.asarray(t, dtype=float)
-    n = osc.shape[0]
-    k = fourier_wavenumbers(n, period)
-    mag = np.abs(osc)
-    scale = max(np.max(mag) if n else 0.0, abs(mean) * period)
-    keep = mag > 1e-16 * scale if scale > 0.0 else np.zeros(n, dtype=bool)
-    phase = np.exp(1j * np.outer(t.ravel(), k[keep]))
-    out = mean * t.ravel() + ((phase - 1.0) @ osc[keep]).real
-    return out.reshape(t.shape)

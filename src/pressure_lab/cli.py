@@ -29,7 +29,7 @@ from .pressure import (EstimateLedger, PressureError, _collar_resample,
 from . import report, verification
 
 DEFAULT_CONFIG = {
-    "domain": {"kind": "circle", "radius": 1.0, "nodes": 256},
+    "domain": {"radius": 1.0, "nodes": 256},
     "grid": {"n_rho": 64, "n_theta": 128,
              "collar_n_s": 64, "collar_n_theta": 128},
     "cutoffs": {"delta": 0.4, "epsilon": 0.05,
@@ -136,8 +136,8 @@ def validate_config(cfg):
 
 def _build_geometry(cfg):
     dom = cfg["domain"]
-    spec = {k: v for k, v in dom.items() if k != "nodes"}
-    curve = build_curve(spec, dom["nodes"])
+    curve = build_curve({"kind": "circle", "radius": dom["radius"]},
+                        dom["nodes"])
     g = cfg["grid"]
     chart = InteriorChart(curve, g["n_rho"], g["n_theta"])
     c = cfg["cutoffs"]

@@ -258,10 +258,10 @@ class SlabOperator:
 
     Unknowns live on rows i = 0..n_s-1 (the Dirichlet row is eliminated).
     A w = J F V (+ boundary terms).  The collar of a disk has constant
-    curvature, so A diagonalizes in theta; other collars are rejected.  The
-    tridiagonal systems of all n_theta/2+1 modes are factored once per
-    operator, on first use, and every solve (green_column included) sweeps
-    the rows once forward and once backward over all modes together.
+    curvature, so A diagonalizes in theta.  The tridiagonal systems of all
+    n_theta/2+1 modes are factored once per operator, on first use, and
+    every solve (green_column included) sweeps the rows once forward and
+    once backward over all modes together.
     """
 
     def __init__(self, chart: GeodesicChart):
@@ -283,9 +283,6 @@ class SlabOperator:
         self.vol = self.height[:, None] * ht * np.ones((1, nt))
         self.J = chart.J[:ns]
         self.gamma_const = float(np.mean(gam))
-        if np.max(np.abs(gam - self.gamma_const)) >= 1e-12:
-            raise GeometryError(
-                "slab solves need a collar of constant curvature (a disk)")
 
     # -- per-mode tridiagonal machinery ------------------------------------
 

@@ -33,18 +33,12 @@ class FieldError(ValueError):
 class InteriorChart:
     """Polar chart x = c + rho*(x(theta)-c) of a disk with metric tables.
 
-    The interior pipeline (stencils, samplers, field generators) runs on
-    disks only, and this is the one place that says so; the other curve
-    presets serve the geometry checks.  It is also the one owner of the
+    build_curve builds circles only.  This chart is the one owner of the
     disk's coordinates: chart and collar coordinates of physical points,
     depths, the boundary frame at the nodes, and interpolation.
     """
 
     def __init__(self, curve: BoundaryCurve, n_rho, n_theta):
-        if curve.spec["kind"] != "circle":
-            raise GeometryError(
-                f"the interior pipeline runs on disks only, not on a "
-                f"{curve.spec['kind']!r} domain")
         self.curve = curve
         self.n_rho = int(n_rho)
         self.n_theta = int(n_theta)
@@ -179,9 +173,7 @@ class InteriorChart:
         rho = 1 - s/R by the collar's theta, so the spline is evaluated once
         on that grid instead of point by point.  Rows follow the collar's
         (s ascending, rho descending)."""
-        spec = collar.curve.spec
-        if (spec["kind"] != "circle"
-                or float(spec["radius"]) != self.radius
+        if (float(collar.curve.spec["radius"]) != self.radius
                 or np.max(np.abs(collar.curve.center - self.center))
                 > 1e-12 * self.radius):
             raise GeometryError("the collar is not on this chart's circle")
@@ -305,37 +297,40 @@ class RoughStream:
     def _beta(self, x, y):
         return 1.0 - (x * x + y * y) / self.radius**2
 
-    def psi(self, pts):
-        """Pointwise: a point's value does not depend on the points
-        evaluated with it."""
+    def _phases(self, pts):
+        """(x, y, phase): coordinates relative to the center and the (J, M)
+        table k_j . x + phase_j over the M flattened points.  One matrix
+        product forms k_j . x for every point; BLAS adds the two products of
+        a lone row in the other order, so a lone point goes in beside a copy
+        of itself, and a point's phase does not depend on the points that
+        come with it."""
         pts = np.asarray(pts, dtype=float)
         x = pts[..., 0] - self.center[0]
         y = pts[..., 1] - self.center[1]
         rel = np.stack([x.ravel(), y.ravel()], axis=-1)
-        # one matrix product forms k_j . x for every point; BLAS adds the
-        # two products of a lone row in the other order, so a lone point
-        # goes in beside a copy of itself
         rows = np.repeat(rel, 2, axis=0) if len(rel) == 1 else rel
-        phase = (self.kvec @ rows.T)[:, :len(rel)]                  # (J, M)
+        phase = (self.kvec @ rows.T)[:, :len(rel)]
         phase += self.phases[:, None]
+        return x, y, phase
+
+    def psi(self, pts):
+        """Pointwise: a point's value does not depend on the points
+        evaluated with it."""
+        x, y, phase = self._phases(pts)
         np.sin(phase, out=phase)
         phase *= self.amps[:, None]
-        # the modes added left to right from zero, as np.sum adds them
-        series = np.zeros(len(rel))
-        for term in phase:
-            series += term
-        return self._beta(x, y) * series.reshape(x.shape)
+        return self._beta(x, y) * _sum_modes(phase).reshape(x.shape)
 
     def grad_psi(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        rel = pts - self.center
-        kvec = self.kvec
-        phase = np.tensordot(rel, kvec.T, axes=1) + self.phases
-        series = np.sum(self.amps * np.sin(phase), axis=-1)
-        dseries = np.tensordot(self.amps * np.cos(phase), kvec, axes=1)
-        beta = self._beta(rel[..., 0], rel[..., 1])
-        dbeta = -2.0 * rel / self.radius**2
-        return dbeta * series[..., None] + beta[..., None] * dseries
+        """Pointwise, like psi; shape pts.shape."""
+        x, y, phase = self._phases(pts)
+        series = _sum_modes(self.amps[:, None] * np.sin(phase))
+        slope = self.amps[:, None] * np.cos(phase)
+        beta = self._beta(x, y).ravel()
+        grad = [-2.0 * c.ravel() / self.radius**2 * series
+                + beta * _sum_modes(slope * self.kvec[:, k, None])
+                for k, c in enumerate((x, y))]
+        return np.stack(grad, axis=-1).reshape(x.shape + (2,))
 
     def velocity(self, pts):
         g = self.grad_psi(pts)
@@ -349,6 +344,16 @@ class RoughStream:
     def velocity_field(self) -> GridField:
         return GridField(self.chart, self.velocity(self.chart.points),
                          pole=self.velocity(self.center[None, :])[0])
+
+
+def _sum_modes(terms):
+    """Sum over the leading (mode) axis, left to right from zero, as np.sum
+    adds the few modes a resolved field has (its pairwise summation only
+    reorders from 8 terms on)."""
+    out = np.zeros(terms.shape[1:])
+    for term in terms:
+        out += term
+    return out
 
 
 def make_rough_stream(alpha, seed, j_max, chart) -> RoughStream:
@@ -396,7 +401,7 @@ def _d_theta(chart: GeodesicChart, q):
 def divergence_collar(v: GridField, chart: GeodesicChart = None):
     """(1/J)(d_s(J (v.n)) + d_theta(v.tau)) by centered differences."""
     chart = chart or v.chart
-    vn, vt = collar_components(v if not isinstance(v, GridField) else v, chart)
+    vn, vt = collar_components(v, chart)
     return (_d_s(chart, chart.J * vn) + _d_theta(chart, vt)) / chart.J
 
 

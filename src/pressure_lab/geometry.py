@@ -1,4 +1,5 @@
-"""Closed C2 boundary curves, geodesic collar coordinates and cutoff profiles.
+"""The boundary circle of the disk: arc-length node tables, geodesic collar
+coordinates and cutoff profiles.
 
 Conventions (fixed once, validated by the analytic disk oracles):
   * counterclockwise arc-length parameterization theta in [0, L)
@@ -11,60 +12,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._fourier import (
-    cumulative_from_samples,
-    eval_cumulative,
-    fourier_diff,
-    trig_interp,
-)
+from ._fourier import fourier_diff, trig_interp
 
 
 class GeometryError(ValueError):
     pass
 
 
-# ----------------------------------------------------------------------
-# curve presets
-# ----------------------------------------------------------------------
-
-def _preset_samples(spec, t):
-    kind = spec["kind"]
-    try:
-        return _preset_points(kind, spec, t)
-    except KeyError as exc:
-        raise GeometryError(
-            f"curve preset {kind!r} needs the key {exc.args[0]!r}") from None
-
-
-def _preset_points(kind, spec, t):
-    if kind == "circle":
-        r = float(spec["radius"])
-        if r <= 0:
-            raise GeometryError("circle radius must be positive")
-        return np.stack([r * np.cos(t), r * np.sin(t)], axis=-1)
-    if kind == "ellipse":
-        a, b = float(spec["a"]), float(spec["b"])
-        if a <= 0 or b <= 0:
-            raise GeometryError("ellipse semi-axes must be positive")
-        return np.stack([a * np.cos(t), b * np.sin(t)], axis=-1)
-    if kind == "star":
-        r0 = float(spec.get("r0", 1.0))
-        cos_c = np.asarray(spec.get("cos_coeffs", []), dtype=float)
-        sin_c = np.asarray(spec.get("sin_coeffs", []), dtype=float)
-        r = np.full_like(t, r0)
-        for k, c in enumerate(cos_c, start=1):
-            r = r + c * np.cos(k * t)
-        for k, c in enumerate(sin_c, start=1):
-            r = r + c * np.sin(k * t)
-        if np.min(r) <= 0:
-            raise GeometryError("star radius function must stay positive")
-        return np.stack([r * np.cos(t), r * np.sin(t)], axis=-1)
-    raise GeometryError(f"unknown curve preset {kind!r}")
-
-
 @dataclass
 class BoundaryCurve:
-    """Arc-length node table of a closed C2 planar curve with frames."""
+    """Arc-length node table of the boundary circle with frames."""
 
     spec: dict
     n_nodes: int
@@ -74,7 +31,6 @@ class BoundaryCurve:
     tau: np.ndarray             # (n, 2) unit tangents
     normal: np.ndarray          # (n, 2) interior normals
     gamma: np.ndarray           # (n,) signed curvature
-    arclength_residual: float = 0.0
     center: np.ndarray = field(default_factory=lambda: np.zeros(2))
 
     # -- evaluation by trigonometric interpolation of the node tables --
@@ -86,70 +42,36 @@ class BoundaryCurve:
         t = trig_interp(self.tau, self.length, np.asarray(theta, dtype=float))
         return t / np.linalg.norm(t, axis=-1, keepdims=True)
 
-    def interior_normal(self, theta):
-        t = self.tangent(theta)
-        return np.stack([-t[..., 1], t[..., 0]], axis=-1)
-
     def curvature(self, theta):
         theta = np.asarray(theta, dtype=float) % self.length
         return trig_interp(self.gamma, self.length, theta)
 
-    def node_table_csv(self, path):
-        rows = np.column_stack([
-            self.theta, self.x[:, 0], self.x[:, 1],
-            self.tau[:, 0], self.tau[:, 1],
-            self.normal[:, 0], self.normal[:, 1], self.gamma,
-        ])
-        header = "theta,x1,x2,tau1,tau2,n1,n2,gamma"
-        lines = [header]
-        for row in rows:
-            lines.append(",".join(repr(float(v)) for v in row))
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-
 
 def build_curve(spec, n_nodes):
-    """Build an arc-length parameterized boundary curve from a preset.
+    """Arc-length node tables of the circle spec = {"kind": "circle",
+    "radius": R}.
 
-    spec: {"kind": "circle", "radius": R} | {"kind": "ellipse", "a":, "b":}
-          | {"kind": "star", "r0":, "cos_coeffs": [...], "sin_coeffs": [...]}
+    The pipeline runs on disks only, and this is the one place that says so:
+    any other kind, a missing radius or a radius <= 0 is a GeometryError.
+    The tables are trigonometric interpolants of max(4096, 8n) samples of
+    the circle, evaluated at the nodes t = 2 pi j / n (arc length R t).
     """
+    kind = spec.get("kind")
+    if kind != "circle":
+        raise GeometryError(
+            f"the pipeline runs on disks only, not on a {kind!r} domain")
+    if "radius" not in spec:
+        raise GeometryError("the circle needs the key 'radius'")
+    r = float(spec["radius"])
+    if not r > 0:
+        raise GeometryError("circle radius must be positive")
     if n_nodes < 16 or n_nodes % 2:
         raise GeometryError("n_nodes must be even and at least 16")
     m = max(4096, 8 * n_nodes)
     t_fine = 2.0 * np.pi * np.arange(m) / m
-    xs = _preset_samples(spec, t_fine)
-
-    # orientation: enforce counterclockwise
-    dx = fourier_diff(xs, 2.0 * np.pi, axis=0)
-    area2 = np.mean(xs[:, 0] * dx[:, 1] - xs[:, 1] * dx[:, 0])
-    if area2 < 0:
-        xs = xs[::-1].copy()
-        dx = fourier_diff(xs, 2.0 * np.pi, axis=0)
-
-    speed = np.hypot(dx[:, 0], dx[:, 1])
-    if np.min(speed) < 1e-12:
-        raise GeometryError("degenerate parameterization (vanishing speed)")
-    mean_speed, osc = cumulative_from_samples(speed, 2.0 * np.pi)
-    length = 2.0 * np.pi * mean_speed
-
-    # invert the cumulative arclength at the uniform arc-length targets
-    targets = length * np.arange(n_nodes) / n_nodes
-    ell_fine = eval_cumulative(mean_speed, osc, 2.0 * np.pi, t_fine)
-    t_nodes = np.interp(targets, ell_fine, t_fine)
-    residual = np.inf
-    for _ in range(60):
-        f = eval_cumulative(mean_speed, osc, 2.0 * np.pi, t_nodes) - targets
-        df = trig_interp(speed, 2.0 * np.pi, t_nodes)
-        step = f / df
-        t_nodes = t_nodes - step
-        residual = np.max(np.abs(step))
-        if residual < 1e-13:
-            break
-    if residual > 1e-10:
-        raise GeometryError(
-            f"arclength reparameterization did not converge (residual {residual:.3e})"
-        )
+    xs = np.stack([r * np.cos(t_fine), r * np.sin(t_fine)], axis=-1)
+    length = 2.0 * np.pi * r
+    t_nodes = 2.0 * np.pi * np.arange(n_nodes) / n_nodes
 
     # node tables; theta-derivatives by chain rule through t(theta)
     x_t = trig_interp(fourier_diff(xs, 2.0 * np.pi, axis=0), 2.0 * np.pi, t_nodes)
@@ -164,34 +86,12 @@ def build_curve(spec, n_nodes):
     normal = np.stack([-tau[:, 1], tau[:, 0]], axis=-1)
     gamma = x_thth[:, 0] * x_th[:, 1] - x_th[:, 0] * x_thth[:, 1]
 
-    arc_resid = float(np.max(np.abs(np.linalg.norm(x_th, axis=-1) - 1.0)))
-    if arc_resid > 1e-6:
-        raise GeometryError(f"arc-length table residual too large ({arc_resid:.3e})")
-
-    center = x_nodes.mean(axis=0)
     return BoundaryCurve(
-        spec=dict(spec), n_nodes=n_nodes, length=length, theta=targets,
+        spec=dict(spec), n_nodes=n_nodes, length=length,
+        theta=length * np.arange(n_nodes) / n_nodes,
         x=x_nodes, tau=tau, normal=normal, gamma=gamma,
-        arclength_residual=arc_resid, center=center,
+        center=x_nodes.mean(axis=0),
     )
-
-
-def reach_estimate(curve: BoundaryCurve, margin=0.5):
-    """Maximal admissible collar depth.
-
-    min of margin/max|gamma| (keeps J = 1 + s*gamma positive with slack) and a
-    pairwise injectivity bound |x_i - x_j|^2 / (2 (x_j - x_i).n_i) over nodes.
-    """
-    curv_bound = margin / np.max(np.abs(curve.gamma))
-    diff = curve.x[None, :, :] - curve.x[:, None, :]          # (i, j, 2)
-    d2 = np.einsum("ijk,ijk->ij", diff, diff)
-    proj = np.einsum("ijk,ik->ij", diff, curve.normal)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = d2 / (2.0 * np.abs(proj))
-    ratio[~np.isfinite(ratio)] = np.inf
-    np.fill_diagonal(ratio, np.inf)
-    inj_bound = float(np.min(ratio))
-    return float(min(curv_bound, inj_bound))
 
 
 # ----------------------------------------------------------------------
@@ -227,42 +127,6 @@ class GeodesicChart:
                 f"collar depth {self.delta} too large: J reaches {np.min(self.J):.3e}"
             )
         self.X = self.x_b[None, :, :] + self.s[:, None, None] * self.n_b[None, :, :]
-
-    def project_points(self, pts, tol=1e-12, maxiter=60):
-        """Closest-point coordinates of an array of points.
-
-        Returns (s, theta, ok) where ok flags points with 0 <= s <= delta.
-        Newton iteration on (x - x(theta)).tau(theta) = 0 seeded from the
-        nearest node of the boundary table.
-        """
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        c = self.curve
-        d = pts[:, None, :] - c.x[None, :, :]
-        seed_idx = np.argmin(np.einsum("ijk,ijk->ij", d, d), axis=1)
-        theta = c.theta[seed_idx]
-        for _ in range(maxiter):
-            xb = c.point(theta)
-            tb = c.tangent(theta)
-            nb = np.stack([-tb[..., 1], tb[..., 0]], axis=-1)
-            gb = c.curvature(theta)
-            rvec = pts - xb
-            f = np.einsum("ij,ij->i", rvec, tb)
-            fp = -1.0 - gb * np.einsum("ij,ij->i", rvec, nb)
-            theta = theta - f / fp
-            if np.max(np.abs(f)) < tol:
-                break
-        xb = c.point(theta)
-        tb = c.tangent(theta)
-        nb = np.stack([-tb[..., 1], tb[..., 0]], axis=-1)
-        resid = np.abs(np.einsum("ij,ij->i", pts - xb, tb))
-        if np.max(resid) > 1e-9:
-            raise GeometryError(
-                f"closest-point Newton residual {np.max(resid):.3e} did not converge"
-            )
-        s = np.einsum("ij,ij->i", pts - xb, nb)
-        theta = theta % c.length
-        ok = (s >= -1e-10) & (s <= self.delta + 1e-10)
-        return s, theta, ok
 
 
 # ----------------------------------------------------------------------

@@ -352,7 +352,7 @@ def _probe_divergence(conv_b, conv_i, chart, cutoffs, probe_n):
     difference divergence of its centered-difference curl is taken there.
     The two operators commute on that grid, so the result is rounding noise
     for any psi^eta; it reads nothing of the returned u_eta."""
-    lo = np.min(chart.curve.x, axis=0) - 0.0
+    lo = np.min(chart.curve.x, axis=0)
     hi = np.max(chart.curve.x, axis=0)
     xs = np.linspace(lo[0], hi[0], probe_n)
     ys = np.linspace(lo[1], hi[1], probe_n)

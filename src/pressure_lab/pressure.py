@@ -148,6 +148,56 @@ def collar_flux_residual(u, chart_rhs, collar: GeodesicChart):
     return lhs - geodesic
 
 
+@dataclass
+class _SlabSource:
+    """The slab source of phi_b P and its pieces, in the quadrature
+    normalization values * J = phi_b (A + B - C) + phi_b (J R_b) - J D."""
+
+    values: np.ndarray
+    audit: dict
+    phi_b: np.ndarray                # phi_b(s) as a column
+    A: np.ndarray
+    B: np.ndarray
+    C: np.ndarray
+    D: np.ndarray
+
+
+def _slab_source(un, ut, P_collar, cutoffs: CutoffProfile,
+                 collar: GeodesicChart):
+    """Assemble the slab source from the collar components (u.n, u.tau).
+
+    The audit tracks the highest order of s-differentiation applied to
+    velocity- or pressure-derived samples during assembly (it must be one:
+    the mixed d_s d_theta term only).
+    """
+    J = collar.J
+    gam = collar.gamma_b[None, :]
+    s = collar.s[:, None]
+    phi_b = cutoffs.phi_b(s)
+    dphi_b = cutoffs.phi_b_d1(s)
+    d2phi_b = cutoffs.phi_b_d2(s)
+    s_orders = []
+
+    def ds(values, order_in):
+        s_orders.append(order_in + 1)
+        return _d_s(collar, values)
+
+    # braces: only first-order s-derivatives of velocity products appear
+    A = _d_theta(collar, _d_theta(collar, ut**2) / J)
+    B = 2.0 * ds(_d_theta(collar, un * ut), 0)
+    C = _d_theta(collar, _d_theta(collar, un**2) / J)
+    reste = (gam / J) * ds(un**2 - ut**2, 0) \
+        + 2.0 * _d_theta(collar, (gam / J) * un * ut) / J
+    D = d2phi_b * P_collar + 2.0 * dphi_b * ds(P_collar, 0) \
+        + (gam / J) * P_collar * dphi_b
+    values = (phi_b / J) * (A + B + J * reste - C) - D
+    max_order = max(s_orders)
+    audit = {"max_s_derivative_order": max_order,
+             "second_s_derivative_free": max_order <= 1}
+    return _SlabSource(values=values, audit=audit, phi_b=phi_b,
+                       A=A, B=B, C=C, D=D)
+
+
 def sanss2_rhs(u, P_collar, cutoffs: CutoffProfile, collar: GeodesicChart):
     """Right-hand side of the no-second-s-derivative identity for the
     boundary piece phi_b P.
@@ -157,34 +207,9 @@ def sanss2_rhs(u, P_collar, cutoffs: CutoffProfile, collar: GeodesicChart):
     during assembly (it must be one: the mixed d_s d_theta term only).
     """
     un, ut = collar_components(u, collar)
-    P_collar = np.asarray(P_collar, dtype=float)
-    J = collar.J
-    gam = collar.gamma_b[None, :]
-    s = collar.s[:, None]
-    phi_b = cutoffs.phi_b(s)
-    dphi_b = cutoffs.phi_b_d1(s)
-    d2phi_b = cutoffs.phi_b_d2(s)
-
-    audit = {"s_orders": []}
-
-    def ds(values, order_in):
-        audit["s_orders"].append(order_in + 1)
-        return _d_s(collar, values)
-
-    # braces: only first-order s-derivatives of velocity products appear
-    braces = _d_theta(collar, _d_theta(collar, ut**2) / J)
-    braces = braces + 2.0 * ds(_d_theta(collar, un * ut), 0)
-    reste = (gam / J) * ds(un**2 - ut**2, 0) \
-        + 2.0 * _d_theta(collar, (gam / J) * un * ut) / J
-    braces = braces + J * reste
-    braces = braces - _d_theta(collar, _d_theta(collar, un**2) / J)
-
-    dP = ds(P_collar, 0)
-    values = (phi_b / J) * braces \
-        - (d2phi_b * P_collar + 2.0 * dphi_b * dP + (gam / J) * P_collar * dphi_b)
-    max_order = max(audit["s_orders"])
-    return values, {"max_s_derivative_order": max_order,
-                    "second_s_derivative_free": max_order <= 1}
+    src = _slab_source(un, ut, np.asarray(P_collar, dtype=float), cutoffs,
+                       collar)
+    return src.values, src.audit
 
 
 # ----------------------------------------------------------------------
@@ -228,29 +253,18 @@ def split_Pb(u, P_collar, cutoffs: CutoffProfile, collar: GeodesicChart,
     b_bb = op.rhs_from_source(np.zeros((ns + 1, nt)), neumann=g_wall)
     P_bb, _ = op.solve(b_bb)
 
-    rhs_vals, audit = sanss2_rhs(u, P_collar, cutoffs, collar)
-    P_bi, _ = op.solve(op.rhs_from_source(rhs_vals))
-
-    s = collar.s[:, None]
-    target = cutoffs.phi_b(s) * P_collar
-
-    # pieces of the slab source, in the quadrature normalization
-    # f_total * J = phi_b * (A + B - C) + phi_b * (J R_b) - J * D
-    J = collar.J
-    phi_b = cutoffs.phi_b(s)
-    dphi_b = cutoffs.phi_b_d1(s)
-    d2phi_b = cutoffs.phi_b_d2(s)
-    A = _d_theta(collar, _d_theta(collar, ut**2) / J)
-    B = 2.0 * _d_s(collar, _d_theta(collar, un * ut))
-    C = _d_theta(collar, _d_theta(collar, un**2) / J)
-    D = d2phi_b * P_collar + 2.0 * dphi_b * _d_s(collar, P_collar) \
-        + (collar.gamma_b[None, :] / J) * P_collar * dphi_b
+    src = _slab_source(un, ut, P_collar, cutoffs, collar)
+    P_bi, _ = op.solve(op.rhs_from_source(src.values))
+    phi_b = src.phi_b
+    target = phi_b * P_collar
 
     rng = np.random.default_rng(seed)
     i_lo, i_hi = max(1, ns // 5), max(2, (3 * ns) // 5)
     probes = [(int(rng.integers(i_lo, i_hi)), int(rng.integers(0, nt)))
               for _ in range(n_probes)]
 
+    J = collar.J
+    A, B, C, D = src.A, src.B, src.C, src.D
     vol = op.vol                      # height * h_theta, rows 0..ns-1
     rows = slice(0, ns)
     I1 = np.empty(n_probes)
@@ -264,8 +278,8 @@ def split_Pb(u, P_collar, cutoffs: CutoffProfile, collar: GeodesicChart,
         Gr = G[rows]
         I1[k] = float(np.sum(Gr * (phi_b * (A + B - C))[rows] * vol))
         # integration by parts in s' and theta' of the first-order terms
-        dsG = _d_s(collar, gam_row * cutoffs.phi_b(collar.s)[:, None] * G)
-        dtG = _d_theta(collar, cutoffs.phi_b(collar.s)[:, None] * G)
+        dsG = _d_s(collar, gam_row * phi_b * G)
+        dtG = _d_theta(collar, phi_b * G)
         I2i[k] = float(-np.sum(dsG[rows] * (un**2 - ut**2)[rows] * vol)
                        - 2.0 * np.sum(dtG[rows] * ((gam_row / J) * un * ut)[rows] * vol))
         I2b[k] = float(np.sum(gam * G[0] * ut[0] ** 2 * collar.h_theta))
@@ -273,7 +287,7 @@ def split_Pb(u, P_collar, cutoffs: CutoffProfile, collar: GeodesicChart,
         at_probes[k] = P_bi[i0, j0]
     return SplitPb(P_bb=P_bb, P_bi=P_bi, target=target, probes=probes,
                    I1=I1, I2i=I2i, I2b=I2b, I3=I3,
-                   P_bi_at_probes=at_probes, audit=audit)
+                   P_bi_at_probes=at_probes, audit=src.audit)
 
 
 # ----------------------------------------------------------------------

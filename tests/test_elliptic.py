@@ -130,11 +130,12 @@ def test_green_columns_reuse_one_factorization(collar):
 
 
 def test_slab_rejects_non_disk_collar():
-    # only the disk's collar has constant curvature, which the per-mode
-    # solve needs
-    ellipse = build_curve({"kind": "ellipse", "a": 2.0, "b": 1.0}, 256)
-    with pytest.raises(GeometryError, match="constant curvature"):
-        SlabOperator(GeodesicChart(ellipse, 0.2, 16, 128))
+    # the per-mode solve needs the disk's constant curvature; no non-disk
+    # collar reaches SlabOperator, since its curve is refused first
+    with pytest.raises(GeometryError, match="disks only"):
+        SlabOperator(GeodesicChart(
+            build_curve({"kind": "ellipse", "a": 2.0, "b": 1.0}, 256),
+            0.2, 16, 128))
 
 
 def test_green_column_duality(collar):

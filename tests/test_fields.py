@@ -13,12 +13,13 @@ from conftest import disk_radii
 
 
 def test_interior_chart_rejects_non_disk():
-    ellipse = build_curve({"kind": "ellipse", "a": 2.0, "b": 1.0}, 256)
+    # no interior chart is built on a non-disk: its curve is refused first
     with pytest.raises(GeometryError, match="disks only"):
-        InteriorChart(ellipse, 32, 64)
+        InteriorChart(build_curve({"kind": "ellipse", "a": 2.0, "b": 1.0},
+                                  256), 32, 64)
 
 
-def test_chart_coords_closed_form_inverse(disk_chart):
+def test_chart_coords_closed_form_inverse(disk_chart, collar):
     # nodes map back to (rho_i, theta_j); theta is compared modulo L, since
     # the theta = 0 column may come back as L across the seam
     rho, th = disk_chart.chart_coords(disk_chart.points)
@@ -40,6 +41,11 @@ def test_chart_coords_closed_form_inverse(disk_chart):
         [np.cos(t), np.sin(t)], axis=-1)
     for pts in (circle, disk_chart.curve.x):
         assert np.max(np.abs(disk_chart.chart_coords(pts)[0] - 1.0)) <= 1e-15
+    # the collar points x(theta) + s n(theta) map back to (s, theta)
+    s, th = disk_chart.collar_coords(collar.X)
+    assert np.max(np.abs(s - collar.s[:, None])) <= 1e-14
+    dth = (th - collar.theta[None, :] + L / 2) % L - L / 2
+    assert np.max(np.abs(dth)) <= 1e-14
 
 
 def test_on_collar_matches_pointwise_interpolant(disk_chart, collar):
@@ -132,6 +138,25 @@ def test_rough_stream_psi_is_pointwise(disk_chart_fine, j_max):
     old = beta * np.sum(rough.amps * np.sin(phase), axis=-1)
     assert np.array_equal(stacked, old)
     assert np.array_equal(np.signbit(stacked), np.signbit(old))
+
+
+@pytest.mark.parametrize("j_max", [0, 2])
+def test_rough_stream_grad_psi_is_pointwise(disk_chart_fine, j_max):
+    # a lone point (the pole of velocity_field) takes the value it has
+    # among others
+    rough = make_rough_stream(1.0 / 3.0, 5, j_max, disk_chart_fine)
+    rng = np.random.default_rng(j_max)
+    pts = rng.uniform(-1.0, 1.0, (600, 2))
+    stacked = rough.grad_psi(pts)
+    assert stacked.shape == (600, 2)
+    assert np.array_equal(stacked, [rough.grad_psi(p) for p in pts])
+    assert np.array_equal(stacked, np.concatenate(
+        [rough.grad_psi(pts[i:i + 7]) for i in range(0, len(pts), 7)]))
+    assert np.array_equal(rough.grad_psi(pts.reshape(20, 30, 2)),
+                          stacked.reshape(20, 30, 2))
+    pole = rough.velocity_field().pole
+    assert np.array_equal(pole, rough.velocity(np.stack(
+        [rough.center, pts[0]]))[0])
 
 
 def test_rough_stream_boundary_values(disk_chart):

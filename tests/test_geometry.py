@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pressure_lab.geometry import (GeodesicChart, GeometryError, build_curve,
-                                   build_cutoffs, reach_estimate)
+                                   build_cutoffs)
 
 
 def test_circle_curvature_and_length():
@@ -17,18 +17,57 @@ def test_circle_radius_two():
     assert np.max(np.abs(curve.gamma + 0.5)) < 1e-10
 
 
-def test_ellipse_curvature_extremes():
-    # |gamma| of an ellipse (a=2, b=1): max a/b^2 = 2 at the flat ends of the
-    # minor axis ... careful: extremes are a/b^2 = 2 (at the major vertices)
-    # and b/a^2 = 0.25 (at the minor vertices)
-    curve = build_curve({"kind": "ellipse", "a": 2.0, "b": 1.0}, 512)
-    g = np.abs(curve.gamma)
-    assert abs(g.max() - 2.0) < 1e-6
-    assert abs(g.min() - 0.25) < 1e-6
+def test_circle_tables_closed_form():
+    # the node tables against the circle of radius R at the arc-length
+    # angle theta / R; measured at most 1.7e-15 relative for n = 16..1024
+    tol = 5e-15
+    for radius in (0.7, 1.0, 2.0):
+        for n in (16, 128, 1024):
+            curve = build_curve({"kind": "circle", "radius": radius}, n)
+            L = curve.length
+            assert np.array_equal(curve.theta, L * np.arange(n) / n)
+            assert abs(L - 2.0 * np.pi * radius) <= tol * radius
+            t = curve.theta / radius
+            radial = np.stack([np.cos(t), np.sin(t)], axis=-1)
+            tangent = np.stack([-np.sin(t), np.cos(t)], axis=-1)
+            assert np.max(np.abs(curve.x - radius * radial)) <= tol * radius
+            assert np.max(np.abs(curve.tau - tangent)) <= tol
+            assert np.max(np.abs(curve.normal + radial)) <= tol
+            assert np.max(np.abs(curve.gamma + 1.0 / radius)) <= tol / radius
+            assert np.max(np.abs(curve.center)) <= tol * radius
+
+
+def test_build_curve_rejects_non_circle():
+    # the pipeline runs on disks only, and build_curve is where that is said
+    for spec, match in [({"kind": "ellipse", "a": 2.0, "b": 1.0}, "disks only"),
+                        ({"kind": "star"}, "disks only"),
+                        ({"radius": 1.0}, "disks only"),
+                        ({"kind": "circle"}, "'radius'"),
+                        ({"kind": "circle", "radius": 0.0}, "positive"),
+                        ({"kind": "circle", "radius": -1.0}, "positive")]:
+        with pytest.raises(GeometryError, match=match):
+            build_curve(spec, 64)
+
+
+def test_project_points_round_trip(disk_chart, collar):
+    # points x(theta) + s n(theta) of the collar map back to (s, theta)
+    # through the disk's closed-form collar coordinates
+    rng = np.random.default_rng(5)
+    s = rng.uniform(0.01, 0.35, 50)
+    th = rng.uniform(0.0, collar.curve.length, 50)
+    tau = collar.curve.tangent(th)
+    normal = np.stack([-tau[:, 1], tau[:, 0]], axis=-1)
+    pts = collar.curve.point(th) + s[:, None] * normal
+    s2, th2 = disk_chart.collar_coords(pts)
+    assert np.all((0.0 <= s2) & (s2 <= collar.delta))
+    assert np.max(np.abs(s2 - s)) < 1e-8
+    dth = np.abs(th2 - th)
+    dth = np.minimum(dth, collar.curve.length - dth)
+    assert np.max(dth) < 1e-8
 
 
 def test_tangent_is_unit_speed():
-    curve = build_curve({"kind": "ellipse", "a": 2.0, "b": 1.0}, 512)
+    curve = build_curve({"kind": "circle", "radius": 0.7}, 512)
     t = np.linspace(0.0, curve.length, 333, endpoint=False)
     tau = curve.tangent(t)
     assert np.max(np.abs(np.linalg.norm(tau, axis=-1) - 1.0)) < 1e-8
@@ -37,15 +76,10 @@ def test_tangent_is_unit_speed():
 def test_interior_normal_points_inward():
     curve = build_curve({"kind": "circle", "radius": 1.0}, 256)
     x = curve.point(curve.theta)
-    n = curve.interior_normal(curve.theta)
+    n = curve.normal
     # stepping along n reduces the distance to the center
     closer = np.linalg.norm(x + 0.1 * n, axis=-1)
     assert np.all(closer < 1.0)
-
-
-def test_reach_circle():
-    curve = build_curve({"kind": "circle", "radius": 1.0}, 256)
-    assert 0.0 < reach_estimate(curve) <= 1.0
 
 
 def test_collar_chart_tables(collar):
@@ -57,20 +91,6 @@ def test_collar_chart_tables(collar):
     # X(s, theta) lands at radius 1 - s
     r = np.linalg.norm(collar.X, axis=-1)
     assert np.max(np.abs(r - expected)) < 1e-12
-
-
-def test_project_points_round_trip(collar):
-    rng = np.random.default_rng(5)
-    s = rng.uniform(0.01, 0.35, 50)
-    th = rng.uniform(0.0, collar.curve.length, 50)
-    pts = (collar.curve.point(th)
-           + s[:, None] * collar.curve.interior_normal(th))
-    s2, th2, ok = collar.project_points(pts)
-    assert np.all(ok)
-    assert np.max(np.abs(s2 - s)) < 1e-8
-    dth = np.abs(th2 - th)
-    dth = np.minimum(dth, collar.curve.length - dth)
-    assert np.max(dth) < 1e-8
 
 
 def test_cutoff_partition_values(cutoffs):
@@ -100,16 +120,6 @@ def test_cutoff_chain_violation_raises():
         build_cutoffs(0.4, 0.05, 0.1, 0.2, 0.31)
     with pytest.raises(GeometryError):
         build_cutoffs(0.4, 0.05, 0.2, 0.2, 0.25)
-
-
-def test_node_table_csv(tmp_path):
-    curve = build_curve({"kind": "circle", "radius": 1.0}, 64)
-    out = tmp_path / "nodes.csv"
-    curve.node_table_csv(out)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0].split(",") == ["theta", "x1", "x2", "tau1", "tau2",
-                                  "n1", "n2", "gamma"]
-    assert len(lines) == 65
 
 
 def test_geodesic_chart_rejects_deep_collar():
