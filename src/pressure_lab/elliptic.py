@@ -6,7 +6,12 @@ The interior solvers use a vertex-centered finite-volume stencil on the
 polar (rho, theta) chart of the disk with a dedicated pole cell, so the
 operator is symmetric (positive semidefinite for Neumann) and conjugate
 gradients applies; the constant nullspace of the Neumann problem is
-projected out every iteration.
+projected out every iteration.  The CG runs in place: the stencil is one
+kernel on the flat vector (grid rows, pole) that writes into a caller's
+buffer, and every update writes into buffers allocated once per solve.
+Each element sees the operations of the textbook form (np.roll stencil,
+allocating updates) in the same order, so iterates, iteration counts and
+residuals are the same bit for bit.
 Boundary data enter through face fluxes: with theta an arc-length parameter
 the outer face of a boundary cell carries exactly -g * h_theta for interior
 normal data d_n p = g.
@@ -17,6 +22,7 @@ rFFT, one forward and one backward sweep over the rows acting on all modes
 together, and the inverse rFFT.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -85,38 +91,72 @@ class _StarStencil:
         diag += self.ct + np.roll(self.ct, 1, axis=1)
         self.diag = diag
         self.diag_pole = float(np.sum(self.cp))
+        # work buffers of apply(), so a stencil serves one solve at a time
+        self._flux = np.empty(n * chart.n_theta)
+        self._pflux = np.empty(chart.n_theta)
 
-    def matvec(self, p, pole, pole_coupled=True):
-        """5-point stencil plus the pole unknown: cs couples rows i and i+1
+    def apply(self, x, out, pole_coupled=True):
+        """out = A x for the flat vector x = (grid values row by row, pole),
+        written into out with no temporaries.
+
+        5-point stencil plus the pole unknown: cs couples rows i and i+1
         through the rho face between them, cp the pole cell to row 0, ct
         columns j and j+1 (periodic) within a row.  A is the negative
         discrete flux divergence: symmetric positive semidefinite with
-        nullspace = constants."""
-        out = np.zeros_like(p)
+        nullspace = constants.  The theta-differences are taken on the
+        contiguous flat rows, p[k+1] - p[k], and the wrap column j = n_theta-1,
+        where that pairs the row's last value with the next row's first, is
+        then overwritten with p[i, 0] - p[i, -1].  Every element sees the
+        same operations in the same order as the textbook np.roll form.
+        """
+        n, nt = self.chart.n_rho, self.chart.n_theta
+        size = n * nt
+        p, o = x[:size], out[:size]
+        grid, o2 = p.reshape(n, nt), o.reshape(n, nt)
         # rho-direction fluxes between consecutive rows
-        flux = self.cs * (p[1:] - p[:-1])                  # (n_rho-1, nt)
-        out[:-1] -= flux
-        out[1:] += flux
-        # theta-direction fluxes (periodic)
-        tflux = self.ct * (np.roll(p, -1, axis=1) - p)
-        out -= tflux
-        out += np.roll(tflux, 1, axis=1)
+        flux = self._flux[:size - nt].reshape(n - 1, nt)
+        np.subtract(p[nt:], p[:-nt], out=flux.reshape(-1))
+        flux *= self.cs
+        np.subtract(0.0, flux, out=o2[:-1])
+        o2[-1] = 0.0
+        o2[1:] += flux
+        # theta-direction fluxes (periodic), in the buffer of the rho fluxes
+        tflux = self._flux.reshape(n, nt)
+        np.subtract(p[1:], p[:-1], out=self._flux[:-1])
+        np.subtract(grid[:, 0], grid[:, -1], out=tflux[:, -1])
+        tflux *= self.ct
+        o2 -= tflux
+        o2[:, 1:] += tflux[:, :-1]
+        o2[:, 0] += tflux[:, -1]
         if pole_coupled:
-            pflux = self.cp * (p[0] - pole)                # pole -> row 0
-            out[0] += pflux
-            out_pole = -float(np.sum(pflux))
+            pflux = self._pflux
+            np.subtract(grid[0], x[size], out=pflux)      # pole -> row 0
+            pflux *= self.cp
+            o2[0] += pflux
+            out[size] = -np.sum(pflux)
         else:
-            out_pole = 0.0
-        return out, out_pole
+            out[size] = 0.0
+
+    def matvec(self, p, pole, pole_coupled=True):
+        """A applied to the grid p and the pole value: (grid, pole)."""
+        x = np.append(p, pole)
+        out = np.empty_like(x)
+        self.apply(x, out, pole_coupled)
+        return out[:-1].reshape(p.shape), float(out[-1])
 
 
 def _pcg(apply_a, b, diag, x0, tol, maxiter, project=None):
-    """Preconditioned CG on flat vectors; 'project' removes a known nullspace
-    component from iterates and residuals (pure-Neumann case)."""
+    """Preconditioned CG on flat vectors; apply_a(v, out) writes A v into
+    out.  Every update writes into a buffer allocated once, with the
+    operations of the textbook form in its order, so the iterates are the
+    same bit for bit.  'project' removes a known nullspace component from
+    iterates and residuals (pure-Neumann case)."""
     x = x0.copy()
     if project is not None:
         project(x)
-    r = b - apply_a(x)
+    ap = np.empty_like(b)
+    apply_a(x, ap)
+    r = b - ap
     if project is not None:
         project(r)
     bnorm = float(np.linalg.norm(b))
@@ -124,23 +164,25 @@ def _pcg(apply_a, b, diag, x0, tol, maxiter, project=None):
         return np.zeros_like(b), LinearSolveReport(0, 0.0)
     z = r / diag
     p = z.copy()
+    step = np.empty_like(b)
     rz = float(r @ z)
     residuals = []
     for it in range(1, maxiter + 1):
-        ap = apply_a(p)
+        apply_a(p, ap)
         alpha = rz / float(p @ ap)
-        x += alpha * p
-        r -= alpha * ap
+        x += np.multiply(p, alpha, out=step)
+        r -= np.multiply(ap, alpha, out=step)
         if project is not None:
             project(x)
             project(r)
-        rnorm = float(np.linalg.norm(r))
+        rnorm = math.sqrt(r @ r)          # np.linalg.norm of a 1-D vector
         residuals.append(rnorm)
         if rnorm <= tol * bnorm:
             return x, LinearSolveReport(it, rnorm / bnorm)
-        z = r / diag
+        np.divide(r, diag, out=z)
         rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
+        p *= rz_new / rz
+        p += z
         rz = rz_new
     raise SolverError(
         f"conjugate gradients stalled at relative residual "
@@ -189,15 +231,11 @@ def solve_neumann(f, g, chart: InteriorChart, mean_target=0.0, tol=1e-10,
     diag = np.concatenate([st.diag.ravel(), [st.diag_pole]])
     shape = fvals.shape
 
-    def apply_a(vec):
-        out, out_pole = st.matvec(vec[:-1].reshape(shape), vec[-1], True)
-        return np.concatenate([out.ravel(), [out_pole]])
-
     def project(vec):
         vec -= vec.mean()
 
     start = np.zeros(n + 1) if x0 is None else np.asarray(x0, dtype=float).copy()
-    x, report = _pcg(apply_a, bflat, diag, start, tol, maxiter, project)
+    x, report = _pcg(st.apply, bflat, diag, start, tol, maxiter, project)
 
     p = x[:-1].reshape(shape)
     pole = float(x[-1])
@@ -232,13 +270,14 @@ def solve_dirichlet_stream(omega, chart: InteriorChart = None, tol=1e-10,
     bflat = np.concatenate([b.ravel(), [b_pole]])
     diag = np.concatenate([st.diag.ravel(), [st.diag_pole]])
     shape = ovals.shape
+    fixed = slice(ovals.size - chart.n_theta, ovals.size)   # boundary row
+    work = np.empty(ovals.size + 1)
 
-    def apply_a(vec):
-        field = vec[:-1].reshape(shape).copy()
-        field[-1] = 0.0
-        out, out_pole = st.matvec(field, vec[-1], True)
-        out[-1] = vec[:-1].reshape(shape)[-1]     # identity on the fixed row
-        return np.concatenate([out.ravel(), [out_pole]])
+    def apply_a(vec, out):
+        np.copyto(work, vec)
+        work[fixed] = 0.0
+        st.apply(work, out)
+        out[fixed] = vec[fixed]                  # identity on the fixed row
 
     x, report = _pcg(apply_a, bflat, diag, np.zeros(ovals.size + 1), tol,
                      maxiter)
@@ -271,15 +310,15 @@ class SlabOperator:
         gam = chart.gamma_b
         s = chart.s
         s_face = s[:ns] + 0.5 * h
-        self.j_face_s = 1.0 + s_face[:, None] * gam[None, :]   # (ns, nt)
+        j_face_s = 1.0 + s_face[:, None] * gam[None, :]        # (ns, nt)
         gam_face = 0.5 * (gam + np.roll(gam, -1))
-        self.j_face_t = 1.0 + s[:ns, None] * gam_face[None, :]
-        if np.min(self.j_face_s) <= 0 or np.min(self.j_face_t) <= 0:
+        j_face_t = 1.0 + s[:ns, None] * gam_face[None, :]
+        if np.min(j_face_s) <= 0 or np.min(j_face_t) <= 0:
             raise GeometryError("collar depth exceeds the curvature reach")
         self.height = np.full(ns, h)
         self.height[0] = 0.5 * h
-        self.cs = self.j_face_s * ht / h
-        self.ct = (self.height[:, None] / self.j_face_t) / ht
+        self.cs = j_face_s * ht / h
+        self.ct = (self.height[:, None] / j_face_t) / ht
         self.vol = self.height[:, None] * ht * np.ones((1, nt))
         self.J = chart.J[:ns]
         self.gamma_const = float(np.mean(gam))
@@ -359,10 +398,13 @@ class SlabOperator:
     def green_column(self, i0, j0):
         """Discrete Green kernel column k(., .; s_i0, theta_j0): the solve
         with a unit point load, so that sum(G * (J F) * vol) reproduces the
-        solution value at (i0, j0) by symmetry of the stencil."""
-        b = np.zeros((self.chart.n_s, self.chart.n_theta))
+        solution value at (i0, j0) by symmetry of the stencil.  It is
+        solve without the residual report, which no column needs."""
+        ns, nt = self.chart.n_s, self.chart.n_theta
+        b = np.zeros((ns, nt))
         b[i0, j0] = 1.0
-        full, _ = self.solve(b)
+        full = np.zeros((ns + 1, nt))
+        full[:ns] = self.solve_modes(b)
         return full
 
 

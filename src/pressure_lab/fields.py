@@ -10,7 +10,7 @@ Vector fields are stored in Cartesian components; collar frame components
 (v.n, v.tau) are derived on demand.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -47,7 +47,7 @@ class InteriorChart:
         self.rho = (np.arange(self.n_rho) + 1.0) * self.h_rho
         self.theta = np.arange(self.n_theta) * self.h_theta
         self.center = curve.center.copy()
-        self.radius = float(curve.spec["radius"])
+        self.radius = curve.radius
 
         self.v = curve.point(self.theta) - self.center          # (nt, 2)
         self.vt = curve.tangent(self.theta)                     # d v / d theta
@@ -80,12 +80,25 @@ class InteriorChart:
         out[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * h)
         return out
 
+    @cached_property
+    def grad_theta(self):
+        """Gradient of the theta coordinate at the nodes, (n_rho, nt, 2)."""
+        return self.grad_theta_num[None, :, :] / self.rho[:, None, None]
+
+    def chart_partials(self, values, pole=None):
+        """(d_rho, d_theta) of a scalar sample array."""
+        return self.d_rho(values, pole=pole), self.d_theta(values)
+
     def cart_gradient(self, values, pole=None):
         """Cartesian gradient of a scalar sample array; returns (n_rho, nt, 2)."""
-        fr = self.d_rho(values, pole=pole)
-        ft = self.d_theta(values)
-        gtheta = self.grad_theta_num[None, :, :] / self.rho[:, None, None]
-        return fr[..., None] * self.grad_rho[None, :, :] + ft[..., None] * gtheta
+        fr, ft = self.chart_partials(values, pole)
+        return fr[..., None] * self.grad_rho[None, :, :] + ft[..., None] * self.grad_theta
+
+    def cart_component(self, partials, k):
+        """Component k of the Cartesian gradient, formed alone from the
+        chart_partials of the samples."""
+        fr, ft = partials
+        return fr * self.grad_rho[:, k] + ft * self.grad_theta[..., k]
 
     def divergence(self, vec, poles=None):
         gx = self.cart_gradient(vec[..., 0], None if poles is None else poles[0])
@@ -173,7 +186,7 @@ class InteriorChart:
         rho = 1 - s/R by the collar's theta, so the spline is evaluated once
         on that grid instead of point by point.  Rows follow the collar's
         (s ascending, rho descending)."""
-        if (float(collar.curve.spec["radius"]) != self.radius
+        if (collar.curve.radius != self.radius
                 or np.max(np.abs(collar.curve.center - self.center))
                 > 1e-12 * self.radius):
             raise GeometryError("the collar is not on this chart's circle")
@@ -187,11 +200,19 @@ class InteriorChart:
 
 @dataclass
 class GridField:
-    """Samples on one of the two charts; vectors in Cartesian components."""
+    """Samples on one of the two charts; vectors in Cartesian components.
+
+    An interior vector field keeps its collar frame components for the
+    last collar it was resampled on (see collar_components), so its values
+    are not edited in place after resampling; the kept components are
+    read-only.
+    """
 
     chart: object            # InteriorChart or GeodesicChart
     values: np.ndarray       # (n1, n2) scalar or (n1, n2, 2) vector
     pole: object = None      # optional pole value(s) for interior fields
+    _on_collar: tuple = field(default=None, init=False, repr=False,
+                              compare=False)   # (collar, u.n, u.tau)
 
     @property
     def is_vector(self):
@@ -367,18 +388,28 @@ def make_rough_stream(alpha, seed, j_max, chart) -> RoughStream:
 def collar_components(u, chart: GeodesicChart):
     """Frame components (u.n, u.tau) tabulated on the collar grid.
 
-    u may be a GridField on either chart (an interior one is resampled on
-    the collar grid) or a callable pts -> (..., 2).
+    u may be a GridField on either chart or a callable pts -> (..., 2).  An
+    interior GridField is resampled on the collar grid once: the field
+    keeps the read-only components for that collar object.
     """
     if callable(u):
         vals = u(chart.X.reshape(-1, 2))
     elif isinstance(u, GridField) and isinstance(u.chart, GeodesicChart):
         vals = u.values.reshape(-1, 2)
     elif isinstance(u, GridField):
-        vals = np.stack([u.chart.on_collar(u.values[..., k], chart)
-                         for k in (0, 1)], axis=-1)
+        if u._on_collar is None or u._on_collar[0] is not chart:
+            vals = np.stack([u.chart.on_collar(u.values[..., k], chart)
+                             for k in (0, 1)], axis=-1)
+            un, ut = _frame_components(vals, chart)
+            un.flags.writeable = ut.flags.writeable = False
+            u._on_collar = (chart, un, ut)
+        return u._on_collar[1:]
     else:
         raise FieldError("unsupported velocity representation")
+    return _frame_components(vals, chart)
+
+
+def _frame_components(vals, chart: GeodesicChart):
     vals = vals.reshape(chart.n_s + 1, chart.n_theta, 2)
     un = np.einsum("ijk,jk->ij", vals, chart.n_b)
     ut = np.einsum("ijk,jk->ij", vals, chart.tau_b)
@@ -436,9 +467,15 @@ def laplacian_collar(q, chart: GeodesicChart):
 def rhs_double_divergence(u: GridField):
     """Discrete (grad x grad):(u x u) as a composition of two divergences."""
     chart = u.chart
-    uv = u.values
-    T11, T12, T22 = uv[..., 0] ** 2, uv[..., 0] * uv[..., 1], uv[..., 1] ** 2
-    m1 = chart.cart_gradient(T11)[..., 0] + chart.cart_gradient(T12)[..., 1]
-    m2 = chart.cart_gradient(T12)[..., 0] + chart.cart_gradient(T22)[..., 1]
-    return chart.cart_gradient(m1)[..., 0] + chart.cart_gradient(m2)[..., 1]
+    ux, uy = u.values[..., 0], u.values[..., 1]
+    # the partials of T12 serve both m1 and m2; each term forms only the
+    # Cartesian component it uses
+    d12 = chart.chart_partials(ux * uy)
+    m1 = (chart.cart_component(chart.chart_partials(ux**2), 0)
+          + chart.cart_component(d12, 1))
+    m2 = (chart.cart_component(d12, 0)
+          + chart.cart_component(chart.chart_partials(uy**2), 1))
+    del d12
+    return (chart.cart_component(chart.chart_partials(m1), 0)
+            + chart.cart_component(chart.chart_partials(m2), 1))
 

@@ -23,7 +23,7 @@ class GeometryError(ValueError):
 class BoundaryCurve:
     """Arc-length node table of the boundary circle with frames."""
 
-    spec: dict
+    radius: float
     n_nodes: int
     length: float
     theta: np.ndarray           # (n,) arc-length parameter nodes
@@ -87,7 +87,7 @@ def build_curve(spec, n_nodes):
     gamma = x_thth[:, 0] * x_th[:, 1] - x_th[:, 0] * x_thth[:, 1]
 
     return BoundaryCurve(
-        spec=dict(spec), n_nodes=n_nodes, length=length,
+        radius=r, n_nodes=n_nodes, length=length,
         theta=length * np.arange(n_nodes) / n_nodes,
         x=x_nodes, tau=tau, normal=normal, gamma=gamma,
         center=x_nodes.mean(axis=0),

@@ -6,7 +6,7 @@ at dyadic separations plus seeded random pairs) and is always a lower bound
 of the true seminorm; ratio diagnostics must reuse one plan on both sides.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

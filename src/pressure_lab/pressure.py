@@ -247,47 +247,54 @@ def split_Pb(u, P_collar, cutoffs: CutoffProfile, collar: GeodesicChart,
     P_collar = np.asarray(P_collar, dtype=float)
     op = SlabOperator(collar)
     gam = collar.gamma_b
-    g_wall = gam * ut[0] ** 2
     ns, nt = collar.n_s, collar.n_theta
+    ut0_sq = ut[0] ** 2
 
-    b_bb = op.rhs_from_source(np.zeros((ns + 1, nt)), neumann=g_wall)
-    P_bb, _ = op.solve(b_bb)
+    P_bb, _ = op.solve(op.rhs_from_source(np.zeros((ns + 1, nt)),
+                                          neumann=gam * ut0_sq))
 
     src = _slab_source(un, ut, P_collar, cutoffs, collar)
     P_bi, _ = op.solve(op.rhs_from_source(src.values))
     phi_b = src.phi_b
     target = phi_b * P_collar
 
+    # the probe-independent factors of the four functionals, formed once
+    # instead of per probe; the loop does not hold the slab source pieces
+    J = collar.J
+    gam_row = gam[None, :]
+    rows = slice(0, ns)
+    f1 = (phi_b * (src.A + src.B - src.C))[rows]
+    f2 = (un**2 - ut**2)[rows]
+    f3 = ((gam_row / J) * un * ut)[rows]
+    f4 = (J * src.D)[rows]
+    gam_phi_b = gam_row * phi_b
+    audit = src.audit
+    del src
+
     rng = np.random.default_rng(seed)
     i_lo, i_hi = max(1, ns // 5), max(2, (3 * ns) // 5)
     probes = [(int(rng.integers(i_lo, i_hi)), int(rng.integers(0, nt)))
               for _ in range(n_probes)]
-
-    J = collar.J
-    A, B, C, D = src.A, src.B, src.C, src.D
     vol = op.vol                      # height * h_theta, rows 0..ns-1
-    rows = slice(0, ns)
     I1 = np.empty(n_probes)
     I2i = np.empty(n_probes)
     I2b = np.empty(n_probes)
     I3 = np.empty(n_probes)
     at_probes = np.empty(n_probes)
-    gam_row = collar.gamma_b[None, :]
     for k, (i0, j0) in enumerate(probes):
         G = op.green_column(i0, j0)       # (ns+1, nt), zero last row
         Gr = G[rows]
-        I1[k] = float(np.sum(Gr * (phi_b * (A + B - C))[rows] * vol))
+        I1[k] = float(np.sum(Gr * f1 * vol))
         # integration by parts in s' and theta' of the first-order terms
-        dsG = _d_s(collar, gam_row * phi_b * G)
-        dtG = _d_theta(collar, phi_b * G)
-        I2i[k] = float(-np.sum(dsG[rows] * (un**2 - ut**2)[rows] * vol)
-                       - 2.0 * np.sum(dtG[rows] * ((gam_row / J) * un * ut)[rows] * vol))
-        I2b[k] = float(np.sum(gam * G[0] * ut[0] ** 2 * collar.h_theta))
-        I3[k] = float(-np.sum(Gr * (J * D)[rows] * vol))
+        by_s = np.sum(_d_s(collar, gam_phi_b * G)[rows] * f2 * vol)
+        by_theta = np.sum(_d_theta(collar, phi_b * G)[rows] * f3 * vol)
+        I2i[k] = float(-by_s - 2.0 * by_theta)
+        I2b[k] = float(np.sum(gam * G[0] * ut0_sq * collar.h_theta))
+        I3[k] = float(-np.sum(Gr * f4 * vol))
         at_probes[k] = P_bi[i0, j0]
     return SplitPb(P_bb=P_bb, P_bi=P_bi, target=target, probes=probes,
                    I1=I1, I2i=I2i, I2b=I2b, I3=I3,
-                   P_bi_at_probes=at_probes, audit=src.audit)
+                   P_bi_at_probes=at_probes, audit=audit)
 
 
 # ----------------------------------------------------------------------

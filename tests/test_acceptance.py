@@ -11,15 +11,14 @@ import pytest
 
 from pressure_lab._fourier import fourier_diff
 from pressure_lab.elliptic import SlabOperator, solve_neumann
-from pressure_lab.fields import (GridField, InteriorChart, RadialFlow,
-                                 make_rough_stream, radial_flow)
+from pressure_lab.fields import RadialFlow, make_rough_stream, radial_flow
 from pressure_lab.geometry import GeodesicChart, build_curve
 from pressure_lab.mollify import mollify_velocity
 from pressure_lab.norms import (build_pair_plan, c0_distance, h_minus2_norm,
                                 holder_norm)
 from pressure_lab.pressure import (_collar_resample, bc_equivalence_check,
                                    boundary_trace, eta_study, sanss2_rhs,
-                                   solve_pressure, split_Pb, tensor_square)
+                                   solve_pressure, split_Pb)
 
 from conftest import disk_radii
 from test_elliptic import _dense_mode_solve, _FlatChart

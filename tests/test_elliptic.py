@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from pressure_lab.elliptic import (SlabOperator, SolverError,
+from pressure_lab.elliptic import (SlabOperator, SolverError, _StarStencil,
                                    green_kernel_image,
                                    solve_dirichlet_stream, solve_neumann)
-from pressure_lab.fields import GridField, InteriorChart
+from pressure_lab.fields import (InteriorChart, make_rough_stream,
+                                 rhs_double_divergence)
 from pressure_lab.geometry import GeodesicChart, GeometryError, build_curve
 
 from conftest import disk_radii
@@ -138,6 +139,15 @@ def test_slab_rejects_non_disk_collar():
             0.2, 16, 128))
 
 
+def test_green_column_is_the_point_load_solve(collar):
+    # the same column as solve gives, bit for bit, without its report
+    op = SlabOperator(collar)
+    for i0, j0 in [(0, 0), (20, 33), (collar.n_s - 1, collar.n_theta - 1)]:
+        b = np.zeros((collar.n_s, collar.n_theta))
+        b[i0, j0] = 1.0
+        assert _bits_equal(op.green_column(i0, j0), op.solve(b)[0])
+
+
 def test_green_column_duality(collar):
     op = SlabOperator(collar)
     rng = np.random.default_rng(1)
@@ -222,3 +232,166 @@ def test_green_kernel_image_symmetry():
     near_wall = green_kernel_image(1e-6, 0.0, 1e-6, 0.5)
     direct = -np.log(0.25) / (4.0 * np.pi)
     assert abs(near_wall - 2.0 * direct) < 1e-4
+
+
+# ----------------------------------------------------------------------
+# oracle: the interior solves in their textbook form (np.roll stencil,
+# allocating PCG), which the in-place solver must reproduce bit for bit
+# ----------------------------------------------------------------------
+
+def _roll_matvec(st, p, pole, pole_coupled=True):
+    out = np.zeros_like(p)
+    flux = st.cs * (p[1:] - p[:-1])
+    out[:-1] -= flux
+    out[1:] += flux
+    tflux = st.ct * (np.roll(p, -1, axis=1) - p)
+    out -= tflux
+    out += np.roll(tflux, 1, axis=1)
+    if pole_coupled:
+        pflux = st.cp * (p[0] - pole)
+        out[0] += pflux
+        out_pole = -float(np.sum(pflux))
+    else:
+        out_pole = 0.0
+    return out, out_pole
+
+
+def _oracle_pcg(apply_a, b, diag, tol=1e-10, maxiter=100_000, project=None):
+    """Returns (x, iterations, relative residual)."""
+    x = np.zeros_like(b)
+    if project is not None:
+        project(x)
+    r = b - apply_a(x)
+    if project is not None:
+        project(r)
+    bnorm = float(np.linalg.norm(b))
+    z = r / diag
+    p = z.copy()
+    rz = float(r @ z)
+    for it in range(1, maxiter + 1):
+        ap = apply_a(p)
+        alpha = rz / float(p @ ap)
+        x += alpha * p
+        r -= alpha * ap
+        if project is not None:
+            project(x)
+            project(r)
+        rnorm = float(np.linalg.norm(r))
+        if rnorm <= tol * bnorm:
+            return x, it, rnorm / bnorm
+        z = r / diag
+        rz_new = float(r @ z)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    raise AssertionError("oracle CG stalled")
+
+
+def _flat_system(st, b, b_pole):
+    diag = np.concatenate([st.diag.ravel(), [st.diag_pole]])
+    return np.concatenate([b.ravel(), [b_pole]]), diag
+
+
+def _oracle_neumann(f, g, chart):
+    """Volume-mean-zero solution of the Neumann problem: (p, pole, its, res)."""
+    st = _StarStencil(chart)
+    b = f * st.vol
+    b[-1] -= g * chart.h_theta
+    b_pole = float(chart.pole_value(f)) * st.vol_pole
+    total_vol = float(np.sum(st.vol)) + st.vol_pole
+    defect = float(np.sum(b)) + b_pole
+    b -= defect * st.vol / total_vol
+    b_pole -= defect * st.vol_pole / total_vol
+    bflat, diag = _flat_system(st, b, b_pole)
+
+    def apply_a(vec):
+        out, out_pole = _roll_matvec(st, vec[:-1].reshape(f.shape), vec[-1])
+        return np.concatenate([out.ravel(), [out_pole]])
+
+    def project(vec):
+        vec -= vec.mean()
+
+    x, its, res = _oracle_pcg(apply_a, bflat, diag, project=project)
+    p, pole = x[:-1].reshape(f.shape), float(x[-1])
+    mean = (float(np.sum(p * st.vol)) + pole * st.vol_pole) / total_vol
+    return p - mean + 0.0, pole - mean + 0.0, its, res
+
+
+def _oracle_dirichlet(omega, chart):
+    st = _StarStencil(chart)
+    b = omega * st.vol
+    b[-1] = 0.0
+    bflat, diag = _flat_system(st, b,
+                               float(chart.pole_value(omega)) * st.vol_pole)
+
+    def apply_a(vec):
+        field = vec[:-1].reshape(omega.shape).copy()
+        field[-1] = 0.0
+        out, out_pole = _roll_matvec(st, field, vec[-1])
+        out[-1] = vec[:-1].reshape(omega.shape)[-1]
+        return np.concatenate([out.ravel(), [out_pole]])
+
+    x, its, res = _oracle_pcg(apply_a, bflat, diag)
+    psi = x[:-1].reshape(omega.shape)
+    psi[-1] = 0.0
+    return psi, float(x[-1]), its, res
+
+
+def _bits_equal(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+@pytest.mark.parametrize("n", [5, 64])
+def test_star_stencil_flat_kernel_matches_roll_form(circle, n):
+    st = _StarStencil(InteriorChart(circle, n, 2 * n))
+    rng = np.random.default_rng(n)
+    for trial in range(4):
+        p = rng.normal(size=(n, 2 * n))
+        if trial == 3:                     # signed zeros and constant runs
+            p[rng.random(p.shape) < 0.5] = 0.0
+            p[rng.random(p.shape) < 0.25] = -0.0
+        pole = (0.0, -0.0, 0.7, float(rng.normal()))[trial]
+        for coupled in (True, False):
+            got, got_pole = st.matvec(p, pole, coupled)
+            ref, ref_pole = _roll_matvec(st, p, pole, coupled)
+            assert _bits_equal(got, ref)
+            assert _bits_equal(got_pole, ref_pole)
+
+
+def _check_against_oracle(field, report, oracle):
+    p, pole, its, res = oracle
+    assert _bits_equal(field.values, p)
+    assert _bits_equal(field.pole, pole)
+    assert report.iterations == its
+    assert report.residual == res
+
+
+def test_neumann_rough_rhs_equals_textbook_pcg(disk_chart):
+    # a rough field's pressure data at 64x128: about 490 CG iterations
+    u = make_rough_stream(1.0 / 3.0, 3, 2, disk_chart).velocity_field()
+    f = rhs_double_divergence(u)
+    _, tau, _, _ = disk_chart.collar_frame
+    g = disk_chart.curve.curvature(disk_chart.theta) \
+        * np.einsum("jk,jk->j", u.values[-1], tau[-1]) ** 2
+    p, rep = solve_neumann(f, g, disk_chart)
+    assert rep.iterations > 400
+    _check_against_oracle(p, rep, _oracle_neumann(f, g, disk_chart))
+
+
+def test_neumann_radial_square_equals_textbook_pcg(circle):
+    # V = r^2 e_theta: p = r^4 / 4, -Delta p = -4 r^2, d_n p = gamma V^2 = -1
+    chart = InteriorChart(circle, 32, 64)
+    f = -4.0 * disk_radii(chart) ** 2
+    g = np.full(chart.n_theta, -1.0)
+    p, rep = solve_neumann(f, g, chart)
+    _check_against_oracle(p, rep, _oracle_neumann(f, g, chart))
+
+
+def test_dirichlet_stream_rigid_rotation_equals_textbook_pcg(disk_chart):
+    # the stream solve of recover_stream for rigid rotation u = (y, -x)
+    pts = disk_chart.points
+    u = np.stack([pts[..., 1], -pts[..., 0]], axis=-1)
+    omega = -disk_chart.curl(u)
+    psi, rep = solve_dirichlet_stream(omega, disk_chart)
+    _check_against_oracle(psi.field, rep, _oracle_dirichlet(omega, disk_chart))

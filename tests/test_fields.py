@@ -198,6 +198,30 @@ def test_collar_components_rigid(collar):
     assert np.max(np.abs(ut - (1.0 - collar.s[:, None]))) < 1e-12
 
 
+def test_collar_components_resample_once_per_field(disk_chart, collar):
+    pts = disk_chart.points
+    first = GridField(disk_chart, np.stack([pts[..., 1], -pts[..., 0]], -1))
+    un, ut = collar_components(first, collar)
+    again = collar_components(first, collar)
+    assert again[0] is un and again[1] is ut
+    assert not un.flags.writeable and not ut.flags.writeable
+    # fields made after a field is dropped may reuse its id; each one gets
+    # the components of its own values
+    for k in range(1, 4):
+        other = GridField(disk_chart, (1.0 + k) * first.values)
+        got = collar_components(other, collar)
+        fresh = collar_components(GridField(disk_chart, other.values.copy()),
+                                  collar)
+        assert np.array_equal(got[0], fresh[0])
+        assert np.array_equal(got[1], fresh[1])
+        assert not np.array_equal(got[1], ut)
+        del other, got
+    # another collar object gets its own resample
+    coarse = GeodesicChart(collar.curve, collar.delta, 16, 32)
+    assert collar_components(first, coarse)[0].shape == (17, 32)
+    assert np.array_equal(collar_components(first, collar)[1], ut)
+
+
 def test_divergence_collar_zero_for_rigid(collar):
     def uu(pts):
         return np.stack([-pts[..., 1], pts[..., 0]], axis=-1)
