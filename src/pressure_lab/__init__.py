@@ -2,8 +2,9 @@
 flow on the disk.
 
 Layout:
-  geometry  the boundary circle, its collar (geodesic) chart, cutoff profiles
-  fields    grid fields, analytic field families, collar operators
+  geometry  the boundary circle, its closed-form collar (geodesic) chart,
+            cutoff profiles
+  fields    grid fields, analytic field families, collar frame components
   norms     Holder / sup / negative-Sobolev estimators
   elliptic  Neumann, Dirichlet and collar-slab Poisson solvers
   mollify   tangency-preserving regularization
@@ -46,7 +47,6 @@ from .elliptic import (
     LinearSolveReport,
     SlabOperator,
     SolverError,
-    green_kernel_image,
     solve_dirichlet_stream,
     solve_neumann,
 )
@@ -96,7 +96,6 @@ __all__ = [
     "c0_distance",
     "collar_flux_residual",
     "eta_study",
-    "green_kernel_image",
     "h_minus2_norm",
     "holder_norm",
     "mollify_velocity",

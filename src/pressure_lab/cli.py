@@ -21,7 +21,7 @@ import yaml
 
 from .geometry import GeodesicChart, GeometryError, build_curve, build_cutoffs
 from .fields import FieldError, GridField, InteriorChart, make_rough_stream, radial_flow
-from .norms import build_pair_plan
+from .norms import NormError, build_pair_plan
 from .elliptic import SolverError
 from .mollify import MollifyError
 from .pressure import (EstimateLedger, PressureError, _collar_resample,
@@ -309,7 +309,7 @@ def main(argv=None):
         if args.command == "solve":
             return cmd_solve(cfg)
         return cmd_study(cfg)
-    except (ConfigError, FieldError, GeometryError) as exc:
+    except (ConfigError, FieldError, GeometryError, NormError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 1
     except (SolverError, MollifyError, PressureError) as exc:

@@ -1,6 +1,6 @@
 """Linear solvers: pure-Neumann Poisson on the interior chart, homogeneous
-Dirichlet stream solve, the mixed Neumann/Dirichlet slab problem on the
-collar, and the image-method Green kernel diagnostic.
+Dirichlet stream solve, and the mixed Neumann/Dirichlet slab problem on the
+collar with its discrete Green columns.
 
 The interior solvers use a vertex-centered finite-volume stencil on the
 polar (rho, theta) chart of the disk with a dedicated pole cell, so the
@@ -16,10 +16,10 @@ Boundary data enter through face fluxes: with theta an arc-length parameter
 the outer face of a boundary cell carries exactly -g * h_theta for interior
 normal data d_n p = g.
 
-The slab operator is diagonal in theta on the disk's collar: it factors the
-symmetric tridiagonal system of every theta-mode once, and each solve is an
-rFFT, one forward and one backward sweep over the rows acting on all modes
-together, and the inverse rFFT.
+The slab operator has one coefficient per row on the disk's collar and is
+diagonal in theta: it factors the tridiagonal system of every theta-mode
+once, and each solve is an rFFT, one forward and one backward sweep over
+the rows acting on all modes together, and the inverse rFFT.
 """
 
 import math
@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .fields import GridField, InteriorChart, StreamFunction
-from .geometry import GeodesicChart, GeometryError
+from .geometry import GeodesicChart
 
 
 class SolverError(RuntimeError):
@@ -297,31 +297,25 @@ class SlabOperator:
 
     Unknowns live on rows i = 0..n_s-1 (the Dirichlet row is eliminated).
     A w = J F V (+ boundary terms).  The collar of a disk has constant
-    curvature, so A diagonalizes in theta.  The tridiagonal systems of all
-    n_theta/2+1 modes are factored once per operator, on first use, and
-    every solve (green_column included) sweeps the rows once forward and
-    once backward over all modes together.
+    curvature, so each coefficient is one column over the rows (cs on the
+    s-faces, ct on the theta-faces, the cell volumes vol) that the matvec,
+    the factors and the source share, and A diagonalizes in theta.  The
+    tridiagonal systems of all n_theta/2+1 modes are factored once per
+    operator, on first use, and every solve (green_column included) sweeps
+    the rows once forward and once backward over all modes together.
     """
 
     def __init__(self, chart: GeodesicChart):
         self.chart = chart
-        ns, nt = chart.n_s, chart.n_theta
+        ns = chart.n_s
         h, ht = chart.h_s, chart.h_theta
         gam = chart.gamma_b
-        s = chart.s
-        s_face = s[:ns] + 0.5 * h
-        j_face_s = 1.0 + s_face[:, None] * gam[None, :]        # (ns, nt)
-        gam_face = 0.5 * (gam + np.roll(gam, -1))
-        j_face_t = 1.0 + s[:ns, None] * gam_face[None, :]
-        if np.min(j_face_s) <= 0 or np.min(j_face_t) <= 0:
-            raise GeometryError("collar depth exceeds the curvature reach")
-        self.height = np.full(ns, h)
-        self.height[0] = 0.5 * h
-        self.cs = j_face_s * ht / h
-        self.ct = (self.height[:, None] / j_face_t) / ht
-        self.vol = self.height[:, None] * ht * np.ones((1, nt))
-        self.J = chart.J[:ns]
-        self.gamma_const = float(np.mean(gam))
+        s = chart.s[:ns, None]
+        height = np.full((ns, 1), h)
+        height[0] = 0.5 * h                                  # wall half cell
+        self.cs = (1.0 + (s + 0.5 * h) * gam) * ht / h
+        self.ct = (height / (1.0 + s * gam)) / ht
+        self.vol = height * ht
 
     # -- per-mode tridiagonal machinery ------------------------------------
 
@@ -337,26 +331,23 @@ class SlabOperator:
         Returns (pivots, multipliers), shapes (n_s, n_modes) and
         (n_s-1, n_modes).
         """
-        ns, nt = self.chart.n_s, self.chart.n_theta
-        h, ht = self.chart.h_s, self.chart.h_theta
-        gam = self.gamma_const
-        s = self.chart.s[:ns]
-        cs = (1.0 + (s + 0.5 * h) * gam) * ht / h            # (ns,)
-        ctheta = (self.height / (1.0 + s * gam)) / ht        # (ns,)
+        cs = self.cs
         # eigenvalues of the periodic second difference; rfftfreq gives m/nt
-        lam = 2.0 - 2.0 * np.cos(2.0 * np.pi * np.fft.rfftfreq(nt))
+        lam = 2.0 - 2.0 * np.cos(2.0 * np.pi * np.fft.rfftfreq(
+            self.chart.n_theta))
         diag = cs.copy()
         diag[1:] += cs[:-1]
-        pivots = diag[:, None] + ctheta[:, None] * lam[None, :]
-        mult = np.empty((ns - 1, lam.size))
-        for i in range(ns - 1):
+        pivots = diag + self.ct * lam
+        mult = np.empty((len(cs) - 1, lam.size))
+        for i in range(len(mult)):
             mult[i] = -cs[i] / pivots[i]
             pivots[i + 1] += cs[i] * mult[i]
         return pivots, mult
 
     def solve_modes(self, rhs):
         """Direct solve of A w = rhs: one forward and one backward sweep over
-        the rows, each row step acting on all theta-modes at once."""
+        the rows, each row step acting on all theta-modes at once.  Returns
+        the full grid (n_s+1, n_theta), the zero Dirichlet row included."""
         pivots, mult = self._factors
         y = np.fft.rfft(rhs, axis=1)                         # (ns, n_modes)
         for i in range(len(mult)):
@@ -364,7 +355,9 @@ class SlabOperator:
         y /= pivots
         for i in range(len(mult) - 1, -1, -1):
             y[i] -= mult[i] * y[i + 1]
-        return np.fft.irfft(y, n=rhs.shape[1], axis=1)
+        full = np.zeros((len(rhs) + 1, rhs.shape[1]))
+        full[:-1] = np.fft.irfft(y, n=rhs.shape[1], axis=1)
+        return full
 
     def matvec(self, w):
         out = np.zeros_like(w)
@@ -378,49 +371,20 @@ class SlabOperator:
         return out
 
     def rhs_from_source(self, F, neumann=None):
-        b = self.J * F[:self.chart.n_s] * self.vol
+        b = self.chart.J[:-1] * F[:self.chart.n_s] * self.vol
         if neumann is not None:
             b[0] -= np.asarray(neumann, dtype=float) * self.chart.h_theta
         return b
 
     def solve(self, b):
         """Solve A w = b for a raw right-hand side; returns the full grid
-        (n_s+1, n_theta) including the zero Dirichlet row plus a report."""
-        ns, nt = self.chart.n_s, self.chart.n_theta
-        w = self.solve_modes(b)
-        res = float(np.linalg.norm(self.matvec(w) - b))
-        bn = float(np.linalg.norm(b))
-        report = LinearSolveReport(1, res / bn if bn else 0.0)
-        full = np.zeros((ns + 1, nt))
-        full[:ns] = w
-        return full, report
+        (n_s+1, n_theta) including the zero Dirichlet row."""
+        return self.solve_modes(b)
 
     def green_column(self, i0, j0):
         """Discrete Green kernel column k(., .; s_i0, theta_j0): the solve
         with a unit point load, so that sum(G * (J F) * vol) reproduces the
-        solution value at (i0, j0) by symmetry of the stencil.  It is
-        solve without the residual report, which no column needs."""
-        ns, nt = self.chart.n_s, self.chart.n_theta
-        b = np.zeros((ns, nt))
+        solution value at (i0, j0) by symmetry of the stencil."""
+        b = np.zeros((self.chart.n_s, self.chart.n_theta))
         b[i0, j0] = 1.0
-        full = np.zeros((ns + 1, nt))
-        full[:ns] = self.solve_modes(b)
-        return full
-
-
-# ----------------------------------------------------------------------
-# image-method Green kernel (diagnostic)
-# ----------------------------------------------------------------------
-
-def green_kernel_image(s, theta, sp, thetap):
-    """Half-plane Neumann image kernel in flattened collar coordinates:
-    (1/4 pi)[log 1/((dtheta)^2+(s-s')^2) + log 1/((dtheta)^2+(s+s')^2)].
-    """
-    s = np.asarray(s, dtype=float)
-    dthe = np.asarray(theta, dtype=float) - np.asarray(thetap, dtype=float)
-    sp = np.asarray(sp, dtype=float)
-    d_direct = dthe**2 + (s - sp) ** 2
-    d_image = dthe**2 + (s + sp) ** 2
-    if np.any(d_direct == 0.0):
-        raise ValueError("image kernel is singular at coincident points")
-    return (np.log(1.0 / d_direct) + np.log(1.0 / d_image)) / (4.0 * np.pi)
+        return self.solve_modes(b)

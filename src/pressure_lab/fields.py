@@ -1,4 +1,5 @@
-"""Fields on the two structured charts and the differential operators on them.
+"""Fields on the interior chart of the disk, the differential operators on
+it, and the frame components and differences on the collar grid.
 
 Two charts are used throughout:
   * interior polar chart (rho, theta) of the disk: x = c + rho*(x(theta) - c),
@@ -6,8 +7,8 @@ Two charts are used throughout:
     not; pole values are carried separately when needed);
   * collar chart (s, theta) of the GeodesicChart, s_i = i*delta/n_s.
 
-Vector fields are stored in Cartesian components; collar frame components
-(v.n, v.tau) are derived on demand.
+Fields live on the interior chart, vectors in Cartesian components; collar
+frame components (v.n, v.tau) are derived on demand.
 """
 
 from dataclasses import dataclass, field
@@ -200,15 +201,15 @@ class InteriorChart:
 
 @dataclass
 class GridField:
-    """Samples on one of the two charts; vectors in Cartesian components.
+    """Samples on the interior chart; vectors in Cartesian components.
 
-    An interior vector field keeps its collar frame components for the
+    A vector field keeps its collar frame components for the
     last collar it was resampled on (see collar_components), so its values
     are not edited in place after resampling; the kept components are
     read-only.
     """
 
-    chart: object            # InteriorChart or GeodesicChart
+    chart: InteriorChart
     values: np.ndarray       # (n1, n2) scalar or (n1, n2, 2) vector
     pole: object = None      # optional pole value(s) for interior fields
     _on_collar: tuple = field(default=None, init=False, repr=False,
@@ -382,20 +383,18 @@ def make_rough_stream(alpha, seed, j_max, chart) -> RoughStream:
 
 
 # ----------------------------------------------------------------------
-# collar operators (formulas in geodesic coordinates)
+# collar frame components and differences
 # ----------------------------------------------------------------------
 
 def collar_components(u, chart: GeodesicChart):
     """Frame components (u.n, u.tau) tabulated on the collar grid.
 
-    u may be a GridField on either chart or a callable pts -> (..., 2).  An
-    interior GridField is resampled on the collar grid once: the field
-    keeps the read-only components for that collar object.
+    u may be a GridField on the interior chart or a callable
+    pts -> (..., 2).  A GridField is resampled on the collar grid once: the
+    field keeps the read-only components for that collar object.
     """
     if callable(u):
         vals = u(chart.X.reshape(-1, 2))
-    elif isinstance(u, GridField) and isinstance(u.chart, GeodesicChart):
-        vals = u.values.reshape(-1, 2)
     elif isinstance(u, GridField):
         if u._on_collar is None or u._on_collar[0] is not chart:
             vals = np.stack([u.chart.on_collar(u.values[..., k], chart)
@@ -427,37 +426,6 @@ def _d_s(chart: GeodesicChart, q):
 
 def _d_theta(chart: GeodesicChart, q):
     return (np.roll(q, -1, axis=1) - np.roll(q, 1, axis=1)) / (2.0 * chart.h_theta)
-
-
-def divergence_collar(v: GridField, chart: GeodesicChart = None):
-    """(1/J)(d_s(J (v.n)) + d_theta(v.tau)) by centered differences."""
-    chart = chart or v.chart
-    vn, vt = collar_components(v, chart)
-    return (_d_s(chart, chart.J * vn) + _d_theta(chart, vt)) / chart.J
-
-
-def laplacian_collar(q, chart: GeodesicChart):
-    """(1/J) d_s(J d_s q) + (1/J) d_theta((1/J) d_theta q), conservative."""
-    q = np.asarray(q, dtype=float)
-    h = chart.h_s
-    J = chart.J
-    out = np.empty_like(q)
-    Jh = 0.5 * (J[1:] + J[:-1])                   # J at s half nodes
-    flux = Jh * (q[1:] - q[:-1]) / h
-    out[1:-1] = (flux[1:] - flux[:-1]) / h
-    # one-sided expanded form at the wall rows: q_ss + (gamma/J) q_s
-    gam = chart.gamma_b[None, :]
-    q_s = _d_s(chart, q)
-    for idx in (0, -1):
-        if idx == 0:
-            q_ss = (2.0 * q[0] - 5.0 * q[1] + 4.0 * q[2] - q[3]) / h**2
-        else:
-            q_ss = (2.0 * q[-1] - 5.0 * q[-2] + 4.0 * q[-3] - q[-4]) / h**2
-        out[idx] = (q_ss + gam[0] / J[idx] * q_s[idx]) * J[idx]
-    out /= J
-    qt = _d_theta(chart, q)
-    out += _d_theta(chart, qt / J) / J
-    return out
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""The boundary circle of the disk: arc-length node tables, geodesic collar
-coordinates and cutoff profiles.
+"""The boundary circle of the disk: arc-length node tables, the geodesic
+collar chart in closed form, and cutoff profiles.
 
 Conventions (fixed once, validated by the analytic disk oracles):
   * counterclockwise arc-length parameterization theta in [0, L)
@@ -100,10 +100,14 @@ def build_curve(spec, n_nodes):
 
 @dataclass
 class GeodesicChart:
-    """Collar coordinates (s, theta) with X(s, theta) = x(theta) + s n(theta).
+    """Collar coordinates (s, theta) with X(s, theta) = x(theta) + s n(theta),
+    in closed form on the circle of radius R and center c: with
+    e = (cos(theta/R), sin(theta/R)), x = c + R e, n = -e, the curvature
+    gamma_b = -1/R (a scalar), J = 1 - s/R (a column) and X = c + (R - s) e.
 
     Grid: s_i = i*delta/n_s for i = 0..n_s (wall row s=0 included),
-    theta_j = j*L/n_theta, periodic.
+    theta_j = j*L/n_theta, periodic; n_s >= 4, as the wall stencils read
+    rows 0..4, and delta < R, where J > 0.
     """
 
     curve: BoundaryCurve
@@ -113,20 +117,26 @@ class GeodesicChart:
 
     def __post_init__(self):
         c = self.curve
+        r = c.radius
+        if self.n_s < 4:
+            raise GeometryError(
+                f"the collar needs n_s >= 4 rows, not {self.n_s}")
+        if not self.delta < r:
+            raise GeometryError(
+                f"collar depth {self.delta} too large: it must stay below "
+                f"the radius {r}")
         self.s = self.delta * np.arange(self.n_s + 1) / self.n_s
         self.theta = c.length * np.arange(self.n_theta) / self.n_theta
         self.h_s = self.delta / self.n_s
         self.h_theta = c.length / self.n_theta
-        self.x_b = c.point(self.theta)
-        self.tau_b = c.tangent(self.theta)
-        self.n_b = np.stack([-self.tau_b[:, 1], self.tau_b[:, 0]], axis=-1)
-        self.gamma_b = c.curvature(self.theta)
-        self.J = 1.0 + self.s[:, None] * self.gamma_b[None, :]
-        if np.min(self.J) <= 0.0:
-            raise GeometryError(
-                f"collar depth {self.delta} too large: J reaches {np.min(self.J):.3e}"
-            )
-        self.X = self.x_b[None, :, :] + self.s[:, None, None] * self.n_b[None, :, :]
+        t = self.theta / r
+        e = np.stack([np.cos(t), np.sin(t)], axis=-1)
+        self.x_b = c.center + r * e
+        self.tau_b = np.stack([-e[:, 1], e[:, 0]], axis=-1)
+        self.n_b = -e
+        self.gamma_b = -1.0 / r
+        self.J = (1.0 - self.s / r)[:, None]
+        self.X = c.center + (r - self.s)[:, None, None] * e[None, :, :]
 
 
 # ----------------------------------------------------------------------

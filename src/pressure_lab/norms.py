@@ -161,7 +161,7 @@ def h_minus2_norm(samples, period):
         raise NormError("expected one-dimensional boundary samples")
     n = g.size
     if n < 2 or n & (n - 1):
-        raise NormError("sample count must be a power of two")
+        raise NormError(f"sample count {n} must be a power of two")
     coeffs = np.fft.rfft(g) / n
     k = np.arange(coeffs.size)
     weights = (1.0 + (2.0 * np.pi * k / period) ** 2) ** -2

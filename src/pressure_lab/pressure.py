@@ -120,7 +120,7 @@ def _reste_term(un, ut, collar):
     Cartesian double divergence on the disk.
     """
     J = collar.J
-    gam = collar.gamma_b[None, :]
+    gam = collar.gamma_b
     return (gam / J) * _d_s(collar, un**2 - ut**2) \
         + 2.0 * _d_theta(collar, (gam / J) * un * ut) / J
 
@@ -171,7 +171,7 @@ def _slab_source(un, ut, P_collar, cutoffs: CutoffProfile,
     the mixed d_s d_theta term only).
     """
     J = collar.J
-    gam = collar.gamma_b[None, :]
+    gam = collar.gamma_b
     s = collar.s[:, None]
     phi_b = cutoffs.phi_b(s)
     dphi_b = cutoffs.phi_b_d1(s)
@@ -186,8 +186,8 @@ def _slab_source(un, ut, P_collar, cutoffs: CutoffProfile,
     A = _d_theta(collar, _d_theta(collar, ut**2) / J)
     B = 2.0 * ds(_d_theta(collar, un * ut), 0)
     C = _d_theta(collar, _d_theta(collar, un**2) / J)
-    reste = (gam / J) * ds(un**2 - ut**2, 0) \
-        + 2.0 * _d_theta(collar, (gam / J) * un * ut) / J
+    reste = _reste_term(un, ut, collar)
+    s_orders.append(1)          # its one d_s, of (u.n)^2 - (u.tau)^2
     D = d2phi_b * P_collar + 2.0 * dphi_b * ds(P_collar, 0) \
         + (gam / J) * P_collar * dphi_b
     values = (phi_b / J) * (A + B + J * reste - C) - D
@@ -250,24 +250,23 @@ def split_Pb(u, P_collar, cutoffs: CutoffProfile, collar: GeodesicChart,
     ns, nt = collar.n_s, collar.n_theta
     ut0_sq = ut[0] ** 2
 
-    P_bb, _ = op.solve(op.rhs_from_source(np.zeros((ns + 1, nt)),
-                                          neumann=gam * ut0_sq))
+    P_bb = op.solve(op.rhs_from_source(np.zeros((ns + 1, nt)),
+                                       neumann=gam * ut0_sq))
 
     src = _slab_source(un, ut, P_collar, cutoffs, collar)
-    P_bi, _ = op.solve(op.rhs_from_source(src.values))
+    P_bi = op.solve(op.rhs_from_source(src.values))
     phi_b = src.phi_b
     target = phi_b * P_collar
 
     # the probe-independent factors of the four functionals, formed once
     # instead of per probe; the loop does not hold the slab source pieces
     J = collar.J
-    gam_row = gam[None, :]
     rows = slice(0, ns)
     f1 = (phi_b * (src.A + src.B - src.C))[rows]
     f2 = (un**2 - ut**2)[rows]
-    f3 = ((gam_row / J) * un * ut)[rows]
+    f3 = ((gam / J) * un * ut)[rows]
     f4 = (J * src.D)[rows]
-    gam_phi_b = gam_row * phi_b
+    gam_phi_b = gam * phi_b
     audit = src.audit
     del src
 

@@ -94,7 +94,7 @@ def verify_elliptic():
     collar = GeodesicChart(curve, 0.4, 64, 128)
     op = SlabOperator(collar)
     b = op.rhs_from_source(np.ones((collar.n_s + 1, collar.n_theta)))
-    w, _ = op.solve(b)
+    w = op.solve(b)
     res = float(np.linalg.norm(op.matvec(w[:collar.n_s]) - b)
                 / np.linalg.norm(b))
     checks["slab_residual"] = _check(res, 1e-8)

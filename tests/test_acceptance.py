@@ -93,13 +93,13 @@ def test_05_slab_vs_mode_oracle():
     chart = _FlatChart(0.4, 2.0 * np.pi, 256, 256)
     op = SlabOperator(chart)
     F = np.ones((chart.n_s + 1, chart.n_theta))
-    w, _ = op.solve(op.rhs_from_source(F))
+    w = op.solve(op.rhs_from_source(F))
     exact = (chart.delta ** 2 - chart.s[:, None] ** 2) / 2.0
     assert np.max(np.abs(w - exact)) / np.max(np.abs(exact)) <= 1e-6
     for m in (1, 2, 4, 8):
         F = np.cos(2.0 * np.pi * m * chart.theta / chart.length)
         F = np.broadcast_to(F, (chart.n_s + 1, chart.n_theta)).copy()
-        w, _ = op.solve(op.rhs_from_source(F))
+        w = op.solve(op.rhs_from_source(F))
         oracle = _dense_mode_solve(op, chart, m)
         profile = w[:chart.n_s, 0] / F[0, 0]
         rel = np.max(np.abs(profile - oracle)) / np.max(np.abs(oracle))

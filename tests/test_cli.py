@@ -125,6 +125,19 @@ def test_solve_non_disk_domain_exit_code(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("override, message", [
+    pytest.param("grid.collar_n_theta=96", "power of two", id="n_theta_96"),
+    pytest.param("grid.collar_n_s=3", "n_s >= 4", id="n_s_3"),
+])
+def test_solve_bad_collar_grid_exit_code(tmp_path, capsys, override, message):
+    rc = main(["solve", "--set", "field.kind=rigid", *SMALL,
+               "--set", override, "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("validation error") and message in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_solve_rigid(tmp_path):
     rc = main(["solve", "--set", "field.kind=rigid", *SMALL,
                "--out", str(tmp_path)])

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from pressure_lab.elliptic import (SlabOperator, SolverError, _StarStencil,
-                                   green_kernel_image,
                                    solve_dirichlet_stream, solve_neumann)
 from pressure_lab.fields import (InteriorChart, make_rough_stream,
                                  rhs_double_divergence)
@@ -22,8 +21,8 @@ class _FlatChart:
         self.h_s = self.delta / n_s
         self.h_theta = length / n_theta
         self.theta = np.arange(n_theta) * self.h_theta
-        self.gamma_b = np.zeros(n_theta)
-        self.J = np.ones((n_s + 1, n_theta))
+        self.gamma_b = 0.0
+        self.J = np.ones((n_s + 1, 1))
         self.length = float(length)
 
 
@@ -56,7 +55,7 @@ def test_slab_flat_constant_source():
     chart = _FlatChart(0.4, 2.0 * np.pi, 256, 256)
     op = SlabOperator(chart)
     F = np.ones((chart.n_s + 1, chart.n_theta))
-    w, rep = op.solve(op.rhs_from_source(F))
+    w = op.solve(op.rhs_from_source(F))
     s = chart.s[:, None]
     exact = (chart.delta**2 - s**2) / 2.0
     assert np.max(np.abs(w - exact)) < 1e-6 * np.max(exact)
@@ -68,7 +67,7 @@ def test_slab_flat_modes_match_dense_oracle():
     for m in (1, 2, 4, 8):
         F = np.cos(2.0 * np.pi * m * chart.theta[None, :] / chart.length) \
             * np.ones((chart.n_s + 1, 1))
-        w, _ = op.solve(op.rhs_from_source(F))
+        w = op.solve(op.rhs_from_source(F))
         profile = _dense_mode_solve(op, chart, m)
         recon = profile[:, None] * np.cos(
             2.0 * np.pi * m * chart.theta[None, :] / chart.length)
@@ -81,22 +80,23 @@ def test_slab_neumann_wall_slope(collar):
     g = np.full(collar.n_theta, 0.7)
     b = op.rhs_from_source(np.zeros((collar.n_s + 1, collar.n_theta)),
                            neumann=g)
-    w, _ = op.solve(b)
+    w = op.solve(b)
     # discrete flux convention: (w1 - w0)/h = g / J at the first face
     j_half = 1.0 - 0.5 * collar.h_s
     slope = (w[1] - w[0]) / collar.h_s
     assert np.max(np.abs(slope - 0.7 / j_half)) < 1e-8
 
 
-def test_slab_curved_residual(collar):
-    op = SlabOperator(collar)
-    rng = np.random.default_rng(0)
-    F = rng.normal(size=(collar.n_s + 1, collar.n_theta))
-    b = op.rhs_from_source(F)
-    w, rep = op.solve(b)
-    res = np.linalg.norm(op.matvec(w[:collar.n_s]) - b) / np.linalg.norm(b)
-    assert res < 1e-9
-    assert rep.converged
+def test_slab_curved_residual(collar, collar_fine):
+    # the direct solve inverts matvec to rounding: measured 5.4e-14 at most
+    for chart in (collar, collar_fine):
+        op = SlabOperator(chart)
+        rng = np.random.default_rng(0)
+        F = rng.normal(size=(chart.n_s + 1, chart.n_theta))
+        b = op.rhs_from_source(F)
+        w = op.solve(b)
+        res = np.linalg.norm(op.matvec(w[:chart.n_s]) - b) / np.linalg.norm(b)
+        assert res <= 1e-13
 
 
 def test_slab_solve_matches_dense_matvec_all_modes(circle):
@@ -112,7 +112,7 @@ def test_slab_solve_matches_dense_matvec_all_modes(circle):
         e[k] = 1.0
         A[:, k] = op.matvec(e.reshape(shape)).ravel()
     b = np.random.default_rng(3).normal(size=shape)
-    w, _ = op.solve(b)
+    w = op.solve(b)
     exact = np.linalg.solve(A, b.ravel()).reshape(shape)
     assert np.max(np.abs(w[:collar.n_s] - exact)) <= 1e-12 * np.max(np.abs(exact))
     assert np.all(w[collar.n_s] == 0.0)
@@ -140,12 +140,12 @@ def test_slab_rejects_non_disk_collar():
 
 
 def test_green_column_is_the_point_load_solve(collar):
-    # the same column as solve gives, bit for bit, without its report
+    # the same column as solve gives, bit for bit, from its own sweep
     op = SlabOperator(collar)
     for i0, j0 in [(0, 0), (20, 33), (collar.n_s - 1, collar.n_theta - 1)]:
         b = np.zeros((collar.n_s, collar.n_theta))
         b[i0, j0] = 1.0
-        assert _bits_equal(op.green_column(i0, j0), op.solve(b)[0])
+        assert _bits_equal(op.green_column(i0, j0), op.solve(b))
 
 
 def test_green_column_duality(collar):
@@ -153,7 +153,7 @@ def test_green_column_duality(collar):
     rng = np.random.default_rng(1)
     F = rng.normal(size=(collar.n_s + 1, collar.n_theta))
     b = op.rhs_from_source(F)
-    w, _ = op.solve(b)
+    w = op.solve(b)
     i0, j0 = 20, 33
     G = op.green_column(i0, j0)
     dual = np.sum(G[:collar.n_s] * b)
@@ -221,17 +221,6 @@ def test_dirichlet_stream_oracle(disk_chart):
     r = disk_radii(disk_chart)
     assert np.max(np.abs(psi.field.values - (1.0 - r**2))) < 1e-9
     assert rep.converged
-
-
-def test_green_kernel_image_symmetry():
-    v1 = green_kernel_image(0.1, 1.0, 0.2, 2.0)
-    v2 = green_kernel_image(0.2, 2.0, 0.1, 1.0)
-    assert abs(v1 - v2) < 1e-14
-    # image across the wall doubles the kernel at s = s' = 0; the kernel
-    # is (1/4 pi) log 1/d^2 per term
-    near_wall = green_kernel_image(1e-6, 0.0, 1e-6, 0.5)
-    direct = -np.log(0.25) / (4.0 * np.pi)
-    assert abs(near_wall - 2.0 * direct) < 1e-4
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,6 @@ import pytest
 
 from pressure_lab.fields import (FieldError, GridField, InteriorChart,
                                  StreamFunction, collar_components,
-                                 divergence_collar, laplacian_collar,
                                  make_rough_stream, radial_flow,
                                  rhs_double_divergence, stream_to_velocity)
 
@@ -220,20 +219,3 @@ def test_collar_components_resample_once_per_field(disk_chart, collar):
     coarse = GeodesicChart(collar.curve, collar.delta, 16, 32)
     assert collar_components(first, coarse)[0].shape == (17, 32)
     assert np.array_equal(collar_components(first, collar)[1], ut)
-
-
-def test_divergence_collar_zero_for_rigid(collar):
-    def uu(pts):
-        return np.stack([-pts[..., 1], pts[..., 0]], axis=-1)
-    un, ut = collar_components(uu, collar)
-    vals = (un[..., None] * collar.n_b[None]
-            + ut[..., None] * collar.tau_b[None])
-    div = divergence_collar(GridField(collar, vals))
-    assert np.max(np.abs(div)) < 1e-10
-
-
-def test_laplacian_collar_quadratic(collar):
-    # q = (1-s)^2 = r^2 on the disk has Laplacian 4
-    q = (1.0 - collar.s[:, None]) ** 2 * np.ones((1, collar.n_theta))
-    lap = laplacian_collar(q, collar)
-    assert np.max(np.abs(lap - 4.0)) < 1e-8

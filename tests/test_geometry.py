@@ -93,6 +93,25 @@ def test_collar_chart_tables(collar):
     assert np.max(np.abs(r - expected)) < 1e-12
 
 
+def test_collar_closed_form():
+    # the collar of the circle of radius R: curvature -1/R and Jacobian
+    # 1 - s/R exactly, points at distance R from the center, n = -(x - c)/R
+    for radius in (0.7, 1.0, 2.0):
+        curve = build_curve({"kind": "circle", "radius": radius}, 256)
+        collar = GeodesicChart(curve, 0.4 * radius, 16, 128)
+        c = curve.center
+        assert collar.gamma_b == -1.0 / radius
+        assert np.array_equal(collar.J, (1.0 - collar.s / radius)[:, None])
+        rel = collar.x_b - c
+        assert np.max(np.abs(np.linalg.norm(rel, axis=-1) - radius)) <= 1e-15
+        assert np.max(np.abs(collar.n_b + rel / radius)) <= 1e-15
+        assert np.max(np.abs(np.einsum("jk,jk->j", collar.tau_b,
+                                       collar.n_b))) <= 1e-15
+        # tau turns counterclockwise: the interior lies to its left
+        tau, n = collar.tau_b, collar.n_b
+        assert np.all(tau[:, 0] * n[:, 1] - tau[:, 1] * n[:, 0] > 0.0)
+
+
 def test_cutoff_partition_values(cutoffs):
     s = np.linspace(0.0, 0.6, 400)
     phi = cutoffs.phi(s)
@@ -126,3 +145,13 @@ def test_geodesic_chart_rejects_deep_collar():
     curve = build_curve({"kind": "circle", "radius": 1.0}, 256)
     with pytest.raises(GeometryError):
         GeodesicChart(curve, 1.5, 16, 64)
+    with pytest.raises(GeometryError, match="below the radius"):
+        GeodesicChart(curve, 1.0, 16, 64)
+
+
+def test_geodesic_chart_rejects_too_few_rows():
+    # the wall stencils of the collar read rows 0..4
+    curve = build_curve({"kind": "circle", "radius": 1.0}, 256)
+    with pytest.raises(GeometryError, match="n_s >= 4"):
+        GeodesicChart(curve, 0.4, 3, 64)
+    assert GeodesicChart(curve, 0.4, 4, 64).s.size == 5
