@@ -186,6 +186,13 @@ def cmd_verify(cfg):
 
 
 def cmd_solve(cfg):
+    # the H^-2 norm of the boundary trace needs a power-of-two collar grid;
+    # study reads no trace, so the check is solve's own
+    n_theta = cfg["grid"]["collar_n_theta"]
+    if not isinstance(n_theta, int) or n_theta < 2 or n_theta & (n_theta - 1):
+        raise ConfigError(f"grid.collar_n_theta = {n_theta} must be an "
+                          "integer power of two for the boundary trace's "
+                          "H^-2 norm")
     curve, chart, cutoffs, collar = _build_geometry(cfg)
     u, rough = _make_field(cfg, chart)
     outdir = cfg["output"]

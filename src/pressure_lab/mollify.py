@@ -13,13 +13,15 @@ derivative) vanish identically at s = 0 -- tangency and zero trace hold to
 rounding, for every eta.  Velocities are centered differences (weights w1,
 w2 on a stencil one ring wider) of each smoothed part.
 
-The shift-sum runs in blocks.  The active shifts are walked in row-major
-order; each sampler is evaluated once per block of shifts, on the
-(shift, point) pairs of the whole block, with the work that a shift
-component leaves unchanged done once per block; each output then adds
-w * sample shift by shift in that order, so the blocked sums are the
-per-shift sums bit for bit.  A request for the smoothed value alone visits
-only the shifts of the kernel's support.
+The shift-sum runs in point-major blocks.  The points are split into equal
+chunks, and each sampler call takes one chunk with every active shift in
+row-major order, so the work that a shift component leaves unchanged is
+done once per distinct component value of the whole stencil.  Each output
+then adds its w * sample rows in that shift order, starting from +0.0 (a
+lone point is added by an explicit loop, since numpy sums a single column
+pairwise), so the blocked sums are the per-shift sums bit for bit.  A
+request for the smoothed value alone visits only the shifts of the
+kernel's support.
 
 divergence_max does not measure the returned u_eta.  It is the rounding of
 the centered-difference divergence of a centered-difference curl of
@@ -47,8 +49,9 @@ class MollifyError(ValueError):
     pass
 
 
-# (point, shift) pairs per sampler evaluation: bounds the temporaries of one
-# block of stencil shifts (psi's phases are a few times this many floats);
+# (shift, point) pairs per sampler evaluation: a chunk of points holds about
+# _BLOCK_POINTS / (number of active shifts) points, which bounds the
+# temporaries of one call (psi's phases are a few times this many floats);
 # twice as many raised the peak RSS of a 64x128 study record by about 1 MB
 # and ran no faster
 _BLOCK_POINTS = 8192
@@ -89,7 +92,8 @@ class MollifierKernel:
 class _StencilConvolution:
     """Pointwise convolution of a 2-variable sampler with a MollifierKernel,
     returning the smoothed value and its two centered first derivatives.
-    A block of shifts covers at most _BLOCK_POINTS (point, shift) pairs."""
+    Each sampler call takes every active shift on a chunk of points, at most
+    _BLOCK_POINTS (shift, point) pairs."""
 
     def __init__(self, sampler, kernel: MollifierKernel):
         self.sampler = sampler
@@ -111,16 +115,34 @@ class _StencilConvolution:
         x2 = np.asarray(x2, dtype=float)
         weights = (self.w0,) if value_only else (self.w0, self.w1, self.w2)
         active = np.argwhere(np.any([w != 0.0 for w in weights], axis=0))
-        outs = [np.zeros_like(x1) for _ in weights]
-        per_block = max(1, _BLOCK_POINTS // max(x1.size, 1))
-        for start in range(0, len(active), per_block):
-            block = active[start:start + per_block]
-            samples = self.sampler(x1, x2, self.shifts[block[:, 0]],
-                                   self.shifts[block[:, 1]])
-            for (a, b), sample in zip(block, samples):
-                for out, w in zip(outs, weights):
-                    if w[a, b] != 0.0:
-                        out += w[a, b] * sample
+        sa, sb = self.shifts[active[:, 0]], self.shifts[active[:, 1]]
+        # per output: the rows of its nonzero weights, and those weights
+        terms = []
+        for w in weights:
+            wa = w[active[:, 0], active[:, 1]]
+            rows = np.flatnonzero(wa)
+            terms.append((rows, wa[rows, None]))
+        outs = [np.empty_like(x1) for _ in weights]
+        # equal chunks, so that a remainder is never a lone point
+        n = x1.size
+        n_chunks = -(-n // max(1, _BLOCK_POINTS // len(active)))
+        bounds = [n * i // n_chunks for i in range(n_chunks + 1)]
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            samples = self.sampler(x1[lo:hi], x2[lo:hi], sa, sb)
+            for out, (rows, w) in zip(outs, terms):
+                products = w * samples[rows]
+                if hi - lo > 1:
+                    # rows added in shift order, from +0.0 (so a column of
+                    # -0.0 sums to +0.0 on any numpy, as it did shift by
+                    # shift into zeros)
+                    np.add.reduce(products, axis=0, initial=0.0,
+                                  out=out[lo:hi])
+                else:
+                    # numpy would sum a lone column pairwise
+                    total = 0.0
+                    for p in products[:, 0]:
+                        total += p
+                    out[lo] = total
         return outs[0] if value_only else tuple(outs)
 
 
@@ -132,7 +154,7 @@ class _Sampler:
     """A cutoff-weighted part of the stream psi, a callable of physical
     points (the analytic stream or the chart interpolant).
 
-    A sampler is called with N base points (x1, x2) and a block of K shifts
+    A sampler is called with N base points (x1, x2) and K shifts
     (sa, sb) and returns the (K, N) samples at (x1 - sa_k, x2 - sb_k); psi
     is evaluated once, on the points of all K shifts stacked together.
     """
@@ -149,7 +171,7 @@ class _BoundarySampler(_Sampler):
     Exactly odd: f(-s, theta) = -f(s, theta); zero for s >= delta (the cutoff
     vanishes there), which keeps the convolution footprint inside the collar.
     The depth terms (|s - sa|, its sign, the cutoff and the radius factor)
-    are computed once per distinct sa of the block and the angle terms once
+    are computed once per distinct sa of the call and the angle terms once
     per distinct sb; only psi is evaluated per shift.
     """
 

@@ -116,13 +116,15 @@ def holder_norm(f, alpha, plan: PairPlan) -> HolderEstimate:
         raise NormError("alpha must lie in (0, 1)")
     values = f.values if isinstance(f, GridField) else np.asarray(f, dtype=float)
     npts = values.shape[0] * values.shape[1]
-    flat = np.ascontiguousarray(values.reshape((npts,) + values.shape[2:]))
+    flat = values.reshape(npts, -1)
     if plan.n_pairs == 0:
         raise NormError("empty pair plan")
     inv = plan.dist ** (-alpha)
-    diff = np.abs(flat[plan.idx_a] - flat[plan.idx_b])
-    if diff.ndim > 1:
-        diff = diff.max(axis=tuple(range(1, diff.ndim)))
+    # component by component, each one contiguous; max is exact in any order
+    diff = None
+    for column in np.ascontiguousarray(flat.T):
+        d = np.abs(column.take(plan.idx_a) - column.take(plan.idx_b))
+        diff = d if diff is None else np.maximum(diff, d, out=diff)
     semi = float(np.max(diff * inv))
     sup = float(np.max(np.abs(flat)))
     return HolderEstimate(float(alpha), sup, float(semi),

@@ -130,12 +130,15 @@ def test_solve_non_disk_domain_exit_code(tmp_path, capsys):
     pytest.param("grid.collar_n_s=3", "n_s >= 4", id="n_s_3"),
 ])
 def test_solve_bad_collar_grid_exit_code(tmp_path, capsys, override, message):
+    out = tmp_path / "out"
     rc = main(["solve", "--set", "field.kind=rigid", *SMALL,
-               "--set", override, "--out", str(tmp_path)])
+               "--set", override, "--out", str(out)])
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("validation error") and message in err
     assert len(err.strip().splitlines()) == 1
+    # rejected before any work: no output directory was made
+    assert not out.exists()
 
 
 def test_solve_rigid(tmp_path):

@@ -207,10 +207,21 @@ def _per_shift_sum(conv, shift_sample, x1, x2):
     return val, d1, d2
 
 
+def _active_shifts(conv, value_only):
+    """(sa, sb) of the shifts with a nonzero weight, in row-major order."""
+    weights = (conv.w0,) if value_only else (conv.w0, conv.w1, conv.w2)
+    return [(sa, sb) for a, sa in enumerate(conv.shifts)
+            for b, sb in enumerate(conv.shifts)
+            if any(w[a, b] != 0.0 for w in weights)]
+
+
 @pytest.mark.parametrize("stream", ["analytic", "interpolant"])
 @pytest.mark.parametrize("part", ["boundary", "interior"])
-# one point set inside a single block of shifts, one spread over many
-@pytest.mark.parametrize("n_points", [40, mollify._BLOCK_POINTS // 3 + 1])
+# a lone point (the pole, for the interior), one chunk, a count that chunks
+# of _BLOCK_POINTS // 69 points would leave a lone remainder of, and many
+# chunks
+@pytest.mark.parametrize("n_points", [1, 40, mollify._BLOCK_POINTS // 69 + 1,
+                                      mollify._BLOCK_POINTS // 3 + 1])
 def test_blocked_shift_sum_matches_per_shift_loop(disk_chart, cutoffs, stream,
                                                   part, n_points):
     rough = make_rough_stream(1.0 / 3.0, 7, 2, disk_chart)
@@ -220,10 +231,16 @@ def test_blocked_shift_sum_matches_per_shift_loop(disk_chart, cutoffs, stream,
     rng = np.random.default_rng(n_points)
     if part == "boundary":
         # depths on both sides of the wall and past the cutoff's support
-        x1 = rng.uniform(-0.1, cutoffs.delta + 0.05, n_points)
+        # on both sides
+        x1 = rng.uniform(-cutoffs.delta - 0.05, cutoffs.delta + 0.05,
+                         n_points)
         x2 = rng.uniform(0.0, disk_chart.curve.length, n_points)
         sampler = mollify._BoundarySampler(psi, cutoffs, disk_chart)
         shift_sample = _boundary_shift
+    elif n_points == 1:
+        x1, x2 = disk_chart.center[:1], disk_chart.center[1:]
+        sampler = mollify._InteriorSampler(psi, cutoffs, disk_chart)
+        shift_sample = _interior_shift
     else:
         # the disk, including the cutoff band and the core
         r = np.sqrt(rng.uniform(0.0, 1.0, n_points))
@@ -231,21 +248,37 @@ def test_blocked_shift_sum_matches_per_shift_loop(disk_chart, cutoffs, stream,
         x1, x2 = r * np.cos(t), r * np.sin(t)
         sampler = mollify._InteriorSampler(psi, cutoffs, disk_chart)
         shift_sample = _interior_shift
-    blocks = []
+    calls = []
 
-    def counted(x1, x2, sa, sb):
-        blocks.append(len(sa))
+    def recorded(x1, x2, sa, sb):
+        calls.append((x1.copy(), x2.copy(), list(zip(sa, sb))))
         return sampler(x1, x2, sa, sb)
 
-    conv = mollify._StencilConvolution(counted, kernel)
+    def check_calls(value_only):
+        shifts = _active_shifts(conv, value_only)
+        assert len(shifts) == (45 if value_only else 69)
+        for _, _, got_shifts in calls:
+            assert got_shifts == shifts
+        # the chunks cover every point once, in order, with no lone
+        # remainder and at most _BLOCK_POINTS pairs each
+        assert np.array_equal(np.concatenate([c[0] for c in calls]), x1)
+        assert np.array_equal(np.concatenate([c[1] for c in calls]), x2)
+        sizes = [len(c[0]) for c in calls]
+        assert min(sizes) > 1 or n_points == 1
+        assert max(sizes) * len(shifts) <= mollify._BLOCK_POINTS
+        calls.clear()
+
+    conv = mollify._StencilConvolution(recorded, kernel)
     expected = _per_shift_sum(
         conv, lambda x1, x2: shift_sample(sampler, x1, x2), x1, x2)
     got = conv(x1, x2)
-    assert (len(blocks) == 1) == (n_points == 40)
+    check_calls(value_only=False)
     for e, g in zip(expected, got):
         assert np.array_equal(e, g)
+        # an all-zero sum is +0.0, as the per-shift sum from zeros gives
+        assert np.array_equal(np.signbit(e), np.signbit(g))
     assert np.any(expected[0] != 0.0) and np.any(expected[1] != 0.0)
-    blocks.clear()
-    assert np.array_equal(conv(x1, x2, value_only=True), expected[0])
-    # the value alone visits only the kernel's own support
-    assert sum(blocks) == np.count_nonzero(kernel.weights)
+    value = conv(x1, x2, value_only=True)
+    check_calls(value_only=True)
+    assert np.array_equal(value, expected[0])
+    assert np.array_equal(np.signbit(value), np.signbit(expected[0]))

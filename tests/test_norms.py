@@ -87,6 +87,37 @@ def test_holder_vector_is_component_max(plan):
     assert abs(est1.norm - est2.norm) < 1e-14
 
 
+def _row_gather_holder(values, alpha, plan):
+    """(seminorm, sup) by a gather of whole rows and a max over the
+    component axis: the formula holder_norm used before it reduced column
+    by column, kept as its oracle."""
+    npts = values.shape[0] * values.shape[1]
+    flat = np.ascontiguousarray(values.reshape((npts,) + values.shape[2:]))
+    diff = np.abs(flat[plan.idx_a] - flat[plan.idx_b])
+    if diff.ndim > 1:
+        diff = diff.max(axis=tuple(range(1, diff.ndim)))
+    return (float(np.max(diff * plan.dist ** (-alpha))),
+            float(np.max(np.abs(flat))))
+
+
+def test_holder_matches_row_gather_oracle(disk_chart):
+    from pressure_lab.fields import make_rough_stream
+    from pressure_lab.pressure import tensor_square
+    pp = build_pair_plan(disk_chart.points, seed=0, n_random=20000)
+    u = make_rough_stream(1.0 / 3.0, 3, 2, disk_chart).velocity_field()
+    for f in (tensor_square(u), u, u.values[..., 0]):
+        values = f.values if hasattr(f, "values") else f
+        for alpha in (0.25, 1.0 / 3.0, 0.75):
+            est = holder_norm(f, alpha, pp)
+            assert (est.seminorm, est.sup_norm) == \
+                _row_gather_holder(values, alpha, pp)
+    # a NaN in one component still poisons the seminorm
+    values = tensor_square(u).values.copy()
+    values[5, 7, 1] = np.nan
+    assert np.isnan(holder_norm(values, 0.5, pp).seminorm)
+    assert np.isnan(_row_gather_holder(values, 0.5, pp)[0])
+
+
 def test_pair_plan_deterministic():
     from pressure_lab.geometry import build_curve
     from pressure_lab.fields import InteriorChart
