@@ -9,13 +9,18 @@ Two charts are used throughout:
 
 Fields live on the interior chart, vectors in Cartesian components; collar
 frame components (v.n, v.tau) are derived on demand.
+
+scipy is used by InteriorChart.spline alone, which imports
+scipy.interpolate at its first call: a collar resample (solve, verify,
+split_Pb) or the interpolant of a recovered stream.  Importing the package
+and the study path, which never interpolates, load no scipy module; that
+import would take about four fifths of the package's cold start.
 """
 
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import RectBivariateSpline
 
 from ._fourier import fourier_diff
 from .geometry import BoundaryCurve, GeodesicChart, GeometryError
@@ -113,11 +118,10 @@ class InteriorChart:
 
     # -- disk coordinates -------------------------------------------------
 
-    def depth(self, pts):
-        """Distance of physical points to the boundary circle."""
-        pts = np.asarray(pts, dtype=float)
-        dx = pts[..., 0] - self.center[0]
-        dy = pts[..., 1] - self.center[1]
+    def depth(self, x, y):
+        """Distance of the physical points (x, y) to the boundary circle."""
+        dx = x - self.center[0]
+        dy = y - self.center[1]
         # the sum np.linalg.norm forms, by component instead of per point
         return self.radius - np.sqrt(dx * dx + dy * dy)
 
@@ -141,7 +145,7 @@ class InteriorChart:
     def node_depth(self):
         """Distance to the boundary at the nodes; the boundary row is pinned
         to zero exactly.  This is also the collar depth s of the nodes."""
-        depth = self.depth(self.points)
+        depth = self.depth(self.points[..., 0], self.points[..., 1])
         depth[-1] = 0.0
         return depth
 
@@ -162,7 +166,10 @@ class InteriorChart:
     def spline(self, values):
         """Bicubic spline in chart coordinates with periodic theta padding,
         through the pole value at rho = 0 (a spline starting at the innermost
-        ring would hold its value constant inside that ring)."""
+        ring would hold its value constant inside that ring).  Imports
+        scipy.interpolate at the first call (see the module docstring)."""
+        from scipy.interpolate import RectBivariateSpline
+
         p, L = _THETA_PAD, self.curve.length
         rho = np.concatenate([[0.0], self.rho])
         th = np.concatenate([self.theta[-p:] - L, self.theta, self.theta[:p] + L])
@@ -326,14 +333,12 @@ class RoughStream:
         a lone row in the other order, so a lone point goes in beside a copy
         of itself, and a point's phase does not depend on the points that
         come with it."""
-        pts = np.asarray(pts, dtype=float)
-        x = pts[..., 0] - self.center[0]
-        y = pts[..., 1] - self.center[1]
-        rel = np.stack([x.ravel(), y.ravel()], axis=-1)
-        rows = np.repeat(rel, 2, axis=0) if len(rel) == 1 else rel
-        phase = (self.kvec @ rows.T)[:, :len(rel)]
+        rel = np.asarray(pts, dtype=float) - self.center
+        flat = rel.reshape(-1, 2)
+        rows = np.repeat(flat, 2, axis=0) if len(flat) == 1 else flat
+        phase = (self.kvec @ rows.T)[:, :len(flat)]
         phase += self.phases[:, None]
-        return x, y, phase
+        return rel[..., 0], rel[..., 1], phase
 
     def psi(self, pts):
         """Pointwise: a point's value does not depend on the points

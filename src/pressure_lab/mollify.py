@@ -107,28 +107,35 @@ class _StencilConvolution:
         self.w0 = w
         self.w1 = (np.roll(w, -1, axis=0) - np.roll(w, 1, axis=0)) / (2.0 * d)
         self.w2 = (np.roll(w, -1, axis=1) - np.roll(w, 1, axis=1)) / (2.0 * d)
+        # the two requests, each formed once: its active shifts and, per
+        # output, the rows of its nonzero weights and those weights
+        self._requests = {value_only: self._request(value_only)
+                          for value_only in (False, True)}
+
+    def _request(self, value_only):
+        weights = (self.w0,) if value_only else (self.w0, self.w1, self.w2)
+        active = np.argwhere(np.any([w != 0.0 for w in weights], axis=0))
+        shifts = _Shifts(self.shifts[active[:, 0]], self.shifts[active[:, 1]])
+        terms = []
+        for w in weights:
+            wa = w[active[:, 0], active[:, 1]]
+            rows = np.flatnonzero(wa)
+            terms.append((rows, wa[rows, None]))
+        return shifts, terms
 
     def __call__(self, x1, x2, value_only=False):
         """(value, d1, d2) at the points, or the value alone, which visits
         only the shifts of the kernel's own support."""
         x1 = np.asarray(x1, dtype=float)
         x2 = np.asarray(x2, dtype=float)
-        weights = (self.w0,) if value_only else (self.w0, self.w1, self.w2)
-        active = np.argwhere(np.any([w != 0.0 for w in weights], axis=0))
-        sa, sb = self.shifts[active[:, 0]], self.shifts[active[:, 1]]
-        # per output: the rows of its nonzero weights, and those weights
-        terms = []
-        for w in weights:
-            wa = w[active[:, 0], active[:, 1]]
-            rows = np.flatnonzero(wa)
-            terms.append((rows, wa[rows, None]))
-        outs = [np.empty_like(x1) for _ in weights]
+        shifts, terms = self._requests[value_only]
+        outs = [np.empty_like(x1) for _ in terms]
         # equal chunks, so that a remainder is never a lone point
         n = x1.size
-        n_chunks = -(-n // max(1, _BLOCK_POINTS // len(active)))
+        n_chunks = -(-n // max(1, _BLOCK_POINTS // len(shifts.a)))
         bounds = [n * i // n_chunks for i in range(n_chunks + 1)]
         for lo, hi in zip(bounds[:-1], bounds[1:]):
-            samples = self.sampler(x1[lo:hi], x2[lo:hi], sa, sb)
+            samples = self.sampler(x1[lo:hi], x2[lo:hi], shifts)
             for out, (rows, w) in zip(outs, terms):
                 products = w * samples[rows]
                 if hi - lo > 1:
@@ -150,13 +157,24 @@ class _StencilConvolution:
 # samplers
 # ----------------------------------------------------------------------
 
+class _Shifts:
+    """K stencil shifts in row-major order: the components (a, b) of each
+    shift, and the distinct values of each component (ua, ub) with each
+    shift's index among them (ia, ib)."""
+
+    def __init__(self, a, b):
+        self.a, self.b = a, b
+        self.ua, self.ia = np.unique(a, return_inverse=True)
+        self.ub, self.ib = np.unique(b, return_inverse=True)
+
+
 class _Sampler:
     """A cutoff-weighted part of the stream psi, a callable of physical
     points (the analytic stream or the chart interpolant).
 
-    A sampler is called with N base points (x1, x2) and K shifts
-    (sa, sb) and returns the (K, N) samples at (x1 - sa_k, x2 - sb_k); psi
-    is evaluated once, on the points of all K shifts stacked together.
+    A sampler is called with N base points (x1, x2) and K _Shifts and
+    returns the (K, N) samples at (x1 - a_k, x2 - b_k); psi is evaluated
+    once, on the points of all K shifts stacked together.
     """
 
     def __init__(self, psi, cutoffs: CutoffProfile, chart: InteriorChart):
@@ -170,15 +188,15 @@ class _BoundarySampler(_Sampler):
 
     Exactly odd: f(-s, theta) = -f(s, theta); zero for s >= delta (the cutoff
     vanishes there), which keeps the convolution footprint inside the collar.
-    The depth terms (|s - sa|, its sign, the cutoff and the radius factor)
-    are computed once per distinct sa of the call and the angle terms once
-    per distinct sb; only psi is evaluated per shift.
+    The depth terms (|s - a|, its sign, the cutoff and the radius factor)
+    are computed once per distinct shift component a and the angle terms
+    once per distinct b; only psi is evaluated per shift.
     """
 
-    def __call__(self, s, theta, sa, sb):
+    def __call__(self, s, theta, shifts):
         chart = self.chart
-        ua, ia = np.unique(sa, return_inverse=True)
-        shifted = s - ua[:, None]
+        ia = shifts.ia
+        shifted = s - shifts.ua[:, None]
         depth = np.abs(shifted)
         inside = depth < self.cutoffs.delta
         pairs = inside[ia]
@@ -187,10 +205,10 @@ class _BoundarySampler(_Sampler):
         if len(k):
             cut = np.zeros_like(depth)
             cut[inside] = self.cutoffs.phi(depth[inside])
-            ub, ib = np.unique(sb, return_inverse=True)
-            ang = ((theta - ub[:, None]) % chart.curve.length) / chart.radius
-            # flat (sa, point) and (sb, point) positions of the pairs
-            at, bt = ia[k] * len(s) + n, ib[k] * len(s) + n
+            ang = ((theta - shifts.ub[:, None]) % chart.curve.length) \
+                / chart.radius
+            # flat (a, point) and (b, point) positions of the pairs
+            at, bt = ia[k] * len(s) + n, shifts.ib[k] * len(s) + n
             rad = (chart.radius - depth).take(at)
             pts = np.stack([chart.center[0] + rad * np.cos(ang).take(bt),
                             chart.center[1] + rad * np.sin(ang).take(bt)],
@@ -205,9 +223,9 @@ class _InteriorSampler(_Sampler):
     the wall.  The cutoff is evaluated on the band delta - epsilon < depth
     < delta only: deeper, 1 - phi is exactly 1."""
 
-    def __call__(self, x1, x2, sa, sb):
-        p1, p2 = x1 - sa[:, None], x2 - sb[:, None]
-        depth = self.chart.depth(np.stack([p1, p2], axis=-1))
+    def __call__(self, x1, x2, shifts):
+        p1, p2 = x1 - shifts.a[:, None], x2 - shifts.b[:, None]
+        depth = self.chart.depth(p1, p2)
         out = np.zeros(depth.shape)
         mask = depth > self.cutoffs.delta - self.cutoffs.epsilon
         if np.any(mask):

@@ -180,7 +180,7 @@ def _boundary_shift(sampler, s, theta):
 def _interior_shift(sampler, x1, x2):
     """Interior sampler at one shift, as it was evaluated shift by shift."""
     pts = np.stack([x1, x2], axis=-1)
-    depth = sampler.chart.depth(pts)
+    depth = sampler.chart.depth(x1, x2)
     out = np.zeros(len(pts))
     mask = depth > sampler.cutoffs.delta - sampler.cutoffs.epsilon
     if np.any(mask):
@@ -250,15 +250,17 @@ def test_blocked_shift_sum_matches_per_shift_loop(disk_chart, cutoffs, stream,
         shift_sample = _interior_shift
     calls = []
 
-    def recorded(x1, x2, sa, sb):
-        calls.append((x1.copy(), x2.copy(), list(zip(sa, sb))))
-        return sampler(x1, x2, sa, sb)
+    def recorded(x1, x2, shifts):
+        calls.append((x1.copy(), x2.copy(), shifts))
+        return sampler(x1, x2, shifts)
 
     def check_calls(value_only):
         shifts = _active_shifts(conv, value_only)
         assert len(shifts) == (45 if value_only else 69)
-        for _, _, got_shifts in calls:
-            assert got_shifts == shifts
+        # every chunk gets the one _Shifts formed for the request
+        formed = conv._requests[value_only][0]
+        assert all(c[2] is formed for c in calls)
+        assert list(zip(formed.a, formed.b)) == shifts
         # the chunks cover every point once, in order, with no lone
         # remainder and at most _BLOCK_POINTS pairs each
         assert np.array_equal(np.concatenate([c[0] for c in calls]), x1)

@@ -23,7 +23,19 @@ checkouts:
     python tools/output_digest.py --against before.txt   # in the other
 
 --against reports the groups that differ on standard error and exits 1 if
-any does.
+any does.  To also see how far each group moved, save its values in the
+first checkout and compare with that file:
+
+    python tools/output_digest.py --dump before.npz      # in one checkout
+    python tools/output_digest.py --against before.npz   # in the other
+
+The values of a group are its numbers in digest order, one leaf per array
+or number, and per figure of a text (a ledger cell is `@row:column`).
+Against a dump, each group is listed with its SHA-256 verdict and its
+largest relative difference, with the path of the leaf it is in: the
+largest change of any value over the largest magnitude of its leaf in the
+dump.  A diagnostic that is rounding noise, such as `trace_max`, moves by
+a large relative amount whenever any bit moves.
 """
 
 import argparse
@@ -32,6 +44,7 @@ import dataclasses
 import hashlib
 import io
 import os
+import re
 import struct
 import sys
 import tempfile
@@ -50,45 +63,98 @@ SEEDS = (0, 5)
 ETAS = (0.0125, 0.00625, 0.003125)
 CUTOFFS = (0.4, 0.05, 0.1, 0.2, 0.25)      # delta, epsilon, delta1..3
 MOLLIFY = {"n_sub": 4, "probe_n": 128}
+# what a --dump file holds per group, besides its name and SHA-256
+LEAF_KEYS = ("values", "sizes", "paths")
 
 
-def _feed(h, x):
+def _feed(h, x, leaves, path=""):
     """Add x to the hash h: arrays and floats by their bytes, containers
-    and dataclasses member by member; a GridField by its values and pole."""
+    and dataclasses member by member; a GridField by its values and pole.
+    Each numeric leaf is appended to `leaves` as (path, float64 array)."""
     if isinstance(x, fields.GridField):
-        _feed(h, (x.values, x.pole))
+        _feed(h, (x.values, x.pole), leaves, path)
     elif isinstance(x, np.ndarray):
         h.update(f"{x.dtype}{x.shape}".encode())
         h.update(np.ascontiguousarray(x).tobytes())
+        leaves.append((path, np.asarray(x, dtype=float).ravel()))
     elif isinstance(x, (bool, np.bool_, int, np.integer)):
         h.update(f"i{int(x)}".encode())
+        leaves.append((path, np.array([float(x)])))
     elif isinstance(x, (float, np.floating)):
         h.update(b"f" + struct.pack("<d", float(x)))
+        leaves.append((path, np.array([float(x)])))
     elif isinstance(x, str):
         h.update(b"s" + x.encode())
+        leaves.extend((f"{path}@{where}", np.array([value]))
+                      for where, value in _figures(x))
     elif x is None:
         h.update(b"none")
     elif isinstance(x, dict):
         h.update(b"{")
         for k in sorted(x):
-            _feed(h, k)
-            _feed(h, x[k])
+            _feed(h, k, [])
+            _feed(h, x[k], leaves, f"{path}.{k}")
         h.update(b"}")
     elif isinstance(x, (list, tuple)):
         h.update(b"[")
-        for item in x:
-            _feed(h, item)
+        for i, item in enumerate(x):
+            _feed(h, item, leaves, f"{path}[{i}]")
         h.update(b"]")
     elif dataclasses.is_dataclass(x):
-        _feed(h, {f.name: getattr(x, f.name) for f in dataclasses.fields(x)})
+        _feed(h, {f.name: getattr(x, f.name) for f in dataclasses.fields(x)},
+              leaves, path)
     else:
         raise TypeError(f"no digest rule for {type(x).__name__}")
 
 
+def _figures(text):
+    """(line:cell, value) of each token of a text that reads as a float,
+    cells being split at commas (a CSV cell, or a clause of a message); a
+    cell's k-th figure after its first adds .k."""
+    for i, line in enumerate(text.splitlines()):
+        for j, cell in enumerate(line.split(",")):
+            k = 0
+            for token in re.split(r"[\s;:=()\[\]]+", cell):
+                try:
+                    value = float(token)
+                except ValueError:
+                    continue
+                yield f"{i}:{j}" + (f".{k}" if k else ""), value
+                k += 1
+
+
 def _digest(x):
+    """(SHA-256 of x, its values, the size and path of each leaf)."""
     h = hashlib.sha256()
-    _feed(h, x)
-    return h.hexdigest()
+    leaves = []
+    _feed(h, x, leaves)
+    sizes = np.array([len(leaf) for _, leaf in leaves], dtype=np.int64)
+    values = np.concatenate([leaf for _, leaf in leaves] or [np.zeros(0)])
+    return h.hexdigest(), values, sizes, np.array([p for p, _ in leaves])
+
+
+def max_rel_diff(now, before):
+    """(difference, path): the largest change of any value over the largest
+    finite magnitude of its leaf in `before`, and that leaf's path; each of
+    `now` and `before` is (values, sizes, paths).  Equal values (NaN and
+    NaN too) differ by 0; None when the leaves do not match."""
+    (values, sizes, paths), (ref_values, ref_sizes, ref_paths) = now, before
+    if not (np.array_equal(sizes, ref_sizes)
+            and np.array_equal(paths, ref_paths)):
+        return None
+    worst = (0.0, "")
+    cuts = np.cumsum(sizes)[:-1]
+    for a, b, path in zip(np.split(values, cuts), np.split(ref_values, cuts),
+                          paths):
+        same = (a == b) | (np.isnan(a) & np.isnan(b))
+        if np.all(same):
+            continue
+        change = np.max(np.where(same, 0.0, np.abs(a - b)))
+        finite = np.abs(b[np.isfinite(b)])
+        scale = np.max(finite) if finite.size else 0.0
+        rel = np.inf if np.isnan(change) or scale == 0.0 else change / scale
+        worst = max(worst, (float(rel), str(path)))
+    return worst
 
 
 def _geometry(n_rho):
@@ -188,29 +254,68 @@ def digests():
             yield name, _digest(value)
 
 
+def dump(path, digested):
+    """Save the digests and values of every group to an .npz file."""
+    names = list(digested)
+    arrays = {"names": np.array(names),
+              "sha256": np.array([digested[n][0] for n in names])}
+    for i, name in enumerate(names):
+        for key, array in zip(LEAF_KEYS, digested[name][1:]):
+            arrays[f"{key}_{i}"] = array
+    np.savez(path, **arrays)
+
+
+def load(path):
+    """{group: (sha256, values, sizes, paths)} of a --dump file, or {group:
+    (sha256, None)} of a saved digest listing."""
+    if path.endswith(".npz"):
+        with np.load(path, allow_pickle=False) as npz:
+            return {str(name): (str(sha), *(npz[f"{key}_{i}"]
+                                            for key in LEAF_KEYS))
+                    for i, (name, sha) in enumerate(zip(npz["names"],
+                                                        npz["sha256"]))}
+    with open(path) as fh:
+        return {name: (sha, None) for sha, name in
+                (line.split("  ", 1) for line in fh.read().splitlines()
+                 if "  " in line)}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--against", metavar="FILE",
-                        help="compare with the output of another run")
+                        help="compare with the output of another run, or "
+                             "with a --dump file (FILE.npz)")
+    parser.add_argument("--dump", metavar="FILE.npz",
+                        help="save every group's digest and values")
     args = parser.parse_args(argv)
     start = time.perf_counter()
     now = {}
-    for name, sha in digests():
-        now[name] = sha
-        print(f"{sha}  {name}", flush=True)
+    for name, digested in digests():
+        now[name] = digested
+        print(f"{digested[0]}  {name}", flush=True)
     print(f"{len(now)} groups in {time.perf_counter() - start:.1f} s",
           file=sys.stderr)
+    if args.dump:
+        dump(args.dump, now)
     if args.against is None:
         return 0
-    with open(args.against) as fh:
-        before = {name: sha for sha, name in
-                  (line.split("  ", 1) for line in fh.read().splitlines()
-                   if "  " in line)}
-    differing = sorted(name for name in before.keys() | now.keys()
-                       if before.get(name) != now.get(name))
-    for name in differing:
-        print(f"differs: {name}", file=sys.stderr)
-    print(f"{len(differing)} differing groups of {len(now)}", file=sys.stderr)
+    before = load(args.against)
+    differing = 0
+    for name in sorted(before.keys() | now.keys()):
+        sha, *leaves = before.get(name, (None, None))
+        verdict = "same" if name in now and sha == now[name][0] else "differs"
+        differing += verdict == "differs"
+        if leaves[0] is None:
+            if verdict == "differs":
+                print(f"differs: {name}", file=sys.stderr)
+            continue
+        worst = None if name not in now else max_rel_diff(now[name][1:],
+                                                          leaves)
+        shown = ("leaves differ" if worst is None else
+                 f"{worst[0]:.3g}" + (f" at {worst[1]}" if worst[0] else ""))
+        print(f"{verdict:<8} {name:<36} max rel diff {shown}",
+              file=sys.stderr)
+    print(f"{differing} differing groups of {len(now)}", file=sys.stderr)
     return 1 if differing else 0
 
 
