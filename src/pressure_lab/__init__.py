@@ -6,7 +6,7 @@ Layout:
             cutoff profiles
   fields    grid fields, analytic field families, collar frame components
   norms     Holder / sup / negative-Sobolev estimators
-  elliptic  Neumann, Dirichlet and collar-slab Poisson solvers
+  elliptic  Neumann and collar-slab Poisson solvers
   mollify   tangency-preserving regularization
   pressure  pressure solves, collar identities, boundary traces, eta studies
   cli       configuration-driven runner (verify | solve | study)
@@ -27,11 +27,9 @@ from .fields import (
     InteriorChart,
     RadialFlow,
     RoughStream,
-    StreamFunction,
     make_rough_stream,
     radial_flow,
     rhs_double_divergence,
-    stream_to_velocity,
 )
 from .norms import (
     HolderEstimate,
@@ -47,7 +45,6 @@ from .elliptic import (
     LinearSolveReport,
     SlabOperator,
     SolverError,
-    solve_dirichlet_stream,
     solve_neumann,
 )
 from .mollify import (
@@ -55,9 +52,6 @@ from .mollify import (
     MollifyError,
     RegularizedVelocity,
     mollify_velocity,
-    odd_extend,
-    recover_stream,
-    split_stream,
 )
 from .pressure import (
     EstimateLedger,
@@ -99,14 +93,10 @@ __all__ = [
     "h_minus2_norm",
     "holder_norm",
     "mollify_velocity",
-    "odd_extend",
-    "recover_stream",
     "sanss2_rhs",
-    "solve_dirichlet_stream",
     "solve_neumann",
     "solve_pressure",
     "split_Pb",
-    "split_stream",
     "BoundaryCurve",
     "CutoffProfile",
     "FieldError",
@@ -116,14 +106,12 @@ __all__ = [
     "InteriorChart",
     "RadialFlow",
     "RoughStream",
-    "StreamFunction",
     "build_curve",
     "build_cutoffs",
     "default_cutoffs",
     "make_rough_stream",
     "radial_flow",
     "rhs_double_divergence",
-    "stream_to_velocity",
 ]
 
 __version__ = "0.1.0"

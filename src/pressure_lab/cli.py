@@ -149,6 +149,8 @@ def _build_geometry(cfg):
 
 
 def _make_field(cfg, chart):
+    """(u, None) for a given velocity; (None, rough) for a rough stream,
+    whose velocity is the mollified one."""
     f = cfg["field"]
     kind = f["kind"]
     if kind == "rigid":
@@ -159,8 +161,8 @@ def _make_field(cfg, chart):
         return GridField(chart, np.zeros(chart.points.shape),
                          pole=np.zeros(2)), None
     if kind == "rough":
-        rough = make_rough_stream(f["alpha"], f["seed"], f["j_max"], chart)
-        return rough.velocity_field(), rough
+        return None, make_rough_stream(f["alpha"], f["seed"], f["j_max"],
+                                       chart)
     raise ConfigError(f"unknown field.kind: {kind}")
 
 
@@ -201,9 +203,8 @@ def cmd_solve(cfg):
 
     if rough is not None:
         from .mollify import mollify_velocity
-        rv = mollify_velocity(u, cfg["field"]["eta"], cutoffs, collar,
-                              psi=rough.stream_field(),
-                              n_sub=cfg["mollify"]["n_sub"],
+        rv = mollify_velocity(rough.psi, chart, cfg["field"]["eta"], cutoffs,
+                              collar, n_sub=cfg["mollify"]["n_sub"],
                               probe_n=cfg["mollify"]["probe_n"])
         sol = solve_pressure(rv, chart=chart, cutoffs=cutoffs, source_id=fname)
         moll_diag = rv.diagnostics()

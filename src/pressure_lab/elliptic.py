@@ -1,14 +1,14 @@
-"""Linear solvers: pure-Neumann Poisson on the interior chart, homogeneous
-Dirichlet stream solve, and the mixed Neumann/Dirichlet slab problem on the
-collar with its discrete Green columns.
+"""Linear solvers: pure-Neumann Poisson on the interior chart, and the mixed
+Neumann/Dirichlet slab problem on the collar with its discrete Green
+columns.
 
-The interior solvers use a vertex-centered finite-volume stencil on the
+The interior solver uses a vertex-centered finite-volume stencil on the
 polar (rho, theta) chart of the disk with a dedicated pole cell, so the
-operator is symmetric (positive semidefinite for Neumann) and conjugate
-gradients applies; the constant nullspace of the Neumann problem is
-projected out every iteration.  The CG runs in place: the stencil is one
-kernel on the flat vector (grid rows, pole) that writes into a caller's
-buffer, and every update writes into buffers allocated once per solve.
+operator is symmetric positive semidefinite and conjugate gradients
+applies; the constant nullspace of the Neumann problem is projected out
+every iteration.  The CG runs in place: the stencil is one kernel on the
+flat vector (grid rows, pole) that writes into a caller's buffer, and
+every update writes into buffers allocated once per solve.
 Each element sees the operations of the textbook form (np.roll stencil,
 allocating updates) in the same order, so iterates, iteration counts and
 residuals are the same bit for bit.
@@ -28,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .fields import GridField, InteriorChart, StreamFunction
+from .fields import GridField, InteriorChart
 from .geometry import GeodesicChart
 
 
@@ -145,20 +145,18 @@ class _StarStencil:
         return out[:-1].reshape(p.shape), float(out[-1])
 
 
-def _pcg(apply_a, b, diag, x0, tol, maxiter, project=None):
+def _pcg(apply_a, b, diag, x0, tol, maxiter):
     """Preconditioned CG on flat vectors; apply_a(v, out) writes A v into
     out.  Every update writes into a buffer allocated once, with the
     operations of the textbook form in its order, so the iterates are the
-    same bit for bit.  'project' removes a known nullspace component from
-    iterates and residuals (pure-Neumann case)."""
+    same bit for bit.  The constant nullspace of the Neumann operator is
+    removed from iterates and residuals."""
     x = x0.copy()
-    if project is not None:
-        project(x)
+    x -= x.mean()
     ap = np.empty_like(b)
     apply_a(x, ap)
     r = b - ap
-    if project is not None:
-        project(r)
+    r -= r.mean()
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return np.zeros_like(b), LinearSolveReport(0, 0.0)
@@ -172,9 +170,8 @@ def _pcg(apply_a, b, diag, x0, tol, maxiter, project=None):
         alpha = rz / float(p @ ap)
         x += np.multiply(p, alpha, out=step)
         r -= np.multiply(ap, alpha, out=step)
-        if project is not None:
-            project(x)
-            project(r)
+        x -= x.mean()
+        r -= r.mean()
         rnorm = math.sqrt(r @ r)          # np.linalg.norm of a 1-D vector
         residuals.append(rnorm)
         if rnorm <= tol * bnorm:
@@ -231,11 +228,8 @@ def solve_neumann(f, g, chart: InteriorChart, mean_target=0.0, tol=1e-10,
     diag = np.concatenate([st.diag.ravel(), [st.diag_pole]])
     shape = fvals.shape
 
-    def project(vec):
-        vec -= vec.mean()
-
     start = np.zeros(n + 1) if x0 is None else np.asarray(x0, dtype=float).copy()
-    x, report = _pcg(st.apply, bflat, diag, start, tol, maxiter, project)
+    x, report = _pcg(st.apply, bflat, diag, start, tol, maxiter)
 
     p = x[:-1].reshape(shape)
     pole = float(x[-1])
@@ -245,46 +239,6 @@ def solve_neumann(f, g, chart: InteriorChart, mean_target=0.0, tol=1e-10,
     report.compat_defect = defect
     report.mean_value = mean_target
     return GridField(chart, p, pole=pole), report
-
-
-# ----------------------------------------------------------------------
-# homogeneous-Dirichlet stream solve
-# ----------------------------------------------------------------------
-
-def solve_dirichlet_stream(omega, chart: InteriorChart = None, tol=1e-10,
-                           maxiter=100_000):
-    """-Delta psi = omega with psi = 0 on the boundary row; returns a
-    StreamFunction (exact zero trace) plus the solver report."""
-    if isinstance(omega, GridField):
-        chart = omega.chart
-        ovals, opole = omega.values, omega.pole
-    else:
-        ovals, opole = np.asarray(omega, dtype=float), None
-    if opole is None:
-        opole = chart.pole_value(ovals)
-    st = _StarStencil(chart)
-
-    b = ovals * st.vol
-    b[-1] = 0.0
-    b_pole = float(opole) * st.vol_pole
-    bflat = np.concatenate([b.ravel(), [b_pole]])
-    diag = np.concatenate([st.diag.ravel(), [st.diag_pole]])
-    shape = ovals.shape
-    fixed = slice(ovals.size - chart.n_theta, ovals.size)   # boundary row
-    work = np.empty(ovals.size + 1)
-
-    def apply_a(vec, out):
-        np.copyto(work, vec)
-        work[fixed] = 0.0
-        st.apply(work, out)
-        out[fixed] = vec[fixed]                  # identity on the fixed row
-
-    x, report = _pcg(apply_a, bflat, diag, np.zeros(ovals.size + 1), tol,
-                     maxiter)
-    psi = x[:-1].reshape(shape)
-    psi[-1] = 0.0
-    field = GridField(chart, psi, pole=float(x[-1]))
-    return StreamFunction(field), report
 
 
 # ----------------------------------------------------------------------

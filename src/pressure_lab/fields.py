@@ -11,10 +11,10 @@ Fields live on the interior chart, vectors in Cartesian components; collar
 frame components (v.n, v.tau) are derived on demand.
 
 scipy is used by InteriorChart.spline alone, which imports
-scipy.interpolate at its first call: a collar resample (solve, verify,
-split_Pb) or the interpolant of a recovered stream.  Importing the package
-and the study path, which never interpolates, load no scipy module; that
-import would take about four fifths of the package's cold start.
+scipy.interpolate at its first call, a collar resample (solve, verify,
+split_Pb).  Importing the package and the study path, which never
+interpolates, load no scipy module; that import would take about four
+fifths of the package's cold start.
 """
 
 from dataclasses import dataclass, field
@@ -41,7 +41,8 @@ class InteriorChart:
 
     build_curve builds circles only.  This chart is the one owner of the
     disk's coordinates: chart and collar coordinates of physical points,
-    depths, the boundary frame at the nodes, and interpolation.
+    depths, the boundary frame at the nodes, and the resample of node values
+    onto the collar grid.
     """
 
     def __init__(self, curve: BoundaryCurve, n_rho, n_theta):
@@ -111,11 +112,6 @@ class InteriorChart:
         gy = self.cart_gradient(vec[..., 1], None if poles is None else poles[1])
         return gx[..., 0] + gy[..., 1]
 
-    def curl(self, vec, poles=None):
-        gx = self.cart_gradient(vec[..., 0], None if poles is None else poles[0])
-        gy = self.cart_gradient(vec[..., 1], None if poles is None else poles[1])
-        return gy[..., 0] - gx[..., 1]
-
     # -- disk coordinates -------------------------------------------------
 
     def depth(self, x, y):
@@ -177,16 +173,6 @@ class InteriorChart:
         vals = np.concatenate([vals[:, -p:], vals, vals[:, :p]], axis=1)
         return RectBivariateSpline(rho, th, vals, kx=3, ky=3)
 
-    def interpolant(self, values):
-        """pts -> spline of the node values at physical points; points past
-        the boundary read its row."""
-        sp = self.spline(values)
-
-        def evaluate(pts):
-            rho, th = self.chart_coords(pts)
-            return sp(np.clip(rho, 0.0, 1.0), th, grid=False)
-        return evaluate
-
     def on_collar(self, values, collar: GeodesicChart):
         """Node values resampled onto the collar grid, shape (n_s+1, n_theta).
 
@@ -225,29 +211,6 @@ class GridField:
     @property
     def is_vector(self):
         return self.values.ndim == 3
-
-
-@dataclass
-class StreamFunction:
-    """Scalar stream function on the interior chart with zero boundary trace."""
-
-    field: GridField
-    analytic: object = None   # optional callable psi(pts) for exact evaluation
-
-    def __post_init__(self):
-        vals = self.field.values
-        if vals.ndim != 2:
-            raise FieldError("stream function must be scalar")
-        if np.max(np.abs(vals[-1])) > 1e-12:
-            raise FieldError("stream function must vanish on the boundary row")
-
-
-def stream_to_velocity(psi: StreamFunction) -> GridField:
-    """u = (-d2 psi, d1 psi) by finite differences through the chart metric."""
-    chart = psi.field.chart
-    g = chart.cart_gradient(psi.field.values)
-    u = np.stack([-g[..., 1], g[..., 0]], axis=-1)
-    return GridField(chart, u)
 
 
 # ----------------------------------------------------------------------
@@ -362,11 +325,6 @@ class RoughStream:
     def velocity(self, pts):
         g = self.grad_psi(pts)
         return np.stack([-g[..., 1], g[..., 0]], axis=-1)
-
-    def stream_field(self) -> StreamFunction:
-        vals = self.psi(self.chart.points)
-        vals[-1] = 0.0       # boundary trace is exactly zero (beta vanishes)
-        return StreamFunction(GridField(self.chart, vals), analytic=self.psi)
 
     def velocity_field(self) -> GridField:
         return GridField(self.chart, self.velocity(self.chart.points),

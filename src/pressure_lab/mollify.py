@@ -1,9 +1,10 @@
 """Tangency-preserving regularization u -> u^eta.
 
-Pipeline: recover the stream function, split it into a boundary part (cutoff
-times psi, handled in collar coordinates with odd extension through the wall)
-and an interior part (Euclidean convolution), convolve each with a compactly
-supported radial bump, and differentiate the smoothed stream function.
+Pipeline: take the stream function of u from the caller, split it into a
+boundary part (cutoff times psi, handled in collar coordinates with odd
+extension through the wall) and an interior part (Euclidean convolution),
+convolve each with a compactly supported radial bump, and differentiate the
+smoothed stream function.
 
 The convolution is evaluated pointwise as a weighted sum over a fixed
 stencil of offsets xi_k = (eta/4) * k, |xi_k| < eta, so every invariant is
@@ -30,19 +31,16 @@ operators commute, so it reads rounding noise for any psi^eta.  The
 returned u_eta differentiates the boundary and interior parts in their own
 coordinates, and is not divergence-free across the cutoff band.
 
-Both samplers read the stream function through one callable of physical
-points: the analytic stream when the caller supplies one, otherwise the
-chart interpolant of the recovered stream's node values.
+Both samplers read the stream function through the caller's callable of
+physical points, such as RoughStream.psi.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import (GridField, InteriorChart, StreamFunction,
-                     stream_to_velocity)
+from .fields import GridField, InteriorChart
 from .geometry import CutoffProfile, GeodesicChart
-from .elliptic import solve_dirichlet_stream
 
 
 class MollifyError(ValueError):
@@ -170,7 +168,7 @@ class _Shifts:
 
 class _Sampler:
     """A cutoff-weighted part of the stream psi, a callable of physical
-    points (the analytic stream or the chart interpolant).
+    points.
 
     A sampler is called with N base points (x1, x2) and K _Shifts and
     returns the (K, N) samples at (x1 - a_k, x2 - b_k); psi is evaluated
@@ -236,60 +234,13 @@ class _InteriorSampler(_Sampler):
 
 
 # ----------------------------------------------------------------------
-# spec-shaped pipeline pieces
-# ----------------------------------------------------------------------
-
-def recover_stream(u: GridField, tol=1e-6):
-    """Stream function of a divergence-free tangential field: solve
-    -Delta psi = -curl u with zero boundary trace, so grad^perp psi = u."""
-    chart = u.chart
-    div = chart.divergence(u.values)
-    div_max = float(np.max(np.abs(div[:-1])))   # boundary row is one-sided
-    if div_max > tol:
-        raise MollifyError(f"velocity is not discretely divergence-free: "
-                           f"max |div u| = {div_max:.3e} > {tol:.1e}")
-    _, _, normal, _ = chart.collar_frame
-    tang = float(np.max(np.abs(np.einsum("jk,jk->j", u.values[-1], normal[-1]))))
-    if tang > tol:
-        raise MollifyError(f"velocity is not tangential: max |u.n| = "
-                           f"{tang:.3e} > {tol:.1e}")
-    omega = chart.curl(u.values)
-    psi, report = solve_dirichlet_stream(GridField(chart, -omega))
-    round_trip = float(np.max(np.abs(
-        stream_to_velocity(psi).values[:-1] - u.values[:-1])))
-    psi.round_trip_error = round_trip
-    psi.solver_report = report
-    return psi
-
-
-def split_stream(psi: StreamFunction, cutoffs: CutoffProfile):
-    """psi = psi_b + psi_i with psi_b = phi(depth) psi near the boundary."""
-    chart = psi.field.chart
-    phi = cutoffs.phi(chart.node_depth)
-    psi_b = GridField(chart, phi * psi.field.values)
-    psi_i = GridField(chart, (1.0 - phi) * psi.field.values)
-    return psi_b, psi_i
-
-
-def odd_extend(psi_b, tol=1e-10):
-    """Odd extension through s=0 of a collar sample array (n_s+1, n_theta);
-    returns samples on (-delta..delta) with shape (2 n_s + 1, n_theta)."""
-    vals = psi_b.values if isinstance(psi_b, GridField) else np.asarray(psi_b)
-    trace = float(np.max(np.abs(vals[0])))
-    if trace > tol:
-        raise MollifyError(f"boundary trace {trace:.3e} exceeds {tol:.1e}; "
-                           "odd extension would be discontinuous")
-    return np.concatenate([-vals[:0:-1], vals], axis=0)
-
-
-# ----------------------------------------------------------------------
 # regularized velocity
 # ----------------------------------------------------------------------
 
 @dataclass
 class RegularizedVelocity:
     u_eta: GridField
-    psi_eta: StreamFunction
+    psi_eta: GridField
     eta: float
     kernel: MollifierKernel
     boundary_tangential: np.ndarray      # u^eta . tau on the boundary nodes
@@ -297,7 +248,6 @@ class RegularizedVelocity:
     trace_max: float
     tangency_max: float
     divergence_max: float
-    provenance: dict
 
     def diagnostics(self):
         return {"eta": self.eta, "trace_max": self.trace_max,
@@ -305,29 +255,22 @@ class RegularizedVelocity:
                 "divergence_max": self.divergence_max}
 
 
-def mollify_velocity(u: GridField, eta, cutoffs: CutoffProfile,
-                     collar: GeodesicChart, psi: StreamFunction = None,
-                     n_sub=4, probe_n=128):
-    """Regularize a divergence-free tangential field at scale eta.
+def mollify_velocity(psi, chart: InteriorChart, eta, cutoffs: CutoffProfile,
+                     collar: GeodesicChart, n_sub=4, probe_n=128):
+    """Regularize the divergence-free tangential field grad^perp psi at
+    scale eta, on the nodes of the chart.
 
-    u must live on an InteriorChart; psi may be supplied (e.g. an analytic
-    stream from the rough-field generator) and is otherwise recovered by the
-    Dirichlet solve.  eta must satisfy eta <= epsilon / 4 so that supports
-    stay inside the cutoff bands.
+    psi is the stream function, a callable of physical points that vanishes
+    on the boundary (e.g. RoughStream.psi).  eta must satisfy
+    eta <= epsilon / 4 so that supports stay inside the cutoff bands.
     """
     if eta > cutoffs.epsilon / 4.0 + 1e-12:
         raise MollifyError(f"eta = {eta:.3g} exceeds epsilon/4 = "
                            f"{cutoffs.epsilon / 4.0:.3g}")
-    chart = u.chart
-    if psi is None:
-        psi = recover_stream(u)
-    sample = psi.analytic
-    if sample is None:
-        sample = chart.interpolant(psi.field.values)
     kernel = MollifierKernel(float(eta), n_sub=n_sub)
-    conv_b = _StencilConvolution(_BoundarySampler(sample, cutoffs, chart),
+    conv_b = _StencilConvolution(_BoundarySampler(psi, cutoffs, chart),
                                  kernel)
-    conv_i = _StencilConvolution(_InteriorSampler(sample, cutoffs, chart),
+    conv_i = _StencilConvolution(_InteriorSampler(psi, cutoffs, chart),
                                  kernel)
 
     # --- chart evaluation -------------------------------------------------
@@ -370,10 +313,9 @@ def mollify_velocity(u: GridField, eta, cutoffs: CutoffProfile,
 
     ut_boundary = -conv_b(np.zeros_like(chart.theta), chart.theta)[1]
 
-    psi_eta = StreamFunction(GridField(chart, psi_vals))
     return RegularizedVelocity(
         u_eta=GridField(chart, u_vals, pole=pole_u),
-        psi_eta=psi_eta,
+        psi_eta=GridField(chart, psi_vals),
         eta=float(eta),
         kernel=kernel,
         boundary_tangential=ut_boundary,
@@ -381,8 +323,6 @@ def mollify_velocity(u: GridField, eta, cutoffs: CutoffProfile,
         trace_max=trace_max,
         tangency_max=tangency_max,
         divergence_max=divergence_max,
-        provenance={"source": "stream", "kernel_sub": n_sub,
-                    "analytic": psi.analytic is not None},
     )
 
 

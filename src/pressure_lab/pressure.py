@@ -388,8 +388,8 @@ def eta_study_record(rough, eta, cutoffs, collar, plan, prev_p=None,
     record plus the pressure samples (for the successive-eta C0 diagnostic).
     """
     chart = rough.chart
-    rv = mollify_velocity(rough.velocity_field(), eta, cutoffs, collar,
-                          psi=rough.stream_field(), **(mollify_kwargs or {}))
+    rv = mollify_velocity(rough.psi, chart, eta, cutoffs, collar,
+                          **(mollify_kwargs or {}))
     sol = solve_pressure(rv, chart=chart, cutoffs=cutoffs,
                          source_id=f"rough(alpha={rough.alpha},seed={rough.seed})")
     alpha = rough.alpha

@@ -107,8 +107,7 @@ def verify_mollify(cutoffs=None, eta=0.0125):
     cutoffs = cutoffs or default_cutoffs(0.4)
     collar = GeodesicChart(curve, cutoffs.delta, 64, 128)
     rough = make_rough_stream(0.5, 3, 2, chart)
-    rv = mollify_velocity(rough.velocity_field(), eta, cutoffs, collar,
-                          psi=rough.stream_field())
+    rv = mollify_velocity(rough.psi, chart, eta, cutoffs, collar)
     checks = {
         "trace": _check(rv.trace_max, 1e-10),
         "tangency": _check(rv.tangency_max, 1e-8),

@@ -164,8 +164,8 @@ def test_09_mollifier_suite(disk_chart, cutoffs, collar):
             base = holder_norm(u, alpha, plan).norm
             c0_steps = []
             for eta in ETAS:
-                rv = mollify_velocity(u, eta, cutoffs, collar,
-                                      psi=rough.stream_field())
+                rv = mollify_velocity(rough.psi, disk_chart, eta, cutoffs,
+                                      collar)
                 assert rv.trace_max <= 1e-10
                 assert rv.tangency_max <= 1e-8
                 assert rv.divergence_max <= 1e-8
@@ -211,8 +211,7 @@ def test_11_trace_smooth(disk_chart_fine, cutoffs, collar_fine):
 
 def test_11_trace_rough(disk_chart, cutoffs, collar):
     rough = make_rough_stream(1.0 / 3.0, 7, 2, disk_chart)
-    rv = mollify_velocity(rough.velocity_field(), 0.0125, cutoffs, collar,
-                          psi=rough.stream_field())
+    rv = mollify_velocity(rough.psi, disk_chart, 0.0125, cutoffs, collar)
     sol = solve_pressure(rv, chart=disk_chart, collar=collar, cutoffs=cutoffs)
     tc = boundary_trace(_collar_resample(sol.P, collar), rv.u_eta, collar)
     assert np.all(np.isfinite(tc.distances))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pressure_lab.elliptic import (SlabOperator, SolverError, _StarStencil,
-                                   solve_dirichlet_stream, solve_neumann)
+                                   solve_neumann)
 from pressure_lab.fields import (InteriorChart, make_rough_stream,
                                  rhs_double_divergence)
 from pressure_lab.geometry import GeodesicChart, GeometryError, build_curve
@@ -214,17 +214,8 @@ def test_neumann_mean_target(disk_chart):
     assert np.max(np.abs(p15.values - p0.values - 1.5)) < 1e-8
 
 
-def test_dirichlet_stream_oracle(disk_chart):
-    # -Delta psi = 4, psi(boundary) = 0 -> psi = 1 - r^2
-    omega = np.full((disk_chart.n_rho, disk_chart.n_theta), 4.0)
-    psi, rep = solve_dirichlet_stream(omega, disk_chart)
-    r = disk_radii(disk_chart)
-    assert np.max(np.abs(psi.field.values - (1.0 - r**2))) < 1e-9
-    assert rep.converged
-
-
 # ----------------------------------------------------------------------
-# oracle: the interior solves in their textbook form (np.roll stencil,
+# oracle: the interior solve in its textbook form (np.roll stencil,
 # allocating PCG), which the in-place solver must reproduce bit for bit
 # ----------------------------------------------------------------------
 
@@ -305,26 +296,6 @@ def _oracle_neumann(f, g, chart):
     return p - mean + 0.0, pole - mean + 0.0, its, res
 
 
-def _oracle_dirichlet(omega, chart):
-    st = _StarStencil(chart)
-    b = omega * st.vol
-    b[-1] = 0.0
-    bflat, diag = _flat_system(st, b,
-                               float(chart.pole_value(omega)) * st.vol_pole)
-
-    def apply_a(vec):
-        field = vec[:-1].reshape(omega.shape).copy()
-        field[-1] = 0.0
-        out, out_pole = _roll_matvec(st, field, vec[-1])
-        out[-1] = vec[:-1].reshape(omega.shape)[-1]
-        return np.concatenate([out.ravel(), [out_pole]])
-
-    x, its, res = _oracle_pcg(apply_a, bflat, diag)
-    psi = x[:-1].reshape(omega.shape)
-    psi[-1] = 0.0
-    return psi, float(x[-1]), its, res
-
-
 def _bits_equal(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return (a.shape == b.shape and np.array_equal(a, b)
@@ -375,12 +346,3 @@ def test_neumann_radial_square_equals_textbook_pcg(circle):
     g = np.full(chart.n_theta, -1.0)
     p, rep = solve_neumann(f, g, chart)
     _check_against_oracle(p, rep, _oracle_neumann(f, g, chart))
-
-
-def test_dirichlet_stream_rigid_rotation_equals_textbook_pcg(disk_chart):
-    # the stream solve of recover_stream for rigid rotation u = (y, -x)
-    pts = disk_chart.points
-    u = np.stack([pts[..., 1], -pts[..., 0]], axis=-1)
-    omega = -disk_chart.curl(u)
-    psi, rep = solve_dirichlet_stream(omega, disk_chart)
-    _check_against_oracle(psi.field, rep, _oracle_dirichlet(omega, disk_chart))

@@ -2,12 +2,9 @@ import numpy as np
 import pytest
 
 from pressure_lab import mollify
-from pressure_lab.fields import GridField, StreamFunction, make_rough_stream
-from pressure_lab.mollify import (MollifierKernel, MollifyError, odd_extend,
-                                  mollify_velocity, recover_stream,
-                                  split_stream)
-
-from conftest import disk_radii
+from pressure_lab.fields import make_rough_stream
+from pressure_lab.mollify import (MollifierKernel, MollifyError,
+                                  mollify_velocity)
 
 
 def test_kernel_unit_mass_and_support():
@@ -20,96 +17,23 @@ def test_kernel_unit_mass_and_support():
         assert np.all(k.weights >= 0.0)
 
 
-def test_odd_extend():
-    vals = np.arange(12.0).reshape(3, 4)
-    vals[0] = 0.0
-    ext = odd_extend(vals)
-    assert ext.shape == (5, 4)
-    assert np.array_equal(ext[2], vals[0])
-    assert np.array_equal(ext[1], -vals[1])
-    assert np.array_equal(ext[0], -vals[2])
-
-
-def test_odd_extend_requires_zero_trace():
-    with pytest.raises(MollifyError):
-        odd_extend(np.ones((3, 4)))
-
-
-def test_recover_stream_round_trip_smooth(disk_chart):
-    # u = (y, -x) = grad^perp of (1 - r^2)/2; linear, so discretely exact
-    pts = disk_chart.points
-    u = GridField(disk_chart, np.stack([pts[..., 1], -pts[..., 0]], axis=-1),
-                  pole=np.zeros(2))
-    psi = recover_stream(u)
-    exact = (1.0 - disk_radii(disk_chart) ** 2) / 2.0
-    assert np.max(np.abs(psi.field.values - exact)) < 1e-8
-    assert np.max(np.abs(psi.field.values[-1])) == 0.0
-
-
-def test_recover_stream_rough_field(disk_chart):
-    # rough samples are only divergence-free up to the grid resolution
-    rough = make_rough_stream(0.5, 2, 1, disk_chart)
-    u = rough.velocity_field()
-    psi = recover_stream(u, tol=1e-2)
-    exact = rough.psi(disk_chart.points)
-    assert np.max(np.abs(psi.field.values - exact)) < 5e-3
-
-
-def test_split_stream_partition(disk_chart, cutoffs):
-    rough = make_rough_stream(0.5, 2, 1, disk_chart)
-    psi = rough.stream_field()
-    psi_b, psi_i = split_stream(psi, cutoffs)
-    total = psi_b.values + psi_i.values
-    assert np.max(np.abs(total - psi.field.values)) < 1e-14
-
-
 def test_eta_guard(disk_chart, cutoffs, collar):
     rough = make_rough_stream(0.5, 0, 1, disk_chart)
     with pytest.raises(MollifyError, match="eta"):
-        mollify_velocity(rough.velocity_field(), 0.1, cutoffs, collar,
-                         psi=rough.stream_field())
+        mollify_velocity(rough.psi, disk_chart, 0.1, cutoffs, collar)
 
 
 def test_mollify_invariants_one_field(disk_chart, cutoffs, collar):
     rough = make_rough_stream(1.0 / 3.0, 7, 2, disk_chart)
-    rv = mollify_velocity(rough.velocity_field(), 0.0125, cutoffs, collar,
-                          psi=rough.stream_field())
+    rv = mollify_velocity(rough.psi, disk_chart, 0.0125, cutoffs, collar)
     assert rv.trace_max <= 1e-10
     assert rv.tangency_max <= 1e-8
     assert rv.divergence_max <= 1e-8
     assert rv.u_eta.values.shape == disk_chart.points.shape
 
 
-def test_mollify_recovered_stream(disk_chart, cutoffs, collar):
-    # psi=None recovers the stream by the Dirichlet solve and samples its
-    # chart interpolant; for u = (y, -x) the stream is (1 - r^2)/2, so the
-    # result must match the run on the analytic stream
-    pts = disk_chart.points
-    u = GridField(disk_chart, np.stack([pts[..., 1], -pts[..., 0]], axis=-1),
-                  pole=np.zeros(2))
-
-    def psi_fn(x):
-        rel = x - disk_chart.center
-        return (1.0 - np.einsum("...k,...k->...", rel, rel)) / 2.0
-
-    vals = psi_fn(pts)
-    vals[-1] = 0.0
-    exact = StreamFunction(GridField(disk_chart, vals), analytic=psi_fn)
-    for eta in (0.0125, 0.003125):
-        rv = mollify_velocity(u, eta, cutoffs, collar)
-        assert rv.provenance["analytic"] is False
-        assert rv.trace_max <= 1e-10
-        assert rv.tangency_max <= 1e-8
-        assert rv.divergence_max <= 1e-8
-        ref = mollify_velocity(u, eta, cutoffs, collar, psi=exact)
-        assert np.max(np.abs(rv.u_eta.values - ref.u_eta.values)) <= 1e-6
-        assert np.max(np.abs(rv.u_eta.pole - ref.u_eta.pole)) <= 1e-6
-
-
 def test_mollify_smooth_field_convergence(disk_chart, cutoffs, collar):
     # analytic smooth stream: convergence of u^eta -> u under eta halving
-    r2 = 1.0 - disk_radii(disk_chart) ** 2
-
     def psi_fn(pts):
         rr = np.einsum("...k,...k->...", pts, pts)
         return (1.0 - rr) * np.sin(pts[..., 0])
@@ -122,14 +46,10 @@ def test_mollify_smooth_field_convergence(disk_chart, cutoffs, collar):
     uv = fu(disk_chart.points[..., 0], disk_chart.points[..., 1])
     uvals = np.stack([np.asarray(uv[0]), np.asarray(uv[1])], axis=-1)
     uvals = uvals.reshape(disk_chart.points.shape)
-    u = GridField(disk_chart, uvals, pole=uvals[0].mean(axis=0))
-    vals = psi_fn(disk_chart.points)
-    vals[-1] = 0.0
-    psi = StreamFunction(GridField(disk_chart, vals), analytic=psi_fn)
 
     errs = []
     for eta in (0.0125, 0.00625, 0.003125):
-        rv = mollify_velocity(u, eta, cutoffs, collar, psi=psi)
+        rv = mollify_velocity(psi_fn, disk_chart, eta, cutoffs, collar)
         errs.append(np.max(np.abs(rv.u_eta.values - uvals)))
     assert errs[0] > errs[1] > errs[2]
     # pre-asymptotic at these eta (cutoff-band constants ~1/eps^2 and an
@@ -143,16 +63,14 @@ def test_mollify_preserves_smooth_holder_norm(disk_chart, cutoffs, collar):
     plan = build_pair_plan(disk_chart.points, seed=0, n_random=10000)
     base = holder_norm(rough.velocity_field(), 0.5, plan).norm
     for eta in (0.0125, 0.00625):
-        rv = mollify_velocity(rough.velocity_field(), eta, cutoffs, collar,
-                              psi=rough.stream_field())
+        rv = mollify_velocity(rough.psi, disk_chart, eta, cutoffs, collar)
         ratio = holder_norm(rv.u_eta, 0.5, plan).norm / base
         assert ratio <= 5.0
 
 
 def test_mollify_diagnostics_record(disk_chart, cutoffs, collar):
     rough = make_rough_stream(0.25, 1, 1, disk_chart)
-    rv = mollify_velocity(rough.velocity_field(), 0.00625, cutoffs, collar,
-                          psi=rough.stream_field())
+    rv = mollify_velocity(rough.psi, disk_chart, 0.00625, cutoffs, collar)
     d = rv.diagnostics()
     assert set(d) == {"eta", "trace_max", "tangency_max", "divergence_max"}
     assert d["eta"] == 0.00625
@@ -215,7 +133,8 @@ def _active_shifts(conv, value_only):
             if any(w[a, b] != 0.0 for w in weights)]
 
 
-@pytest.mark.parametrize("stream", ["analytic", "interpolant"])
+# the sampled stream is the analytic one, the only kind the mollifier takes
+@pytest.mark.parametrize("stream", ["analytic"])
 @pytest.mark.parametrize("part", ["boundary", "interior"])
 # a lone point (the pole, for the interior), one chunk, a count that chunks
 # of _BLOCK_POINTS // 69 points would leave a lone remainder of, and many
@@ -224,9 +143,7 @@ def _active_shifts(conv, value_only):
                                       mollify._BLOCK_POINTS // 3 + 1])
 def test_blocked_shift_sum_matches_per_shift_loop(disk_chart, cutoffs, stream,
                                                   part, n_points):
-    rough = make_rough_stream(1.0 / 3.0, 7, 2, disk_chart)
-    psi = rough.psi if stream == "analytic" else \
-        disk_chart.interpolant(rough.stream_field().field.values)
+    psi = make_rough_stream(1.0 / 3.0, 7, 2, disk_chart).psi
     kernel = MollifierKernel(0.0125)
     rng = np.random.default_rng(n_points)
     if part == "boundary":

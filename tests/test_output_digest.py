@@ -57,3 +57,29 @@ def test_dump_round_trip(tool, tmp_path):
         assert sha == digested[name][0]
         for got, want in zip(leaves, digested[name][1:]):
             assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("saved", ["before.npz", "before.txt"])
+def test_against_reports_groups_on_one_side_apart(tool, tmp_path, capsys,
+                                                  monkeypatch, saved):
+    before = {"kept": tool._digest(_group()),
+              "gone": tool._digest(_group(scale=2.0))}
+    path = str(tmp_path / saved)
+    if saved.endswith(".npz"):
+        tool.dump(path, before)
+    else:
+        with open(path, "w") as fh:
+            fh.writelines(f"{sha}  {name}\n"
+                          for name, (sha, *_) in before.items())
+    monkeypatch.setattr(tool, "digests", lambda: iter([
+        ("kept", tool._digest(_group())),
+        ("added", tool._digest(_group(cell="0.75")))]))
+    assert tool.main(["--against", path]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert f"only in {path}: gone" in err
+    assert "new: added" in err
+    assert not any("differs" in line for line in err)
+    assert err[-1] == f"0 differing groups of 2, 1 only in {path}, 1 new"
+    # no group on one side only and none differing: exit 0
+    monkeypatch.setattr(tool, "digests", lambda: iter(before.items()))
+    assert tool.main(["--against", path]) == 0

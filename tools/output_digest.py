@@ -9,8 +9,7 @@ checkouts whose digests agree produce the same outputs bit for bit on:
   chained largest eta first as a study chains them; a run that fails with
   a domain error (such as the compatibility check) is compared by its
   error text;
-- mollify_velocity on the analytic stream, on a recovered rough stream and
-  on the stream that psi=None recovers;
+- mollify_velocity on a rough stream at 64x128;
 - two smooth-128 ops (V = r and V = r^2 at 128x256): the pressure solution,
   the boundary trace, the BC defect and split_Pb;
 - the ledger.csv of a small `pressure-lab study --jobs 2`.
@@ -22,8 +21,8 @@ checkouts:
     python tools/output_digest.py > before.txt           # in one checkout
     python tools/output_digest.py --against before.txt   # in the other
 
---against reports the groups that differ on standard error and exits 1 if
-any does.  To also see how far each group moved, save its values in the
+--against reports the groups that differ, and the groups that only one
+side has, on standard error, and exits 1 if there is any of either.  To also see how far each group moved, save its values in the
 first checkout and compare with that file:
 
     python tools/output_digest.py --dump before.npz      # in one checkout
@@ -188,31 +187,13 @@ def study_groups():
             yield f"study-pressures/{grid}", pressures
 
 
-def _velocity_record(rv):
-    return (rv.u_eta, rv.psi_eta.field, rv.boundary_tangential,
-            rv.normal_component, rv.diagnostics())
-
-
 def mollify_groups():
     chart, cutoffs, collar = _geometry(64)
     rough = fields.make_rough_stream(1.0 / 3.0, 3, 2, chart)
-    u = rough.velocity_field()
-    rv = mollify.mollify_velocity(u, 0.00625, cutoffs, collar,
-                                  psi=rough.stream_field(), **MOLLIFY)
-    yield "mollify/analytic", _velocity_record(rv)
-    # the chart interpolant of a recovered rough stream (a field that is
-    # discretely divergence-free to 1e-2)
-    smooth = fields.make_rough_stream(0.5, 2, 1, chart).velocity_field()
-    recovered = mollify.recover_stream(smooth, tol=1e-2)
-    rv = mollify.mollify_velocity(smooth, 0.00625, cutoffs, collar,
-                                  psi=recovered, **MOLLIFY)
-    yield "mollify/recovered-rough", _velocity_record(rv)
-    # psi=None: rigid rotation is discretely divergence-free
-    pts = chart.points
-    rigid = fields.GridField(chart, np.stack([pts[..., 1], -pts[..., 0]],
-                                             axis=-1), pole=np.zeros(2))
-    rv = mollify.mollify_velocity(rigid, 0.0125, cutoffs, collar, **MOLLIFY)
-    yield "mollify/recovered-rigid", _velocity_record(rv)
+    rv = mollify.mollify_velocity(rough.psi, chart, 0.00625, cutoffs, collar,
+                                  **MOLLIFY)
+    yield "mollify/analytic", (rv.u_eta, rv.psi_eta, rv.boundary_tangential,
+                               rv.normal_component, rv.diagnostics())
 
 
 def smooth_groups():
@@ -300,23 +281,31 @@ def main(argv=None):
     if args.against is None:
         return 0
     before = load(args.against)
-    differing = 0
+    differing = missing = new = 0
     for name in sorted(before.keys() | now.keys()):
-        sha, *leaves = before.get(name, (None, None))
-        verdict = "same" if name in now and sha == now[name][0] else "differs"
+        if name not in now:
+            missing += 1
+            print(f"only in {args.against}: {name}", file=sys.stderr)
+            continue
+        if name not in before:
+            new += 1
+            print(f"new: {name}", file=sys.stderr)
+            continue
+        sha, *leaves = before[name]
+        verdict = "same" if sha == now[name][0] else "differs"
         differing += verdict == "differs"
         if leaves[0] is None:
             if verdict == "differs":
                 print(f"differs: {name}", file=sys.stderr)
             continue
-        worst = None if name not in now else max_rel_diff(now[name][1:],
-                                                          leaves)
+        worst = max_rel_diff(now[name][1:], leaves)
         shown = ("leaves differ" if worst is None else
                  f"{worst[0]:.3g}" + (f" at {worst[1]}" if worst[0] else ""))
         print(f"{verdict:<8} {name:<36} max rel diff {shown}",
               file=sys.stderr)
-    print(f"{differing} differing groups of {len(now)}", file=sys.stderr)
-    return 1 if differing else 0
+    print(f"{differing} differing groups of {len(now)}, {missing} only in "
+          f"{args.against}, {new} new", file=sys.stderr)
+    return 1 if differing or missing or new else 0
 
 
 if __name__ == "__main__":
