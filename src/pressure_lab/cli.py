@@ -250,11 +250,17 @@ def cmd_solve(cfg):
     return 0
 
 
-def _study_worker(args):
-    cfg, alpha, seed = args
+def _study_setup(cfg):
+    """(chart, cutoffs, collar, plan) of a study: they depend on the config
+    alone, so each process builds them once for all its (alpha, seed) runs."""
     curve, chart, cutoffs, collar = _build_geometry(cfg)
     plan = build_pair_plan(chart.points, seed=cfg["norms"]["plan_seed"],
                            n_random=cfg["norms"]["n_random"])
+    return chart, cutoffs, collar, plan
+
+
+def _study_records(cfg, setup, alpha, seed):
+    chart, cutoffs, collar, plan = setup
     rough = make_rough_stream(alpha, seed, cfg["field"]["j_max"], chart)
     return eta_study([rough], cfg["study"]["etas"], cutoffs, collar, plan,
                      mollify_kwargs={"n_sub": cfg["mollify"]["n_sub"],
@@ -262,19 +268,43 @@ def _study_worker(args):
                      ).records
 
 
+# a pool worker process's config and, from its first task on, its set-up
+_worker_cfg = None
+_worker_setup = None
+
+
+def _study_worker_init(cfg):
+    global _worker_cfg, _worker_setup
+    _worker_cfg, _worker_setup = cfg, None
+
+
+def _study_worker(task):
+    # built at the first task, not in the initializer, so that a set-up
+    # error (a GeometryError of the domain, say) reaches the parent through
+    # map() as the task's own exception instead of breaking the pool
+    global _worker_setup
+    if _worker_setup is None:
+        _worker_setup = _study_setup(_worker_cfg)
+    return _study_records(_worker_cfg, _worker_setup, *task)
+
+
 def cmd_study(cfg):
-    tasks = [(cfg, alpha, seed) for alpha in cfg["study"]["alphas"]
+    tasks = [(alpha, seed) for alpha in cfg["study"]["alphas"]
              for seed in cfg["study"]["seeds"]]
     jobs = cfg["jobs"] or os.cpu_count() or 1
     ledger = EstimateLedger()
     if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # the parent only collects records; each worker builds the set-up
+        with ProcessPoolExecutor(max_workers=jobs,
+                                 initializer=_study_worker_init,
+                                 initargs=(cfg,)) as pool:
             for recs in pool.map(_study_worker, tasks):
                 for r in recs:
                     ledger.append(r)
     else:
+        setup = _study_setup(cfg)
         for task in tasks:
-            for r in _study_worker(task):
+            for r in _study_records(cfg, setup, *task):
                 ledger.append(r)
 
     outdir = cfg["output"]

@@ -95,7 +95,7 @@ class _StarStencil:
         self._flux = np.empty(n * chart.n_theta)
         self._pflux = np.empty(chart.n_theta)
 
-    def apply(self, x, out, pole_coupled=True):
+    def apply(self, x, out):
         """out = A x for the flat vector x = (grid values row by row, pole),
         written into out with no temporaries.
 
@@ -128,20 +128,17 @@ class _StarStencil:
         o2 -= tflux
         o2[:, 1:] += tflux[:, :-1]
         o2[:, 0] += tflux[:, -1]
-        if pole_coupled:
-            pflux = self._pflux
-            np.subtract(grid[0], x[size], out=pflux)      # pole -> row 0
-            pflux *= self.cp
-            o2[0] += pflux
-            out[size] = -np.sum(pflux)
-        else:
-            out[size] = 0.0
+        pflux = self._pflux
+        np.subtract(grid[0], x[size], out=pflux)          # pole -> row 0
+        pflux *= self.cp
+        o2[0] += pflux
+        out[size] = -np.sum(pflux)
 
-    def matvec(self, p, pole, pole_coupled=True):
+    def matvec(self, p, pole):
         """A applied to the grid p and the pole value: (grid, pole)."""
         x = np.append(p, pole)
         out = np.empty_like(x)
-        self.apply(x, out, pole_coupled)
+        self.apply(x, out)
         return out[:-1].reshape(p.shape), float(out[-1])
 
 
@@ -150,13 +147,15 @@ def _pcg(apply_a, b, diag, x0, tol, maxiter):
     out.  Every update writes into a buffer allocated once, with the
     operations of the textbook form in its order, so the iterates are the
     same bit for bit.  The constant nullspace of the Neumann operator is
-    removed from iterates and residuals."""
+    removed from iterates and residuals.  The means are np.add.reduce(v) /
+    v.size, the sum and division v.mean() forms, without its Python
+    wrapper: the same bits."""
     x = x0.copy()
-    x -= x.mean()
+    x -= np.add.reduce(x) / x.size
     ap = np.empty_like(b)
     apply_a(x, ap)
     r = b - ap
-    r -= r.mean()
+    r -= np.add.reduce(r) / r.size
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return np.zeros_like(b), LinearSolveReport(0, 0.0)
@@ -170,8 +169,8 @@ def _pcg(apply_a, b, diag, x0, tol, maxiter):
         alpha = rz / float(p @ ap)
         x += np.multiply(p, alpha, out=step)
         r -= np.multiply(ap, alpha, out=step)
-        x -= x.mean()
-        r -= r.mean()
+        x -= np.add.reduce(x) / x.size
+        r -= np.add.reduce(r) / r.size
         rnorm = math.sqrt(r @ r)          # np.linalg.norm of a 1-D vector
         residuals.append(rnorm)
         if rnorm <= tol * bnorm:

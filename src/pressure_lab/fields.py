@@ -40,7 +40,7 @@ class InteriorChart:
     """Polar chart x = c + rho*(x(theta)-c) of a disk with metric tables.
 
     build_curve builds circles only.  This chart is the one owner of the
-    disk's coordinates: chart and collar coordinates of physical points,
+    disk's coordinates: collar coordinates of physical points,
     depths, the boundary frame at the nodes, and the resample of node values
     onto the collar grid.
     """
@@ -107,9 +107,9 @@ class InteriorChart:
         fr, ft = partials
         return fr * self.grad_rho[:, k] + ft * self.grad_theta[..., k]
 
-    def divergence(self, vec, poles=None):
-        gx = self.cart_gradient(vec[..., 0], None if poles is None else poles[0])
-        gy = self.cart_gradient(vec[..., 1], None if poles is None else poles[1])
+    def divergence(self, vec):
+        gx = self.cart_gradient(vec[..., 0])
+        gy = self.cart_gradient(vec[..., 1])
         return gx[..., 0] + gy[..., 1]
 
     # -- disk coordinates -------------------------------------------------
@@ -131,11 +131,6 @@ class InteriorChart:
         disk extend to its center)."""
         rel = np.asarray(pts, dtype=float) - self.center
         return self.radius - np.linalg.norm(rel, axis=-1), self._arc(rel)
-
-    def chart_coords(self, pts):
-        """(rho, theta) of physical points, in closed form."""
-        rel = np.asarray(pts, dtype=float) - self.center
-        return np.linalg.norm(rel, axis=-1) / self.radius, self._arc(rel)
 
     @cached_property
     def node_depth(self):

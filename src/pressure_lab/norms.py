@@ -4,6 +4,15 @@ negative Sobolev H^{-2} norm on the boundary circle.
 The Holder seminorm is estimated over a fixed pair plan (axis-neighbor pairs
 at dyadic separations plus seeded random pairs) and is always a lower bound
 of the true seminorm; ratio diagnostics must reuse one plan on both sides.
+
+A plan grows like N log N pairs (118 K at 64x128, 2.1 M at 256x512); the
+memory around it does not.  The plan stores int32 indices and is filtered
+one dyadic piece at a time, so its build never holds the unfiltered plan.
+holder_norm reduces the pairs in blocks of _BLOCK = 8192: besides one
+contiguous copy of the field, each of its temporaries holds at most 8192
+doubles (64 KB), below glibc's 128 KB mmap threshold, whatever the pair
+count.  Maxima are exact in any order, so every value is the same bit for
+bit as a reduction over the whole plan at once.
 """
 
 from dataclasses import dataclass
@@ -15,6 +24,9 @@ from .fields import GridField
 
 class NormError(ValueError):
     pass
+
+
+_BLOCK = 8192           # pairs per block of holder_norm
 
 
 # ----------------------------------------------------------------------
@@ -49,8 +61,11 @@ def build_pair_plan(points, seed=0, n_random=100_000, min_dist=None):
         raise NormError("expected points with shape (n1, n2, 2)")
     n1, n2 = points.shape[:2]
     npts = n1 * n2
-    flat = points.reshape(npts, 2)
-    index = np.arange(npts).reshape(n1, n2)
+    if npts >= 2**31:
+        raise NormError(f"{npts} points exceed the int32 pair indices")
+    x = np.ascontiguousarray(points[..., 0]).ravel()
+    y = np.ascontiguousarray(points[..., 1]).ravel()
+    index = np.arange(npts, dtype=np.int32).reshape(n1, n2)
 
     if min_dist is None:
         # smallest positive axis-neighbor distance defines "one grid cell"
@@ -58,29 +73,39 @@ def build_pair_plan(points, seed=0, n_random=100_000, min_dist=None):
         d2 = np.linalg.norm(np.roll(points, -1, axis=1) - points, axis=-1)
         candidates = np.concatenate([d1.ravel(), d2.ravel()])
         min_dist = float(np.min(candidates[candidates > 0]))
+    floor = min_dist * (1.0 - 1e-12)
 
-    ia, ib = [], []
+    ia, ib, dist = [], [], []
+
+    def add(a, b):
+        # |p_a - p_b| is the sum np.linalg.norm forms, by component instead
+        # of per pair; each piece is filtered as it is made, so the
+        # unfiltered plan is never held
+        dx = x.take(a) - x.take(b)
+        dy = y.take(a) - y.take(b)
+        d = np.sqrt(dx * dx + dy * dy)
+        keep = d >= floor
+        ia.append(a[keep])
+        ib.append(b[keep])
+        dist.append(d[keep])
+
     sep = 1
     while sep < max(n1, n2):
         if sep < n1:
-            ia.append(index[:-sep].ravel())
-            ib.append(index[sep:].ravel())
+            add(index[:-sep].ravel(), index[sep:].ravel())
         if sep < n2:
-            ia.append(index.ravel())
-            ib.append(np.roll(index, -sep, axis=1).ravel())
+            add(index.ravel(), np.roll(index, -sep, axis=1).ravel())
         sep *= 2
     rng = np.random.default_rng(seed)
-    ia.append(rng.integers(0, npts, size=n_random))
-    ib.append(rng.integers(0, npts, size=n_random))
-    idx_a = np.concatenate(ia)
-    idx_b = np.concatenate(ib)
-
-    dist = np.linalg.norm(flat[idx_a] - flat[idx_b], axis=-1)
-    keep = dist >= min_dist * (1.0 - 1e-12)
-    if not np.any(keep):
+    # int64 draws keep the generator's stream; the values fit int32
+    ra = rng.integers(0, npts, size=n_random)
+    rb = rng.integers(0, npts, size=n_random)
+    add(ra.astype(np.int32), rb.astype(np.int32))
+    dist = np.concatenate(dist)
+    if dist.size == 0:
         raise NormError("empty pair plan after the minimum-distance filter")
-    return PairPlan(idx_a[keep].astype(np.int64), idx_b[keep].astype(np.int64),
-                    dist[keep], int(seed), int(n_random))
+    return PairPlan(np.concatenate(ia), np.concatenate(ib), dist,
+                    int(seed), int(n_random))
 
 
 # ----------------------------------------------------------------------
@@ -119,14 +144,22 @@ def holder_norm(f, alpha, plan: PairPlan) -> HolderEstimate:
     flat = values.reshape(npts, -1)
     if plan.n_pairs == 0:
         raise NormError("empty pair plan")
-    inv = plan.dist ** (-alpha)
-    # component by component, each one contiguous; max is exact in any order
-    diff = None
-    for column in np.ascontiguousarray(flat.T):
-        d = np.abs(column.take(plan.idx_a) - column.take(plan.idx_b))
-        diff = d if diff is None else np.maximum(diff, d, out=diff)
-    semi = float(np.max(diff * inv))
-    sup = float(np.max(np.abs(flat)))
+    # a private copy, one contiguous column per component: each gather
+    # reads one column, and the sup takes |.| of the copy in place
+    columns = flat.T.copy()
+    semi = -np.inf
+    for start in range(0, plan.n_pairs, _BLOCK):
+        ia = plan.idx_a[start:start + _BLOCK]
+        ib = plan.idx_b[start:start + _BLOCK]
+        # componentwise max of |a - b|; max is exact in any order
+        diff = None
+        for column in columns:
+            d = np.abs(column.take(ia) - column.take(ib))
+            diff = d if diff is None else np.maximum(diff, d, out=diff)
+        diff *= plan.dist[start:start + _BLOCK] ** (-alpha)
+        # np.maximum, not max(): a NaN still poisons the seminorm
+        semi = np.maximum(semi, diff.max())
+    sup = float(np.max(np.abs(columns, out=columns)))
     return HolderEstimate(float(alpha), sup, float(semi),
                           plan.seed, int(plan.n_pairs))
 

@@ -240,3 +240,16 @@ def test_study_partial_failure_exit_code(tmp_path, capsys):
     ledger = json.loads((tmp_path / "ledger.json").read_text())
     assert len(ledger["records"]) == 1
     assert "error" in ledger["records"][0]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_study_setup_error_exit_code(tmp_path, capsys, jobs):
+    # each worker of the pool builds the geometry once; a domain it rejects
+    # is a validation error on either path, not a broken pool
+    rc = main(["study", *SMALL, "--set", "domain.radius=-1",
+               "--set", "study.alphas=[0.5]", "--set", "study.seeds=[0, 1]",
+               "--out", str(tmp_path), "--jobs", jobs])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "radius must be positive" in err
+    assert "Traceback" not in err

@@ -219,7 +219,7 @@ def test_neumann_mean_target(disk_chart):
 # allocating PCG), which the in-place solver must reproduce bit for bit
 # ----------------------------------------------------------------------
 
-def _roll_matvec(st, p, pole, pole_coupled=True):
+def _roll_matvec(st, p, pole):
     out = np.zeros_like(p)
     flux = st.cs * (p[1:] - p[:-1])
     out[:-1] -= flux
@@ -227,13 +227,9 @@ def _roll_matvec(st, p, pole, pole_coupled=True):
     tflux = st.ct * (np.roll(p, -1, axis=1) - p)
     out -= tflux
     out += np.roll(tflux, 1, axis=1)
-    if pole_coupled:
-        pflux = st.cp * (p[0] - pole)
-        out[0] += pflux
-        out_pole = -float(np.sum(pflux))
-    else:
-        out_pole = 0.0
-    return out, out_pole
+    pflux = st.cp * (p[0] - pole)
+    out[0] += pflux
+    return out, -float(np.sum(pflux))
 
 
 def _oracle_pcg(apply_a, b, diag, tol=1e-10, maxiter=100_000, project=None):
@@ -312,11 +308,10 @@ def test_star_stencil_flat_kernel_matches_roll_form(circle, n):
             p[rng.random(p.shape) < 0.5] = 0.0
             p[rng.random(p.shape) < 0.25] = -0.0
         pole = (0.0, -0.0, 0.7, float(rng.normal()))[trial]
-        for coupled in (True, False):
-            got, got_pole = st.matvec(p, pole, coupled)
-            ref, ref_pole = _roll_matvec(st, p, pole, coupled)
-            assert _bits_equal(got, ref)
-            assert _bits_equal(got_pole, ref_pole)
+        got, got_pole = st.matvec(p, pole)
+        ref, ref_pole = _roll_matvec(st, p, pole)
+        assert _bits_equal(got, ref)
+        assert _bits_equal(got_pole, ref_pole)
 
 
 def _check_against_oracle(field, report, oracle):

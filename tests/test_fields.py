@@ -17,41 +17,16 @@ def test_interior_chart_rejects_non_disk():
                                   256), 32, 64)
 
 
-def test_chart_coords_closed_form_inverse(disk_chart, collar):
-    # nodes map back to (rho_i, theta_j); theta is compared modulo L, since
-    # the theta = 0 column may come back as L across the seam
-    rho, th = disk_chart.chart_coords(disk_chart.points)
-    L = disk_chart.curve.length
-    assert np.max(np.abs(rho - disk_chart.rho[:, None])) <= 1e-14
-    dth = (th - disk_chart.theta[None, :] + L / 2) % L - L / 2
-    assert np.max(np.abs(dth)) <= 1e-14
-    assert np.all((th >= 0.0) & (th <= L))
-    # points just either side of the seam
-    eps = 1e-9
-    ang = np.array([eps, -eps]) / disk_chart.radius
-    pts = disk_chart.center + 0.5 * np.stack([np.cos(ang), np.sin(ang)], -1)
-    rho, th = disk_chart.chart_coords(pts)
-    assert np.max(np.abs(th - np.array([eps, L - eps]))) <= 1e-14
-    assert np.max(np.abs(rho - 0.5)) <= 1e-15
-    # the boundary circle is rho = 1
-    t = np.linspace(0.0, 2.0 * np.pi, 1001)
-    circle = disk_chart.center + disk_chart.radius * np.stack(
-        [np.cos(t), np.sin(t)], axis=-1)
-    for pts in (circle, disk_chart.curve.x):
-        assert np.max(np.abs(disk_chart.chart_coords(pts)[0] - 1.0)) <= 1e-15
-    # the collar points x(theta) + s n(theta) map back to (s, theta)
-    s, th = disk_chart.collar_coords(collar.X)
-    assert np.max(np.abs(s - collar.s[:, None])) <= 1e-14
-    dth = (th - collar.theta[None, :] + L / 2) % L - L / 2
-    assert np.max(np.abs(dth)) <= 1e-14
-
-
 def test_on_collar_matches_pointwise_interpolant(disk_chart, collar):
     # the tensor-grid resample equals the pointwise spline on every collar
     # row, the wall row s = 0 and the deepest row s = delta included
     r = disk_radii(disk_chart)
     rough = make_rough_stream(1.0 / 3.0, 7, 2, disk_chart)
-    rho, theta = disk_chart.chart_coords(collar.X)
+    # chart coordinates of the collar points, in closed form
+    rel = collar.X - disk_chart.center
+    rho = np.linalg.norm(rel, axis=-1) / disk_chart.radius
+    theta = (np.arctan2(rel[..., 1], rel[..., 0]) * disk_chart.radius) \
+        % disk_chart.curve.length
     for values in (r**4 / 4.0 - 1.0 / 12.0, rough.psi(disk_chart.points)):
         grid = disk_chart.on_collar(values, collar)
         points = disk_chart.spline(values)(np.clip(rho, 0.0, 1.0), theta,

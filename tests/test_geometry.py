@@ -64,6 +64,21 @@ def test_project_points_round_trip(disk_chart, collar):
     dth = np.abs(th2 - th)
     dth = np.minimum(dth, collar.curve.length - dth)
     assert np.max(dth) < 1e-8
+    # the collar grid itself, to rounding; theta is compared modulo L, since
+    # the theta = 0 column may come back as L across the seam
+    L = collar.curve.length
+    s, th = disk_chart.collar_coords(collar.X)
+    assert np.max(np.abs(s - collar.s[:, None])) <= 1e-14
+    dth = (th - collar.theta[None, :] + L / 2) % L - L / 2
+    assert np.max(np.abs(dth)) <= 1e-14
+    assert np.all((th >= 0.0) & (th <= L))
+    # points just either side of the seam
+    eps = 1e-9
+    ang = np.array([eps, -eps]) / disk_chart.radius
+    pts = disk_chart.center + 0.5 * np.stack([np.cos(ang), np.sin(ang)], -1)
+    s, th = disk_chart.collar_coords(pts)
+    assert np.max(np.abs(th - np.array([eps, L - eps]))) <= 1e-14
+    assert np.max(np.abs(s - (disk_chart.radius - 0.5))) <= 1e-15
 
 
 def test_tangent_is_unit_speed():

@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pressure_lab.norms import (NormError, build_pair_plan, c0_distance,
-                                h_minus2_norm, holder_norm)
+from pressure_lab.fields import InteriorChart
+from pressure_lab.norms import (_BLOCK, NormError, PairPlan, build_pair_plan,
+                                c0_distance, h_minus2_norm, holder_norm)
 
 
 @pytest.fixture(scope="module")
@@ -116,6 +119,100 @@ def test_holder_matches_row_gather_oracle(disk_chart):
     values[5, 7, 1] = np.nan
     assert np.isnan(holder_norm(values, 0.5, pp).seminorm)
     assert np.isnan(_row_gather_holder(values, 0.5, pp)[0])
+
+
+def _only_in(plan, start, stop):
+    """A point that pairs of plan[start:stop] use and no other pair does."""
+    inside = np.union1d(plan.idx_a[start:stop], plan.idx_b[start:stop])
+    rest = np.concatenate([plan.idx_a[:start], plan.idx_a[stop:],
+                           plan.idx_b[:start], plan.idx_b[stop:]])
+    return int(np.setdiff1d(inside, rest)[0])
+
+
+def test_holder_blocks_match_row_gather_oracle(disk_chart):
+    # plans of less than one block and of a partial last block; a NaN read
+    # only by the first or only by the last block poisons the seminorm
+    full = build_pair_plan(disk_chart.points, seed=0, n_random=20000)
+    rng = np.random.default_rng(11)
+    values = rng.normal(size=(disk_chart.n_rho, disk_chart.n_theta, 3))
+    for count in (_BLOCK // 3, 2 * _BLOCK + 123):
+        assert count % _BLOCK
+        # random pairs only, so a point read by one block alone exists
+        order = np.arange(full.n_pairs - count, full.n_pairs)
+        pp = PairPlan(full.idx_a[order], full.idx_b[order], full.dist[order],
+                      full.seed, full.n_random)
+        for f in (values, values[..., 1]):
+            for alpha in (0.25, 0.75):
+                est = holder_norm(f, alpha, pp)
+                assert (est.seminorm, est.sup_norm) == \
+                    _row_gather_holder(f, alpha, pp)
+        last = ((count - 1) // _BLOCK) * _BLOCK
+        for start, stop in ((0, min(_BLOCK, count)), (last, count)):
+            point = _only_in(pp, start, stop)
+            poisoned = values.copy()
+            poisoned.reshape(-1, 3)[point, 2] = np.nan
+            assert np.isnan(holder_norm(poisoned, 0.5, pp).seminorm)
+            assert np.isnan(_row_gather_holder(poisoned, 0.5, pp)[0])
+
+
+def test_holder_memory_bounded_by_blocks(disk_chart_fine):
+    # 128x256: 479 K pairs.  A reduction over the whole plan at once holds
+    # several pair-length temporaries (about 20 MB); the blocked one holds
+    # one copy of the field (0.8 MB) and a few 64 KB blocks
+    pp = build_pair_plan(disk_chart_fine.points, seed=0, n_random=20000)
+    values = np.random.default_rng(5).normal(
+        size=(disk_chart_fine.n_rho, disk_chart_fine.n_theta, 3))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        holder_norm(values, 0.5, pp)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert pp.n_pairs > 50 * _BLOCK
+    assert peak < 4e6
+
+
+def _row_gather_plan(points, seed, n_random):
+    """(idx_a, idx_b, dist) by the formula build_pair_plan used before it
+    filtered piece by piece: one gather of whole rows of the unfiltered
+    plan and np.linalg.norm, kept as its oracle."""
+    n1, n2 = points.shape[:2]
+    npts = n1 * n2
+    flat = points.reshape(npts, 2)
+    index = np.arange(npts).reshape(n1, n2)
+    d1 = np.linalg.norm(points[1:] - points[:-1], axis=-1)
+    d2 = np.linalg.norm(np.roll(points, -1, axis=1) - points, axis=-1)
+    candidates = np.concatenate([d1.ravel(), d2.ravel()])
+    min_dist = float(np.min(candidates[candidates > 0]))
+    ia, ib = [], []
+    sep = 1
+    while sep < max(n1, n2):
+        if sep < n1:
+            ia.append(index[:-sep].ravel())
+            ib.append(index[sep:].ravel())
+        if sep < n2:
+            ia.append(index.ravel())
+            ib.append(np.roll(index, -sep, axis=1).ravel())
+        sep *= 2
+    rng = np.random.default_rng(seed)
+    ia.append(rng.integers(0, npts, size=n_random))
+    ib.append(rng.integers(0, npts, size=n_random))
+    idx_a, idx_b = np.concatenate(ia), np.concatenate(ib)
+    dist = np.linalg.norm(flat[idx_a] - flat[idx_b], axis=-1)
+    keep = dist >= min_dist * (1.0 - 1e-12)
+    return idx_a[keep], idx_b[keep], dist[keep]
+
+
+@pytest.mark.parametrize("shape", [(16, 32), (64, 128), (40, 24)])
+def test_pair_plan_matches_row_gather_oracle(circle, shape):
+    chart = InteriorChart(circle, *shape)
+    pp = build_pair_plan(chart.points, seed=2, n_random=5000)
+    idx_a, idx_b, dist = _row_gather_plan(chart.points, 2, 5000)
+    assert pp.idx_a.dtype == pp.idx_b.dtype == np.int32
+    assert np.array_equal(pp.idx_a.astype(np.int64), idx_a)
+    assert np.array_equal(pp.idx_b.astype(np.int64), idx_b)
+    assert pp.dist.tobytes() == dist.tobytes()
 
 
 def test_pair_plan_deterministic():
