@@ -10,11 +10,10 @@ Two charts are used throughout:
 Fields live on the interior chart, vectors in Cartesian components; collar
 frame components (v.n, v.tau) are derived on demand.
 
-scipy is used by InteriorChart.spline alone, which imports
-scipy.interpolate at its first call, a collar resample (solve, verify,
-split_Pb).  Importing the package and the study path, which never
-interpolates, load no scipy module; that import would take about four
-fifths of the package's cold start.
+The one interpolant, the resample of node values onto the collar grid, is
+a tensor-product not-a-knot cubic spline written as two weight matrices
+(_not_a_knot_weights), built once per collar; the package runs on numpy
+alone.
 """
 
 from dataclasses import dataclass, field
@@ -26,6 +25,45 @@ from ._fourier import fourier_diff
 from .geometry import BoundaryCurve, GeodesicChart, GeometryError
 
 _THETA_PAD = 4
+
+
+def _cubic_bsplines(t, x):
+    """Values of the cubic B-splines on the knots t at the points x,
+    shape (len(x), len(t) - 4).  De Boor's recurrence forms the four that
+    are nonzero in each point's knot interval; the last interval is closed,
+    so x = t[-1] lies in it."""
+    n = len(t) - 4
+    left = np.clip(np.searchsorted(t, x, side="right") - 1, 3, n - 1)
+    b = np.zeros((len(x), 4))
+    b[:, 0] = 1.0
+    for j in range(1, 4):
+        saved = 0.0
+        for i in range(j):
+            right = t[left + 1 + i] - x
+            back = x - t[left + 1 + i - j]
+            term = b[:, i] / (right + back)
+            b[:, i] = saved + right * term
+            saved = back * term
+        b[:, j] = saved
+    out = np.zeros((len(x), n))
+    np.put_along_axis(out, left[:, None] - 3 + np.arange(4), b, axis=1)
+    return out
+
+
+def _not_a_knot_weights(nodes, queries):
+    """Weights W, shape (len(queries), len(nodes)), of the not-a-knot cubic
+    spline through data at the increasing nodes: W @ data is its value at
+    the queries, which lie in [nodes[0], nodes[-1]].
+
+    The knots are the end nodes, four times each, and the interior nodes but
+    the second and the second to last: FITPACK's knots for an s = 0 cubic,
+    so this is the interpolant of scipy's RectBivariateSpline(kx=ky=3) along
+    one axis.  W is the queries' B-spline values times the inverse of the
+    nodes' collocation matrix."""
+    t = np.concatenate([np.repeat(nodes[0], 4), nodes[2:-2],
+                        np.repeat(nodes[-1], 4)])
+    return np.linalg.solve(_cubic_bsplines(t, nodes).T,
+                           _cubic_bsplines(t, queries).T).T
 
 
 class FieldError(ValueError):
@@ -63,6 +101,7 @@ class InteriorChart:
         # gradients of the chart coordinates (used for Cartesian derivatives)
         self.grad_rho = np.stack([self.vt[:, 1], -self.vt[:, 0]], axis=-1) / self.w[:, None]
         self.grad_theta_num = np.stack([-self.v[:, 1], self.v[:, 0]], axis=-1) / self.w[:, None]
+        self._resample = None   # (collar, W_rho, W_theta) of the last collar
 
     # -- basic derivatives ------------------------------------------------
 
@@ -154,33 +193,47 @@ class InteriorChart:
 
     # -- interpolation ----------------------------------------------------
 
-    def spline(self, values):
-        """Bicubic spline in chart coordinates with periodic theta padding,
-        through the pole value at rho = 0 (a spline starting at the innermost
-        ring would hold its value constant inside that ring).  Imports
-        scipy.interpolate at the first call (see the module docstring)."""
-        from scipy.interpolate import RectBivariateSpline
+    def _collar_weights(self, collar: GeodesicChart):
+        """(W_rho, W_theta) of the resample onto the collar grid, built at the
+        first resample onto that collar object and kept for the last one.
 
-        p, L = _THETA_PAD, self.curve.length
-        rho = np.concatenate([[0.0], self.rho])
-        th = np.concatenate([self.theta[-p:] - L, self.theta, self.theta[:p] + L])
-        vals = np.vstack([np.full(self.n_theta, self.pole_value(values)), values])
-        vals = np.concatenate([vals[:, -p:], vals, vals[:, :p]], axis=1)
-        return RectBivariateSpline(rho, th, vals, kx=3, ky=3)
+        The data rows are the pole row at rho = 0 (a spline starting at the
+        innermost ring would hold its value constant inside that ring) and
+        the rings; the data columns are the nodes with _THETA_PAD periodic
+        columns either side.  The query rows are rho = 1 - s/R in the
+        collar's order (s ascending), the query columns the collar's theta."""
+        if self._resample is None or self._resample[0] is not collar:
+            p, L = _THETA_PAD, self.curve.length
+            rho = np.concatenate([[0.0], self.rho])
+            th = np.concatenate([self.theta[-p:] - L, self.theta,
+                                 self.theta[:p] + L])
+            depth = np.clip(1.0 - collar.s / self.radius, 0.0, 1.0)
+            self._resample = (collar, _not_a_knot_weights(rho, depth),
+                              _not_a_knot_weights(th, collar.theta))
+        return self._resample[1:]
 
     def on_collar(self, values, collar: GeodesicChart):
-        """Node values resampled onto the collar grid, shape (n_s+1, n_theta).
+        """Node values (n_rho, n_theta, ...) resampled onto the collar grid,
+        shape (n_s+1, collar n_theta, ...): W_rho @ V @ W_theta.T on the data
+        V padded as _collar_weights says.
 
         The collar grid of the disk is a tensor grid of this chart,
-        rho = 1 - s/R by the collar's theta, so the spline is evaluated once
-        on that grid instead of point by point.  Rows follow the collar's
-        (s ascending, rho descending)."""
+        rho = 1 - s/R by the collar's theta, and the spline is linear in the
+        data, so the resample is two matrix products; trailing axes, such as
+        the components of a vector, are resampled together."""
         if (collar.curve.radius != self.radius
                 or np.max(np.abs(collar.curve.center - self.center))
                 > 1e-12 * self.radius):
             raise GeometryError("the collar is not on this chart's circle")
-        rho = np.clip(1.0 - collar.s / self.radius, 0.0, 1.0)
-        return self.spline(values)(rho[::-1], collar.theta)[::-1]
+        w_rho, w_theta = self._collar_weights(collar)
+        p = _THETA_PAD
+        pole = np.broadcast_to(self.pole_value(values), (1,) + values.shape[1:])
+        vals = np.concatenate([pole, values])
+        vals = np.concatenate([vals[:, -p:], vals, vals[:, :p]], axis=1)
+        rows = (w_rho @ vals.reshape(len(vals), -1)).reshape(
+            len(w_rho), vals.shape[1], -1)
+        return (w_theta @ rows).reshape(rows.shape[:1] + w_theta.shape[:1]
+                                        + values.shape[2:])
 
 
 # ----------------------------------------------------------------------
@@ -355,8 +408,7 @@ def collar_components(u, chart: GeodesicChart):
         vals = u(chart.X.reshape(-1, 2))
     elif isinstance(u, GridField):
         if u._on_collar is None or u._on_collar[0] is not chart:
-            vals = np.stack([u.chart.on_collar(u.values[..., k], chart)
-                             for k in (0, 1)], axis=-1)
+            vals = u.chart.on_collar(u.values, chart)
             un, ut = _frame_components(vals, chart)
             un.flags.writeable = ut.flags.writeable = False
             u._on_collar = (chart, un, ut)

@@ -105,7 +105,8 @@ def solve_pressure(u, chart: InteriorChart = None, collar: GeodesicChart = None,
 def _collar_resample(fieldv: GridField, collar: GeodesicChart):
     """Interior-chart scalar resampled onto the collar grid.  On the disk
     the collar grid is the chart's own tensor grid rho = 1 - s/R by theta,
-    so this is one tensor-product spline evaluation, not a pointwise one."""
+    so this is two matrix products with the spline weights the chart keeps
+    for the collar (InteriorChart.on_collar), not a pointwise evaluation."""
     return fieldv.chart.on_collar(fieldv.values, collar)
 
 

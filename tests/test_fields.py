@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from pressure_lab.fields import (FieldError, GridField, InteriorChart,
-                                 collar_components, make_rough_stream,
-                                 radial_flow, rhs_double_divergence)
+from pressure_lab.fields import (_THETA_PAD, FieldError, GridField,
+                                 InteriorChart, collar_components,
+                                 make_rough_stream, radial_flow,
+                                 rhs_double_divergence)
 
 from pressure_lab.geometry import GeodesicChart, GeometryError, build_curve
 
@@ -18,8 +19,11 @@ def test_interior_chart_rejects_non_disk():
 
 
 def test_on_collar_matches_pointwise_interpolant(disk_chart, collar):
-    # the tensor-grid resample equals the pointwise spline on every collar
-    # row, the wall row s = 0 and the deepest row s = delta included
+    # the two weight matrices equal scipy's bicubic s = 0 spline through the
+    # same data (pole row, periodic theta pad), evaluated point by point on
+    # every collar row, the wall row s = 0 and the deepest row s = delta
+    # included
+    interpolate = pytest.importorskip("scipy.interpolate")
     r = disk_radii(disk_chart)
     rough = make_rough_stream(1.0 / 3.0, 7, 2, disk_chart)
     # chart coordinates of the collar points, in closed form
@@ -27,16 +31,51 @@ def test_on_collar_matches_pointwise_interpolant(disk_chart, collar):
     rho = np.linalg.norm(rel, axis=-1) / disk_chart.radius
     theta = (np.arctan2(rel[..., 1], rel[..., 0]) * disk_chart.radius) \
         % disk_chart.curve.length
+    p, L = _THETA_PAD, disk_chart.curve.length
+    rho_nodes = np.concatenate([[0.0], disk_chart.rho])
+    th_nodes = np.concatenate([disk_chart.theta[-p:] - L, disk_chart.theta,
+                               disk_chart.theta[:p] + L])
     for values in (r**4 / 4.0 - 1.0 / 12.0, rough.psi(disk_chart.points)):
+        data = np.vstack([np.full(disk_chart.n_theta,
+                                  disk_chart.pole_value(values)), values])
+        data = np.concatenate([data[:, -p:], data, data[:, :p]], axis=1)
+        oracle = interpolate.RectBivariateSpline(rho_nodes, th_nodes, data,
+                                                 kx=3, ky=3)
         grid = disk_chart.on_collar(values, collar)
-        points = disk_chart.spline(values)(np.clip(rho, 0.0, 1.0), theta,
-                                           grid=False)
+        points = oracle(np.clip(rho, 0.0, 1.0), theta, grid=False)
         assert grid.shape == (collar.n_s + 1, collar.n_theta)
         assert np.max(np.abs(grid - points)) <= 1e-12
     wide = GeodesicChart(build_curve({"kind": "circle", "radius": 2.0}, 256),
                          0.4, 16, 64)
     with pytest.raises(GeometryError, match="circle"):
         disk_chart.on_collar(r, wide)
+
+
+def test_on_collar_reproduces_cubics_and_nodes(circle):
+    chart = InteriorChart(circle, 32, 64)
+    h = chart.h_rho
+    # a cubic in rho, constant in theta, on collar rows between the rings
+    # (16 rows over delta = 0.4, 96 columns); its odd part rho^3 + 2 h^2 rho
+    # has even Richardson pole value (4 f(h) - f(2h)) / 3 = f(0), so the pole
+    # row is exact too and the not-a-knot spline reproduces the cubic
+    cubic = lambda x: 0.3 - x**2 + 0.7 * (x**3 + 2.0 * h * h * x)
+    between = GeodesicChart(circle, 0.4, 16, 96)
+    got = chart.on_collar(np.repeat(cubic(chart.rho)[:, None], 64, axis=1),
+                          between)
+    want = cubic(1.0 - between.s)[:, None]
+    assert got.shape == (17, 96)
+    assert np.max(np.abs(got - want)) < 1e-13
+    # a collar whose rows are the outer 13 rings (s = i h) and whose theta
+    # nodes are the chart's: the resample returns the node values
+    on_nodes = GeodesicChart(circle, 12 * h, 12, 64)
+    values = make_rough_stream(1.0 / 3.0, 7, 1, chart).psi(chart.points)
+    got = chart.on_collar(values, on_nodes)
+    assert np.max(np.abs(got - values[::-1][:13])) < 1e-13
+    # a vector's components are resampled together as each is alone
+    both = chart.on_collar(np.stack([values, 2.0 * values], axis=-1), between)
+    assert both.shape == (17, 96, 2)
+    one = chart.on_collar(values, between)
+    assert np.max(np.abs(both - np.stack([one, 2.0 * one], axis=-1))) < 1e-13
 
 
 def test_chart_gradient_exact_on_polynomials(disk_chart):

@@ -1,5 +1,6 @@
-"""Cold-start guard: importing the package and running a study load no
-scipy module; only a collar resample imports scipy.interpolate.
+"""Cold-start guard: the package runs on numpy alone.  Importing it,
+running a study, a collar resample and a rough-field `pressure-lab solve`
+load no scipy module.
 
 Each check runs in a fresh interpreter with this checkout's src on
 PYTHONPATH, since this process's sys.modules already holds what other
@@ -47,7 +48,19 @@ def test_study_loads_no_scipy(tmp_path):
     assert (tmp_path / "study" / "ledger.csv").exists()
 
 
-def test_on_collar_imports_scipy_interpolate(tmp_path):
+def test_solve_loads_no_scipy(tmp_path):
+    # a rough field at the small grid: mollify, solve, the collar resample
+    # of P, the boundary trace and the Hölder norms all run
+    argv = ["solve", *SMALL, "--set", "field.kind=rough",
+            "--set", "field.j_max=1", "--set", "field.seed=0",
+            "--out", str(tmp_path / "solve")]
+    code = ("from pressure_lab import cli\n"
+            f"assert cli.main({argv!r}) == 0")
+    assert _scipy_modules_after(code, tmp_path) == []
+    assert (tmp_path / "solve" / "trace.csv").exists()
+
+
+def test_collar_resample_loads_no_scipy(tmp_path):
     # 1 - rho^2 is even in rho and constant in theta: the pole value and the
     # bicubic spline reproduce it, so the resample is exact to rounding
     code = """
@@ -63,4 +76,4 @@ want = 1.0 - (1.0 - collar.s[:, None]) ** 2
 assert got.shape == (33, 64)
 assert np.max(np.abs(got - want)) < 1e-12, np.max(np.abs(got - want))
 """
-    assert "scipy.interpolate" in _scipy_modules_after(code, tmp_path)
+    assert _scipy_modules_after(code, tmp_path) == []
