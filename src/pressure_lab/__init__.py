@@ -33,7 +33,6 @@ from .fields import (
 )
 from .norms import (
     HolderEstimate,
-    NegSobolevNorm,
     NormError,
     PairPlan,
     build_pair_plan,
@@ -74,7 +73,6 @@ __all__ = [
     "LinearSolveReport",
     "MollifierKernel",
     "MollifyError",
-    "NegSobolevNorm",
     "NormError",
     "PairPlan",
     "PressureError",

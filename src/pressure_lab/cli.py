@@ -199,18 +199,17 @@ def cmd_solve(cfg):
     u, rough = _make_field(cfg, chart)
     outdir = cfg["output"]
     os.makedirs(outdir, exist_ok=True)
-    fname = cfg["field"]["kind"]
 
     if rough is not None:
         from .mollify import mollify_velocity
         rv = mollify_velocity(rough.psi, chart, cfg["field"]["eta"], cutoffs,
                               collar, n_sub=cfg["mollify"]["n_sub"],
                               probe_n=cfg["mollify"]["probe_n"])
-        sol = solve_pressure(rv, chart=chart, cutoffs=cutoffs, source_id=fname)
+        sol = solve_pressure(rv, chart=chart, cutoffs=cutoffs)
         moll_diag = rv.diagnostics()
         u_for_trace = rv.u_eta
     else:
-        sol = solve_pressure(u, chart=chart, cutoffs=cutoffs, source_id=fname)
+        sol = solve_pressure(u, chart=chart, cutoffs=cutoffs)
         moll_diag = None
         u_for_trace = u
 

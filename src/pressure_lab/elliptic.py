@@ -189,10 +189,10 @@ def _pcg(apply_a, b, diag, x0, tol, maxiter):
 # pure-Neumann Poisson solve
 # ----------------------------------------------------------------------
 
-def solve_neumann(f, g, chart: InteriorChart, mean_target=0.0, tol=1e-10,
-                  maxiter=100_000, x0=None):
+def solve_neumann(f, g, chart: InteriorChart, tol=1e-10, maxiter=100_000,
+                  x0=None):
     """-Delta p = f in Omega, d_n p = g on the boundary (interior normal),
-    with the volume mean of p pinned to mean_target.
+    with the volume mean of p, pole cell included, pinned to zero.
 
     f: GridField (scalar, optional pole value) or sample array; g: boundary
     samples on the chart's theta nodes.  Returns (GridField, report).
@@ -233,10 +233,9 @@ def solve_neumann(f, g, chart: InteriorChart, mean_target=0.0, tol=1e-10,
     p = x[:-1].reshape(shape)
     pole = float(x[-1])
     mean = (float(np.sum(p * st.vol)) + pole * st.vol_pole) / total_vol
-    p = p - mean + mean_target
-    pole = pole - mean + mean_target
+    p = p - mean
+    pole = pole - mean
     report.compat_defect = defect
-    report.mean_value = mean_target
     return GridField(chart, p, pole=pole), report
 
 

@@ -80,7 +80,9 @@ class InteriorChart:
     build_curve builds circles only.  This chart is the one owner of the
     disk's coordinates: collar coordinates of physical points,
     depths, the boundary frame at the nodes, and the resample of node values
-    onto the collar grid.
+    onto the collar grid.  Every Cartesian derivative on it (divergence,
+    rhs_double_divergence) takes one component at a time, cart_component of
+    the chart_partials, with the first ring differenced across pole_value.
     """
 
     def __init__(self, curve: BoundaryCurve, n_rho, n_theta):
@@ -116,13 +118,11 @@ class InteriorChart:
         # 1/rho factor near the pole
         return fourier_diff(values, self.curve.length, axis=1)
 
-    def d_rho(self, values, pole=None):
+    def d_rho(self, values):
         h = self.h_rho
         out = np.empty_like(values)
         out[1:-1] = (values[2:] - values[:-2]) / (2.0 * h)
-        if pole is None:
-            pole = self.pole_value(values)
-        out[0] = (values[1] - pole) / (2.0 * h)
+        out[0] = (values[1] - self.pole_value(values)) / (2.0 * h)
         out[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * h)
         return out
 
@@ -131,14 +131,9 @@ class InteriorChart:
         """Gradient of the theta coordinate at the nodes, (n_rho, nt, 2)."""
         return self.grad_theta_num[None, :, :] / self.rho[:, None, None]
 
-    def chart_partials(self, values, pole=None):
+    def chart_partials(self, values):
         """(d_rho, d_theta) of a scalar sample array."""
-        return self.d_rho(values, pole=pole), self.d_theta(values)
-
-    def cart_gradient(self, values, pole=None):
-        """Cartesian gradient of a scalar sample array; returns (n_rho, nt, 2)."""
-        fr, ft = self.chart_partials(values, pole)
-        return fr[..., None] * self.grad_rho[None, :, :] + ft[..., None] * self.grad_theta
+        return self.d_rho(values), self.d_theta(values)
 
     def cart_component(self, partials, k):
         """Component k of the Cartesian gradient, formed alone from the
@@ -147,9 +142,8 @@ class InteriorChart:
         return fr * self.grad_rho[:, k] + ft * self.grad_theta[..., k]
 
     def divergence(self, vec):
-        gx = self.cart_gradient(vec[..., 0])
-        gy = self.cart_gradient(vec[..., 1])
-        return gx[..., 0] + gy[..., 1]
+        return (self.cart_component(self.chart_partials(vec[..., 0]), 0)
+                + self.cart_component(self.chart_partials(vec[..., 1]), 1))
 
     # -- disk coordinates -------------------------------------------------
 

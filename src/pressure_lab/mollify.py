@@ -242,7 +242,6 @@ class RegularizedVelocity:
     u_eta: GridField
     psi_eta: GridField
     eta: float
-    kernel: MollifierKernel
     boundary_tangential: np.ndarray      # u^eta . tau on the boundary nodes
     normal_component: np.ndarray         # u^eta . n at the chart nodes
     trace_max: float
@@ -280,16 +279,18 @@ def mollify_velocity(psi, chart: InteriorChart, eta, cutoffs: CutoffProfile,
     u_vals = np.zeros(depth.shape + (2,))
     un_vals = np.zeros_like(depth)
 
-    # the smoothed boundary part reaches at most depth delta + eta
+    # the smoothed boundary part reaches at most depth delta + eta; the wall
+    # row (depth 0.0, angle chart.theta, both exactly) is its last n_theta
+    # points, and its ut is the boundary tangential component
     bmask = depth <= cutoffs.delta + eta + 2.0 * kernel.spacing
-    if np.any(bmask):
-        pb, ds, dt = conv_b(depth[bmask], th[bmask])
-        J = 1.0 + depth[bmask] * gam[bmask]
-        ut = -ds
-        un = dt / J
-        psi_vals[bmask] += pb
-        u_vals[bmask] += ut[:, None] * tau[bmask] + un[:, None] * nrm[bmask]
-        un_vals[bmask] += un
+    pb, ds, dt = conv_b(depth[bmask], th[bmask])
+    J = 1.0 + depth[bmask] * gam[bmask]
+    ut = -ds
+    un = dt / J
+    psi_vals[bmask] += pb
+    u_vals[bmask] += ut[:, None] * tau[bmask] + un[:, None] * nrm[bmask]
+    un_vals[bmask] += un
+    ut_boundary = ut[-chart.n_theta:]
 
     imask = depth >= cutoffs.delta - cutoffs.epsilon - eta - 2.0 * kernel.spacing
     if np.any(imask):
@@ -311,13 +312,10 @@ def mollify_velocity(psi, chart: InteriorChart, eta, cutoffs: CutoffProfile,
     divergence_max = _probe_divergence(conv_b, conv_i, chart, cutoffs,
                                        probe_n)
 
-    ut_boundary = -conv_b(np.zeros_like(chart.theta), chart.theta)[1]
-
     return RegularizedVelocity(
         u_eta=GridField(chart, u_vals, pole=pole_u),
         psi_eta=GridField(chart, psi_vals),
         eta=float(eta),
-        kernel=kernel,
         boundary_tangential=ut_boundary,
         normal_component=un_vals,
         trace_max=trace_max,

@@ -42,14 +42,13 @@ class PairPlan:
     dist: np.ndarray
     seed: int
     n_random: int
-    description: str = "dyadic-axis+random"
 
     @property
     def n_pairs(self):
         return self.idx_a.size
 
 
-def build_pair_plan(points, seed=0, n_random=100_000, min_dist=None):
+def build_pair_plan(points, seed=0, n_random=100_000):
     """Pair plan on a structured point cloud of shape (n1, n2, 2).
 
     Axis-neighbor pairs at separations 1, 2, 4, ... cells along both grid
@@ -67,13 +66,11 @@ def build_pair_plan(points, seed=0, n_random=100_000, min_dist=None):
     y = np.ascontiguousarray(points[..., 1]).ravel()
     index = np.arange(npts, dtype=np.int32).reshape(n1, n2)
 
-    if min_dist is None:
-        # smallest positive axis-neighbor distance defines "one grid cell"
-        d1 = np.linalg.norm(points[1:] - points[:-1], axis=-1)
-        d2 = np.linalg.norm(np.roll(points, -1, axis=1) - points, axis=-1)
-        candidates = np.concatenate([d1.ravel(), d2.ravel()])
-        min_dist = float(np.min(candidates[candidates > 0]))
-    floor = min_dist * (1.0 - 1e-12)
+    # smallest positive axis-neighbor distance defines "one grid cell"
+    d1 = np.linalg.norm(points[1:] - points[:-1], axis=-1)
+    d2 = np.linalg.norm(np.roll(points, -1, axis=1) - points, axis=-1)
+    candidates = np.concatenate([d1.ravel(), d2.ravel()])
+    floor = float(np.min(candidates[candidates > 0])) * (1.0 - 1e-12)
 
     ia, ib, dist = [], [], []
 
@@ -177,15 +174,9 @@ def c0_distance(f, g):
 # negative Sobolev norm on the boundary circle
 # ----------------------------------------------------------------------
 
-@dataclass
-class NegSobolevNorm:
-    order: int
-    period: float
-    value: float
-
-
 def h_minus2_norm(samples, period):
-    """H^{-2} norm of boundary samples on a uniform theta grid of length 2^k.
+    """H^{-2} norm (a float) of boundary samples on a uniform theta grid of
+    length 2^k.
 
     ||g||^2 = sum_k (1 + (2 pi k / L)^2)^{-2} |g_k|^2 with
     g_k = (1/L) * integral of g e^{-2 pi i k theta / L}; the mean mode k=0
@@ -207,5 +198,4 @@ def h_minus2_norm(samples, period):
     mult[0] = 1.0
     if n % 2 == 0:
         mult[-1] = 1.0
-    value = float(np.sqrt(np.sum(weights * mags * mult)))
-    return NegSobolevNorm(-2, float(period), value)
+    return float(np.sqrt(np.sum(weights * mags * mult)))

@@ -43,8 +43,6 @@ class PressureSolution:
     phi: np.ndarray                 # phi(depth) at the chart nodes
     boundary_tangential: np.ndarray
     report: LinearSolveReport
-    eta: object = "unmollified"
-    source_id: str = ""
 
     def check_invariants(self):
         """Grid-exact algebraic identities of the splitting."""
@@ -56,19 +54,18 @@ class PressureSolution:
 
 
 def solve_pressure(u, chart: InteriorChart = None, collar: GeodesicChart = None,
-                   cutoffs: CutoffProfile = None, eta="unmollified",
-                   source_id=""):
+                   cutoffs: CutoffProfile = None):
     """-Delta p = div div (u x u), d_n p = gamma (u.tau)^2, mean(p) = 0,
     then P = p + phi(depth) (u.n)^2 with its interior/boundary pieces.
 
     u: vector GridField on the interior chart, or a RegularizedVelocity.
-    collar is not read: the chart owns the boundary frame.
+    chart defaults to u's chart.  collar is not read (the chart owns the
+    boundary frame); perfbench's smooth-128 workload still passes it.
     """
     if isinstance(u, RegularizedVelocity):
         ut_b = u.boundary_tangential
         un = u.normal_component
         ufield = u.u_eta
-        eta = u.eta
     else:
         ufield = u
         _, tau, nrm, _ = u.chart.collar_frame
@@ -82,7 +79,7 @@ def solve_pressure(u, chart: InteriorChart = None, collar: GeodesicChart = None,
     gam = chart.curve.curvature(chart.theta)
     f = rhs_double_divergence(ufield)
     g = gam * ut_b**2
-    p, report = solve_neumann(GridField(chart, f), g, chart, mean_target=0.0)
+    p, report = solve_neumann(GridField(chart, f), g, chart)
 
     depth = chart.node_depth
     phi = cutoffs.phi(depth)
@@ -94,8 +91,7 @@ def solve_pressure(u, chart: InteriorChart = None, collar: GeodesicChart = None,
     P_i = GridField(chart, cutoffs.phi_i(depth) * P_vals, pole=p.pole)
     P_b = GridField(chart, cutoffs.phi_b(depth) * P_vals)
     return PressureSolution(p=p, P=P, P_i=P_i, P_b=P_b, normal_sq=normal_sq,
-                            phi=phi, boundary_tangential=ut_b, report=report,
-                            eta=eta, source_id=source_id)
+                            phi=phi, boundary_tangential=ut_b, report=report)
 
 
 # ----------------------------------------------------------------------
@@ -314,24 +310,24 @@ class TraceCurve:
         return [(float(si), float(di)) for si, di in zip(self.s, self.distances)]
 
 
-def boundary_trace(P_collar, u, collar: GeodesicChart, s_indices=None):
-    """d_s P(s, .) against the wall target gamma (u.tau)^2(0, .) in H^-2."""
+_TRACE_ROWS = [4, 2, 1]              # depths 4h, 2h, h toward the wall
+
+
+def boundary_trace(P_collar, u, collar: GeodesicChart):
+    """d_s P(s, .) against the wall target gamma (u.tau)^2(0, .) in H^-2,
+    at the collar rows _TRACE_ROWS and extrapolated to the wall."""
     P_collar = np.asarray(P_collar, dtype=float)
     un, ut = collar_components(u, collar)
     target = collar.gamma_b * ut[0] ** 2
     dP = _d_s(collar, P_collar)
-    if s_indices is None:
-        s_indices = [4, 2, 1]        # depths 4h, 2h, h toward the wall
     L = collar.curve.length
-    dists = np.array([h_minus2_norm(dP[i] - target, L).value
-                      for i in s_indices])
-    svals = collar.s[np.asarray(s_indices)]
+    dists = np.array([h_minus2_norm(dP[i] - target, L) for i in _TRACE_ROWS])
     wall = 2.0 * dP[1] - dP[2]       # second-order extrapolation to s = 0
-    wall_distance = h_minus2_norm(wall - target, L).value
-    slope = (float(np.polyfit(np.arange(len(dists)), dists, 1)[0])
-             if len(dists) > 1 else 0.0)
-    return TraceCurve(s=svals, distances=dists, wall_value=wall,
-                      wall_distance=float(wall_distance), slope=slope)
+    slope = float(np.polyfit(np.arange(len(dists)), dists, 1)[0])
+    return TraceCurve(s=collar.s[_TRACE_ROWS], distances=dists,
+                      wall_value=wall,
+                      wall_distance=h_minus2_norm(wall - target, L),
+                      slope=slope)
 
 
 def bc_equivalence_check(p: GridField, u, collar: GeodesicChart):
@@ -391,8 +387,7 @@ def eta_study_record(rough, eta, cutoffs, collar, plan, prev_p=None,
     chart = rough.chart
     rv = mollify_velocity(rough.psi, chart, eta, cutoffs, collar,
                           **(mollify_kwargs or {}))
-    sol = solve_pressure(rv, chart=chart, cutoffs=cutoffs,
-                         source_id=f"rough(alpha={rough.alpha},seed={rough.seed})")
+    sol = solve_pressure(rv, chart=chart, cutoffs=cutoffs)
     alpha = rough.alpha
     uu = holder_norm(tensor_square(rv.u_eta), alpha, plan)
     hp = holder_norm(sol.p, alpha, plan)

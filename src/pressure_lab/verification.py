@@ -67,7 +67,7 @@ def verify_fields():
 
 def verify_norms():
     val = h_minus2_norm(np.cos(np.linspace(0, 2 * np.pi, 256, endpoint=False)),
-                        2 * np.pi).value
+                        2 * np.pi)
     target = 1.0 / (2.0 * np.sqrt(2.0))
     curve = build_curve({"kind": "circle", "radius": 1.0}, 256)
     chart = InteriorChart(curve, 32, 64)

@@ -249,7 +249,7 @@ def test_13_split_and_green_terms(cutoffs, collar_fine):
 def test_14_h_minus2_oracle():
     theta = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
     est = h_minus2_norm(np.cos(theta), 2.0 * np.pi)
-    assert abs(est.value - 1.0 / (2.0 * np.sqrt(2.0))) <= 1e-12
+    assert abs(est - 1.0 / (2.0 * np.sqrt(2.0))) <= 1e-12
 
 
 # 15 -- byte-identical study ledgers -----------------------------------------

@@ -204,14 +204,15 @@ def test_neumann_compatibility_guard(disk_chart):
         solve_neumann(f, g, disk_chart)
 
 
-def test_neumann_mean_target(disk_chart):
-    # mean_target shifts the volume-mean gauge by a constant
+def test_neumann_volume_mean_gauge(disk_chart):
+    # the gauge: the volume mean of p, pole cell included, is zero
     r = disk_radii(disk_chart)
     f = np.full_like(r, 4.0)
     g = np.full(disk_chart.n_theta, 2.0)
-    p0, _ = solve_neumann(f, g, disk_chart, mean_target=0.0)
-    p15, _ = solve_neumann(f, g, disk_chart, mean_target=1.5)
-    assert np.max(np.abs(p15.values - p0.values - 1.5)) < 1e-8
+    p, _ = solve_neumann(f, g, disk_chart)
+    st = _StarStencil(disk_chart)
+    total = float(np.sum(p.values * st.vol)) + p.pole * st.vol_pole
+    assert abs(total) <= 1e-14 * np.max(np.abs(p.values))
 
 
 # ----------------------------------------------------------------------

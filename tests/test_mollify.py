@@ -32,6 +32,20 @@ def test_mollify_invariants_one_field(disk_chart, cutoffs, collar):
     assert rv.u_eta.values.shape == disk_chart.points.shape
 
 
+@pytest.mark.parametrize("eta", [0.0125, 0.00625, 0.003125])
+def test_boundary_tangential_is_trace_of_u_eta(disk_chart, cutoffs, collar,
+                                               eta):
+    # the Neumann datum of the pressure solve reads boundary_tangential: it
+    # is the tangential trace of the returned field, not a second estimate
+    rough = make_rough_stream(1.0 / 3.0, 7, 2, disk_chart)
+    rv = mollify_velocity(rough.psi, disk_chart, eta, cutoffs, collar)
+    tau = disk_chart.collar_frame[1]
+    trace = np.einsum("jk,jk->j", rv.u_eta.values[-1], tau[-1])
+    ut = rv.boundary_tangential
+    assert ut.shape == (disk_chart.n_theta,)
+    assert np.max(np.abs(ut - trace)) <= 1e-14 * np.max(np.abs(ut))
+
+
 def test_mollify_smooth_field_convergence(disk_chart, cutoffs, collar):
     # analytic smooth stream: convergence of u^eta -> u under eta halving
     def psi_fn(pts):

@@ -21,20 +21,20 @@ def plan(disk_chart_factory=None):
 
 def test_h_minus2_cosine_value():
     th = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
-    val = h_minus2_norm(np.cos(th), 2.0 * np.pi).value
+    val = h_minus2_norm(np.cos(th), 2.0 * np.pi)
     assert abs(val - 1.0 / (2.0 * np.sqrt(2.0))) < 1e-12
 
 
 def test_h_minus2_constant():
     # mean mode carries weight one: ||c||_{H^-2} = |c|
-    val = h_minus2_norm(np.full(64, 3.25), 2.0 * np.pi).value
+    val = h_minus2_norm(np.full(64, 3.25), 2.0 * np.pi)
     assert abs(val - 3.25) < 1e-13
 
 
 def test_h_minus2_high_modes_suppressed():
     th = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
-    low = h_minus2_norm(np.cos(th), 2.0 * np.pi).value
-    high = h_minus2_norm(np.cos(16 * th), 2.0 * np.pi).value
+    low = h_minus2_norm(np.cos(th), 2.0 * np.pi)
+    high = h_minus2_norm(np.cos(16 * th), 2.0 * np.pi)
     assert high < low / 100.0
 
 
@@ -49,8 +49,8 @@ def test_h_minus2_length_guard():
 def test_h_minus2_scaling(scale, mode):
     th = np.linspace(0.0, 2.0 * np.pi, 128, endpoint=False)
     g = np.sin(mode * th)
-    base = h_minus2_norm(g, 2.0 * np.pi).value
-    scaled = h_minus2_norm(scale * g, 2.0 * np.pi).value
+    base = h_minus2_norm(g, 2.0 * np.pi)
+    scaled = h_minus2_norm(scale * g, 2.0 * np.pi)
     assert abs(scaled - abs(scale) * base) < 1e-12 * max(1.0, abs(scale))
 
 
