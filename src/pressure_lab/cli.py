@@ -227,7 +227,6 @@ def cmd_solve(cfg):
         "solver": sol.report.as_record(),
         "trace": {"s": tc.s, "distances": tc.distances,
                   "wall_distance": tc.wall_distance, "slope": tc.slope},
-        "invariants": sol.check_invariants(),
     }
     if rough is not None:
         plan = build_pair_plan(chart.points, seed=cfg["norms"]["plan_seed"],

@@ -43,13 +43,12 @@ class LinearSolveReport:
     iterations: int
     residual: float
     compat_defect: float = 0.0
-    mean_value: float = 0.0
     converged: bool = True
 
     def as_record(self):
         return {"iterations": self.iterations, "residual": self.residual,
                 "compat_defect": self.compat_defect,
-                "mean_value": self.mean_value, "converged": self.converged}
+                "converged": self.converged}
 
 
 # ----------------------------------------------------------------------

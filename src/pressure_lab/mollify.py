@@ -18,11 +18,15 @@ The shift-sum runs in point-major blocks.  The points are split into equal
 chunks, and each sampler call takes one chunk with every active shift in
 row-major order, so the work that a shift component leaves unchanged is
 done once per distinct component value of the whole stencil.  Each output
-then adds its w * sample rows in that shift order, starting from +0.0 (a
-lone point is added by an explicit loop, since numpy sums a single column
-pairwise), so the blocked sums are the per-shift sums bit for bit.  A
-request for the smoothed value alone visits only the shifts of the
-kernel's support.
+then adds its w * sample rows in that shift order, starting from +0.0, so
+the blocked sums are the per-shift sums bit for bit.  A request for the
+smoothed value alone visits only the shifts of the kernel's support.
+
+A record makes four shift-sums: one boundary and one interior sum over
+the chart nodes, and the two value-only sums of the divergence probe.  The
+boundary batch ends with the collar wall (0, collar.theta), whose rows give
+trace_max and tangency_max; the interior batch ends with the chart center,
+whose row gives the pole velocity.
 
 divergence_max does not measure the returned u_eta.  It is the rounding of
 the centered-difference divergence of a centered-difference curl of
@@ -91,7 +95,9 @@ class _StencilConvolution:
     """Pointwise convolution of a 2-variable sampler with a MollifierKernel,
     returning the smoothed value and its two centered first derivatives.
     Each sampler call takes every active shift on a chunk of points, at most
-    _BLOCK_POINTS (shift, point) pairs."""
+    _BLOCK_POINTS (shift, point) pairs.  Callers pass at least two points:
+    numpy sums a lone column pairwise, not in shift order, so a single
+    point would match the per-shift sum only to rounding."""
 
     def __init__(self, sampler, kernel: MollifierKernel):
         self.sampler = sampler
@@ -135,19 +141,11 @@ class _StencilConvolution:
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             samples = self.sampler(x1[lo:hi], x2[lo:hi], shifts)
             for out, (rows, w) in zip(outs, terms):
-                products = w * samples[rows]
-                if hi - lo > 1:
-                    # rows added in shift order, from +0.0 (so a column of
-                    # -0.0 sums to +0.0 on any numpy, as it did shift by
-                    # shift into zeros)
-                    np.add.reduce(products, axis=0, initial=0.0,
-                                  out=out[lo:hi])
-                else:
-                    # numpy would sum a lone column pairwise
-                    total = 0.0
-                    for p in products[:, 0]:
-                        total += p
-                    out[lo] = total
+                # rows added in shift order, from +0.0 (so a column of -0.0
+                # sums to +0.0 on any numpy, as it did shift by shift into
+                # zeros)
+                np.add.reduce(w * samples[rows], axis=0, initial=0.0,
+                              out=out[lo:hi])
         return outs[0] if value_only else tuple(outs)
 
 
@@ -240,7 +238,6 @@ class _InteriorSampler(_Sampler):
 @dataclass
 class RegularizedVelocity:
     u_eta: GridField
-    psi_eta: GridField
     eta: float
     boundary_tangential: np.ndarray      # u^eta . tau on the boundary nodes
     normal_component: np.ndarray         # u^eta . n at the chart nodes
@@ -275,46 +272,43 @@ def mollify_velocity(psi, chart: InteriorChart, eta, cutoffs: CutoffProfile,
     # --- chart evaluation -------------------------------------------------
     th, tau, nrm, gam = chart.collar_frame
     depth = chart.node_depth             # the collar depth s of the nodes
-    psi_vals = np.zeros_like(depth)
     u_vals = np.zeros(depth.shape + (2,))
     un_vals = np.zeros_like(depth)
 
-    # the smoothed boundary part reaches at most depth delta + eta; the wall
-    # row (depth 0.0, angle chart.theta, both exactly) is its last n_theta
-    # points, and its ut is the boundary tangential component
+    # the smoothed boundary part reaches at most depth delta + eta.  The
+    # collar wall (0, collar.theta) follows the nodes in the batch, for
+    # trace_max and tangency_max.  The nodes' wall row (depth 0.0, angle
+    # chart.theta, both exactly) is their last n_theta points, and its ut is
+    # the boundary tangential component
     bmask = depth <= cutoffs.delta + eta + 2.0 * kernel.spacing
-    pb, ds, dt = conv_b(depth[bmask], th[bmask])
+    n_b = np.count_nonzero(bmask)
+    pb, ds, dt = conv_b(np.concatenate([depth[bmask],
+                                        np.zeros_like(collar.theta)]),
+                        np.concatenate([th[bmask], collar.theta]))
+    trace_max = float(np.max(np.abs(pb[n_b:])))
+    tangency_max = float(np.max(np.abs(dt[n_b:])))   # J = 1 at s = 0
     J = 1.0 + depth[bmask] * gam[bmask]
-    ut = -ds
-    un = dt / J
-    psi_vals[bmask] += pb
+    ut = -ds[:n_b]
+    un = dt[:n_b] / J
     u_vals[bmask] += ut[:, None] * tau[bmask] + un[:, None] * nrm[bmask]
     un_vals[bmask] += un
     ut_boundary = ut[-chart.n_theta:]
 
+    # the chart center follows the nodes in the batch: its row is the pole
     imask = depth >= cutoffs.delta - cutoffs.epsilon - eta - 2.0 * kernel.spacing
-    if np.any(imask):
-        x = chart.points[imask]
-        pi, d1, d2 = conv_i(x[:, 0], x[:, 1])
-        psi_vals[imask] += pi
-        ui = np.stack([-d2, d1], axis=-1)
-        u_vals[imask] += ui
-        un_vals[imask] += np.einsum("jk,jk->j", ui, nrm[imask])
+    x = np.concatenate([chart.points[imask], chart.center[None, :]])
+    _, d1, d2 = conv_i(x[:, 0], x[:, 1])
+    ui = np.stack([-d2, d1], axis=-1)
+    pole_u = ui[-1]
+    u_vals[imask] += ui[:-1]
+    un_vals[imask] += np.einsum("jk,jk->j", ui[:-1], nrm[imask])
 
-    psi_vals[-1] = 0.0
-    _, p_d1, p_d2 = conv_i(chart.center[:1], chart.center[1:])
-    pole_u = np.array([-p_d2[0], p_d1[0]])
-
-    # --- structural diagnostics ------------------------------------------
-    trace_vals, _, trace_dt = conv_b(np.zeros_like(collar.theta), collar.theta)
-    trace_max = float(np.max(np.abs(trace_vals)))
-    tangency_max = float(np.max(np.abs(trace_dt)))   # J = 1 at s = 0
+    # --- divergence probe ------------------------------------------------
     divergence_max = _probe_divergence(conv_b, conv_i, chart, cutoffs,
                                        probe_n)
 
     return RegularizedVelocity(
         u_eta=GridField(chart, u_vals, pole=pole_u),
-        psi_eta=GridField(chart, psi_vals),
         eta=float(eta),
         boundary_tangential=ut_boundary,
         normal_component=un_vals,

@@ -1,6 +1,6 @@
-"""Pressure pipeline: the Neumann pressure solve, the adjusted pressure and
-its interior/boundary decomposition, collar flux identities, the slab split
-with its Green-term functionals, boundary traces, and the eta sweep study.
+"""Pressure pipeline: the Neumann pressure solve and the adjusted pressure,
+collar flux identities, the slab split with its Green-term functionals,
+boundary traces, and the eta sweep study.
 
 Sign conventions (validated by the rigid-rotation oracle): interior normal,
 gamma < 0 on convex boundaries, and Neumann data d_n p = gamma (u.tau)^2 on
@@ -36,27 +36,14 @@ class PressureError(RuntimeError):
 @dataclass
 class PressureSolution:
     p: GridField
-    P: GridField
-    P_i: GridField
-    P_b: GridField
-    normal_sq: np.ndarray           # (u.n)^2 at the chart nodes
-    phi: np.ndarray                 # phi(depth) at the chart nodes
-    boundary_tangential: np.ndarray
+    P: GridField                    # p + phi(depth) (u.n)^2
     report: LinearSolveReport
-
-    def check_invariants(self):
-        """Grid-exact algebraic identities of the splitting."""
-        return {
-            "adjustment": float(np.max(np.abs(
-                self.P.values - self.p.values - self.phi * self.normal_sq))),
-            "boundary_support": float(np.max(np.abs(self.P_b.values[0]))),
-        }
 
 
 def solve_pressure(u, chart: InteriorChart = None, collar: GeodesicChart = None,
                    cutoffs: CutoffProfile = None):
     """-Delta p = div div (u x u), d_n p = gamma (u.tau)^2, mean(p) = 0,
-    then P = p + phi(depth) (u.n)^2 with its interior/boundary pieces.
+    then the adjusted pressure P = p + phi(depth) (u.n)^2.
 
     u: vector GridField on the interior chart, or a RegularizedVelocity.
     chart defaults to u's chart.  collar is not read (the chart owns the
@@ -80,18 +67,11 @@ def solve_pressure(u, chart: InteriorChart = None, collar: GeodesicChart = None,
     f = rhs_double_divergence(ufield)
     g = gam * ut_b**2
     p, report = solve_neumann(GridField(chart, f), g, chart)
-
-    depth = chart.node_depth
-    phi = cutoffs.phi(depth)
-    normal_sq = un**2
-    P_vals = p.values + phi * normal_sq
     # the pole lies deeper than the collar on every supported chart, so the
     # adjustment phi * (u.n)^2 vanishes there and the pole value carries over
-    P = GridField(chart, P_vals, pole=p.pole)
-    P_i = GridField(chart, cutoffs.phi_i(depth) * P_vals, pole=p.pole)
-    P_b = GridField(chart, cutoffs.phi_b(depth) * P_vals)
-    return PressureSolution(p=p, P=P, P_i=P_i, P_b=P_b, normal_sq=normal_sq,
-                            phi=phi, boundary_tangential=ut_b, report=report)
+    P = GridField(chart, p.values + cutoffs.phi(chart.node_depth) * un**2,
+                  pole=p.pole)
+    return PressureSolution(p=p, P=P, report=report)
 
 
 # ----------------------------------------------------------------------

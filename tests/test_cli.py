@@ -148,7 +148,6 @@ def test_solve_rigid(tmp_path):
     payload = json.loads((tmp_path / "solve.json").read_text())
     assert payload["oracle_error"] < 5e-3
     assert payload["solver"]["converged"]
-    assert payload["invariants"]["adjustment"] < 1e-12
     assert (tmp_path / "p.csv").exists()
     assert (tmp_path / "P.csv").exists()
     trace = (tmp_path / "trace.csv").read_text().strip().splitlines()

@@ -135,8 +135,13 @@ def test_cutoff_partition_values(cutoffs):
     assert np.all((0.0 <= phi) & (phi <= 1.0))
     # phi_b = 1 where phi_i transitions and vice versa
     assert np.all(cutoffs.phi_b(s)[s <= cutoffs.delta3] == 1.0)
+    assert np.all(cutoffs.phi_b(s)[s >= cutoffs.delta - cutoffs.epsilon]
+                  == 0.0)
     assert np.all(cutoffs.phi_i(s)[s <= cutoffs.delta1] == 0.0)
     assert np.all(cutoffs.phi_i(s)[s >= cutoffs.delta2] == 1.0)
+    # the interior and boundary windows overlap mid-collar: together they
+    # cover every depth
+    assert np.all(cutoffs.phi_i(s) + cutoffs.phi_b(s) >= 1.0)
 
 
 def test_cutoff_derivative_consistency(cutoffs):

@@ -3,6 +3,7 @@ import pytest
 
 from pressure_lab import mollify
 from pressure_lab.fields import make_rough_stream
+from pressure_lab.geometry import GeodesicChart
 from pressure_lab.mollify import (MollifierKernel, MollifyError,
                                   mollify_velocity)
 
@@ -150,10 +151,9 @@ def _active_shifts(conv, value_only):
 # the sampled stream is the analytic one, the only kind the mollifier takes
 @pytest.mark.parametrize("stream", ["analytic"])
 @pytest.mark.parametrize("part", ["boundary", "interior"])
-# a lone point (the pole, for the interior), one chunk, a count that chunks
-# of _BLOCK_POINTS // 69 points would leave a lone remainder of, and many
-# chunks
-@pytest.mark.parametrize("n_points", [1, 40, mollify._BLOCK_POINTS // 69 + 1,
+# one chunk, a count that chunks of _BLOCK_POINTS // 69 points would leave
+# a lone remainder of, and many chunks
+@pytest.mark.parametrize("n_points", [40, mollify._BLOCK_POINTS // 69 + 1,
                                       mollify._BLOCK_POINTS // 3 + 1])
 def test_blocked_shift_sum_matches_per_shift_loop(disk_chart, cutoffs, stream,
                                                   part, n_points):
@@ -168,10 +168,6 @@ def test_blocked_shift_sum_matches_per_shift_loop(disk_chart, cutoffs, stream,
         x2 = rng.uniform(0.0, disk_chart.curve.length, n_points)
         sampler = mollify._BoundarySampler(psi, cutoffs, disk_chart)
         shift_sample = _boundary_shift
-    elif n_points == 1:
-        x1, x2 = disk_chart.center[:1], disk_chart.center[1:]
-        sampler = mollify._InteriorSampler(psi, cutoffs, disk_chart)
-        shift_sample = _interior_shift
     else:
         # the disk, including the cutoff band and the core
         r = np.sqrt(rng.uniform(0.0, 1.0, n_points))
@@ -197,7 +193,7 @@ def test_blocked_shift_sum_matches_per_shift_loop(disk_chart, cutoffs, stream,
         assert np.array_equal(np.concatenate([c[0] for c in calls]), x1)
         assert np.array_equal(np.concatenate([c[1] for c in calls]), x2)
         sizes = [len(c[0]) for c in calls]
-        assert min(sizes) > 1 or n_points == 1
+        assert min(sizes) > 1
         assert max(sizes) * len(shifts) <= mollify._BLOCK_POINTS
         calls.clear()
 
@@ -215,3 +211,30 @@ def test_blocked_shift_sum_matches_per_shift_loop(disk_chart, cutoffs, stream,
     check_calls(value_only=True)
     assert np.array_equal(value, expected[0])
     assert np.array_equal(np.signbit(value), np.signbit(expected[0]))
+
+
+@pytest.mark.parametrize("eta", [0.0125, 0.00625, 0.003125])
+def test_pole_and_wall_trace_ride_in_the_node_batches(disk_chart, circle,
+                                                      cutoffs, eta):
+    # the pole velocity is the interior shift-sum at the chart center, and
+    # the trace diagnostics the boundary shift-sum on the collar wall; a
+    # collar of 97 angles meets the chart's 128 wall nodes at theta = 0 only
+    collar = GeodesicChart(circle, cutoffs.delta, 16, 97)
+    psi = make_rough_stream(1.0 / 3.0, 7, 2, disk_chart).psi
+    rv = mollify_velocity(psi, disk_chart, eta, cutoffs, collar)
+    kernel = MollifierKernel(eta)
+
+    inner = mollify._InteriorSampler(psi, cutoffs, disk_chart)
+    conv = mollify._StencilConvolution(inner, kernel)
+    c = disk_chart.center
+    _, d1, d2 = _per_shift_sum(
+        conv, lambda x1, x2: _interior_shift(inner, x1, x2), c[:1], c[1:])
+    assert np.array_equal(rv.u_eta.pole, [-d2[0], d1[0]])
+
+    wall = mollify._BoundarySampler(psi, cutoffs, disk_chart)
+    conv = mollify._StencilConvolution(wall, kernel)
+    value, _, dt = _per_shift_sum(
+        conv, lambda x1, x2: _boundary_shift(wall, x1, x2),
+        np.zeros_like(collar.theta), collar.theta)
+    assert rv.trace_max == np.max(np.abs(value))
+    assert rv.tangency_max == np.max(np.abs(dt))

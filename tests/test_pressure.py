@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from pressure_lab.elliptic import SolverError
 from pressure_lab.fields import GridField, make_rough_stream
 from pressure_lab.geometry import GeodesicChart
+from pressure_lab.mollify import mollify_velocity
 from pressure_lab.norms import build_pair_plan
 from pressure_lab.pressure import (EstimateLedger, PressureError,
                                    bc_equivalence_check, boundary_trace,
@@ -41,14 +43,23 @@ def test_rigid_rotation_pressure(disk_chart, cutoffs, collar):
     assert np.max(np.abs(sol.p.values - exact)) < 5e-3
     # u.n = 0, so the adjusted pressure coincides with p
     assert np.max(np.abs(sol.P.values - sol.p.values)) < 1e-12
-    inv = sol.check_invariants()
-    assert inv["adjustment"] < 1e-14
-    assert inv["boundary_support"] == 0.0
-    # the interior and boundary windows overlap mid-collar, so the pieces
-    # over-cover P there; each one still vanishes on the opposite side
-    assert np.max(np.abs(sol.P_i.values[-1])) == 0.0
-    excess = sol.P_i.values + sol.P_b.values - sol.P.values
-    assert np.min(excess * np.sign(sol.P.values)) > -1e-14
+
+
+# the compatibility cap of solve_neumann rejects all three at 64x128: the
+# O(eta) wall layer of u_eta . tau gives defects of 1.24e-2 / 6.2e-3 /
+# 3.1e-3 against caps of 9.6e-3 / 5.0e-3 / 2.9e-3.  At 128x256 the same
+# solves pass with errors of 2.2e-3 / 6.0e-4 / 1.5e-4.
+@pytest.mark.xfail(strict=True, raises=SolverError,
+                   reason="compatibility cap rejects the mollified field")
+@pytest.mark.parametrize("eta", [0.0125, 0.00625, 0.003125])
+def test_mollified_rigid_rotation_pressure(disk_chart, cutoffs, collar, eta):
+    def psi(pts):
+        return (1.0 - np.einsum("...k,...k->...", pts, pts)) / 2.0
+
+    rv = mollify_velocity(psi, disk_chart, eta, cutoffs, collar)
+    sol = solve_pressure(rv, chart=disk_chart, cutoffs=cutoffs)
+    exact = disk_radii(disk_chart) ** 2 / 2.0 - 0.25
+    assert np.max(np.abs(sol.p.values - exact)) <= eta / 4.0
 
 
 def test_radial_quadratic_pressure(disk_chart, cutoffs, collar):

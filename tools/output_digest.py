@@ -192,7 +192,7 @@ def mollify_groups():
     rough = fields.make_rough_stream(1.0 / 3.0, 3, 2, chart)
     rv = mollify.mollify_velocity(rough.psi, chart, 0.00625, cutoffs, collar,
                                   **MOLLIFY)
-    yield "mollify/analytic", (rv.u_eta, rv.psi_eta, rv.boundary_tangential,
+    yield "mollify/analytic", (rv.u_eta, rv.boundary_tangential,
                                rv.normal_component, rv.diagnostics())
 
 
