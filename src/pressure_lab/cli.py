@@ -107,6 +107,11 @@ def load_config(path=None, overrides=(), out=None, jobs=None):
     return cfg
 
 
+def _is_int(value):
+    # YAML reads true/false as bools, which Python counts as ints
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def validate_config(cfg):
     c = cfg["cutoffs"]
     try:
@@ -114,10 +119,15 @@ def validate_config(cfg):
                       c["delta1"], c["delta2"], c["delta3"])
     except GeometryError as exc:
         raise ConfigError(f"cutoffs: {exc}") from exc
-    if cfg["mollify"]["n_sub"] < 2:
+    n_sub, probe_n = cfg["mollify"]["n_sub"], cfg["mollify"]["probe_n"]
+    if not _is_int(n_sub) or n_sub < 2:
         raise ConfigError(
-            "mollify.n_sub < 2: the kernel would span fewer than two "
-            "sample cells across its radius")
+            f"mollify.n_sub = {n_sub!r} must be an integer >= 2: the kernel "
+            "would span fewer than two sample cells across its radius")
+    if not _is_int(probe_n) or probe_n < 11:
+        raise ConfigError(
+            f"mollify.probe_n = {probe_n!r} must be an integer >= 11: the "
+            "side of a smaller divergence-probe grid leaves it no core point")
     etas = cfg["study"]["etas"]
     if not etas:
         raise ConfigError("study.etas must not be empty")

@@ -333,12 +333,20 @@ class RoughStream:
 
     def _phases(self, pts):
         """(x, y, phase): coordinates relative to the center and the (J, M)
-        table k_j . x + phase_j over the M flattened points.  One matrix
-        product forms k_j . x for every point; BLAS adds the two products of
-        a lone row in the other order, so a lone point goes in beside a copy
-        of itself, and a point's phase does not depend on the points that
-        come with it."""
-        rel = np.asarray(pts, dtype=float) - self.center
+        table k_j . x + phase_j over the M flattened points.  The center is
+        subtracted one component at a time: broadcast over the (M, 2) table,
+        numpy's inner loop would run two elements long.  One matrix product
+        forms k_j . x for every point; BLAS adds the two products of a lone
+        row in the other order, so a lone point goes in beside a copy of
+        itself, and a point's phase does not depend on the points that come
+        with it.  The product takes the (M, 2) table transposed: with one
+        mode it is a matrix-vector product, and BLAS's kernel for a
+        row-major (2, M) table would round some points differently by the
+        number of points beside them."""
+        pts = np.asarray(pts, dtype=float)
+        rel = np.empty(pts.shape)
+        for k in range(2):
+            np.subtract(pts[..., k], self.center[k], out=rel[..., k])
         flat = rel.reshape(-1, 2)
         rows = np.repeat(flat, 2, axis=0) if len(flat) == 1 else flat
         phase = (self.kvec @ rows.T)[:, :len(flat)]

@@ -19,14 +19,26 @@ chunks, and each sampler call takes one chunk with every active shift in
 row-major order, so the work that a shift component leaves unchanged is
 done once per distinct component value of the whole stencil.  Each output
 then adds its w * sample rows in that shift order, starting from +0.0, so
-the blocked sums are the per-shift sums bit for bit.  A request for the
-smoothed value alone visits only the shifts of the kernel's support.
+the blocked sums are the per-shift sums bit for bit.  Each call names the
+outputs it reads, and visits only the shifts where one of their weights
+is nonzero.
+
+The samplers are dense: psi is evaluated on every (shift, point) pair of a
+chunk, also where the cutoff weight is zero (the boundary part past depth
+delta, the interior part above depth delta - epsilon), and the sample
+there is the product 0 * psi, a signed zero.  A partial sum started at
++0.0 is never -0.0, and adding a signed zero leaves any other partial sum
+as it is, so these pairs change no sum.  They cost psi points only: at
+64x128 a record evaluates 0.3 % (eta = 0.003125) to 4 % (eta = 0.0125)
+more than on the support alone.
 
 A record makes four shift-sums: one boundary and one interior sum over
 the chart nodes, and the two value-only sums of the divergence probe.  The
 boundary batch ends with the collar wall (0, collar.theta), whose rows give
 trace_max and tangency_max; the interior batch ends with the chart center,
-whose row gives the pole velocity.
+whose row gives the pole velocity.  The boundary batch reads all three
+outputs; the interior batch reads the two derivatives only, and so skips
+the center shift, whose derivative weights are zero.
 
 divergence_max does not measure the returned u_eta.  It is the rounding of
 the centered-difference divergence of a centered-difference curl of
@@ -92,12 +104,13 @@ class MollifierKernel:
 
 
 class _StencilConvolution:
-    """Pointwise convolution of a 2-variable sampler with a MollifierKernel,
-    returning the smoothed value and its two centered first derivatives.
-    Each sampler call takes every active shift on a chunk of points, at most
-    _BLOCK_POINTS (shift, point) pairs.  Callers pass at least two points:
-    numpy sums a lone column pairwise, not in shift order, so a single
-    point would match the per-shift sum only to rounding."""
+    """Pointwise convolution of a 2-variable sampler with a MollifierKernel:
+    the smoothed value and its two centered first derivatives, of which
+    each call names the ones it wants.  Each sampler call takes every active
+    shift on a chunk of points, at most _BLOCK_POINTS (shift, point) pairs.
+    Callers pass at least two points: numpy sums a lone column pairwise, not
+    in shift order, so a single point would match the per-shift sum only to
+    rounding."""
 
     def __init__(self, sampler, kernel: MollifierKernel):
         self.sampler = sampler
@@ -108,31 +121,38 @@ class _StencilConvolution:
         self.shifts = np.arange(-n - 1, n + 2) * d
         w = np.zeros((2 * n + 3, 2 * n + 3))
         w[1:-1, 1:-1] = kernel.weights
-        self.w0 = w
-        self.w1 = (np.roll(w, -1, axis=0) - np.roll(w, 1, axis=0)) / (2.0 * d)
-        self.w2 = (np.roll(w, -1, axis=1) - np.roll(w, 1, axis=1)) / (2.0 * d)
-        # the two requests, each formed once: its active shifts and, per
-        # output, the rows of its nonzero weights and those weights
-        self._requests = {value_only: self._request(value_only)
-                          for value_only in (False, True)}
+        self.weights = {
+            "value": w,
+            "d1": (np.roll(w, -1, axis=0) - np.roll(w, 1, axis=0)) / (2.0 * d),
+            "d2": (np.roll(w, -1, axis=1) - np.roll(w, 1, axis=1)) / (2.0 * d),
+        }
+        # the requests formed so far, by the outputs they name: the active
+        # shifts and, per output, the rows of its nonzero weights and those
+        # weights
+        self._requests = {}
 
-    def _request(self, value_only):
-        weights = (self.w0,) if value_only else (self.w0, self.w1, self.w2)
-        active = np.argwhere(np.any([w != 0.0 for w in weights], axis=0))
-        shifts = _Shifts(self.shifts[active[:, 0]], self.shifts[active[:, 1]])
-        terms = []
-        for w in weights:
-            wa = w[active[:, 0], active[:, 1]]
-            rows = np.flatnonzero(wa)
-            terms.append((rows, wa[rows, None]))
-        return shifts, terms
+    def _request(self, outputs):
+        if outputs not in self._requests:
+            weights = [self.weights[name] for name in outputs]
+            active = np.argwhere(np.any([w != 0.0 for w in weights], axis=0))
+            shifts = _Shifts(self.shifts[active[:, 0]],
+                             self.shifts[active[:, 1]])
+            terms = []
+            for w in weights:
+                wa = w[active[:, 0], active[:, 1]]
+                rows = np.flatnonzero(wa)
+                terms.append((rows, wa[rows, None]))
+            self._requests[outputs] = shifts, terms
+        return self._requests[outputs]
 
-    def __call__(self, x1, x2, value_only=False):
-        """(value, d1, d2) at the points, or the value alone, which visits
-        only the shifts of the kernel's own support."""
+    def __call__(self, x1, x2, outputs=("value", "d1", "d2")):
+        """The named outputs at the points, a tuple in the order named.  The
+        sampler visits only the shifts where a named output has a nonzero
+        weight: ("value",) the kernel's own support, ("d1", "d2") every
+        shift of the wider ring but the center."""
         x1 = np.asarray(x1, dtype=float)
         x2 = np.asarray(x2, dtype=float)
-        shifts, terms = self._requests[value_only]
+        shifts, terms = self._request(tuple(outputs))
         outs = [np.empty_like(x1) for _ in terms]
         # equal chunks, so that a remainder is never a lone point
         n = x1.size
@@ -146,7 +166,7 @@ class _StencilConvolution:
                 # zeros)
                 np.add.reduce(w * samples[rows], axis=0, initial=0.0,
                               out=out[lo:hi])
-        return outs[0] if value_only else tuple(outs)
+        return tuple(outs)
 
 
 # ----------------------------------------------------------------------
@@ -170,7 +190,13 @@ class _Sampler:
 
     A sampler is called with N base points (x1, x2) and K _Shifts and
     returns the (K, N) samples at (x1 - a_k, x2 - b_k); psi is evaluated
-    once, on the points of all K shifts stacked together.
+    once, on the whole (K, N) table of points, a view of a (2, K, N) array
+    so that psi reads each coordinate contiguously.  A pair where the cutoff
+    weight vanishes is evaluated too, and its sample is the signed zero
+    0 * psi; the shift-sum adds it to a partial sum started at +0.0, which
+    it leaves as it was (such a partial sum is never -0.0), so these pairs
+    change no sum.  Every such point lies in the closed disk, where psi is
+    defined.
     """
 
     def __init__(self, psi, cutoffs: CutoffProfile, chart: InteriorChart):
@@ -184,51 +210,50 @@ class _BoundarySampler(_Sampler):
 
     Exactly odd: f(-s, theta) = -f(s, theta); zero for s >= delta (the cutoff
     vanishes there), which keeps the convolution footprint inside the collar.
-    The depth terms (|s - a|, its sign, the cutoff and the radius factor)
+    The depth terms (|s - a|, its sign, the cutoff and the radius R - |s - a|)
     are computed once per distinct shift component a and the angle terms
-    once per distinct b; only psi is evaluated per shift.
+    once per distinct b; row gathers of them form the (K, N) table of points,
+    and psi is evaluated on all of it, past the cutoff's support too.  A
+    record's batches keep |s - a| below delta + 3 eta, so those points lie
+    at radius R - |s - a|, inside the disk.
     """
 
     def __call__(self, s, theta, shifts):
         chart = self.chart
-        ia = shifts.ia
+        ia, ib = shifts.ia, shifts.ib
         shifted = s - shifts.ua[:, None]
         depth = np.abs(shifted)
+        cut = np.zeros_like(depth)
         inside = depth < self.cutoffs.delta
-        pairs = inside[ia]
-        out = np.zeros(pairs.shape)
-        k, n = np.nonzero(pairs)
-        if len(k):
-            cut = np.zeros_like(depth)
-            cut[inside] = self.cutoffs.phi(depth[inside])
-            ang = ((theta - shifts.ub[:, None]) % chart.curve.length) \
-                / chart.radius
-            # flat (a, point) and (b, point) positions of the pairs
-            at, bt = ia[k] * len(s) + n, shifts.ib[k] * len(s) + n
-            rad = (chart.radius - depth).take(at)
-            pts = np.stack([chart.center[0] + rad * np.cos(ang).take(bt),
-                            chart.center[1] + rad * np.sin(ang).take(bt)],
-                           axis=-1)
-            out[pairs] = cut.take(at) * self.psi(pts)
-        return np.sign(shifted)[ia] * out
+        cut[inside] = self.cutoffs.phi(depth[inside])
+        rad = (chart.radius - depth)[ia]
+        ang = ((theta - shifts.ub[:, None]) % chart.curve.length) \
+            / chart.radius
+        xy = np.empty((2,) + rad.shape)
+        np.multiply(rad, np.cos(ang)[ib], out=xy[0])
+        np.multiply(rad, np.sin(ang)[ib], out=xy[1])
+        xy += chart.center[:, None, None]
+        psi = self.psi(np.moveaxis(xy, 0, -1))
+        return np.sign(shifted)[ia] * (cut[ia] * psi)
 
 
 class _InteriorSampler(_Sampler):
     """(1 - phi(depth)) * psi in Cartesian coordinates; zero within
     delta - epsilon of the boundary, so its mollification never reaches
-    the wall.  The cutoff is evaluated on the band delta - epsilon < depth
-    < delta only: deeper, 1 - phi is exactly 1."""
+    the wall.  The weight is 0 there, 1 - phi in the band delta - epsilon
+    < depth < delta (the cutoff is evaluated there only) and exactly 1
+    deeper."""
 
     def __call__(self, x1, x2, shifts):
-        p1, p2 = x1 - shifts.a[:, None], x2 - shifts.b[:, None]
+        xy = np.empty((2, len(shifts.a), len(x1)))
+        p1 = np.subtract(x1, shifts.a[:, None], out=xy[0])
+        p2 = np.subtract(x2, shifts.b[:, None], out=xy[1])
         depth = self.chart.depth(p1, p2)
-        out = np.zeros(depth.shape)
-        mask = depth > self.cutoffs.delta - self.cutoffs.epsilon
-        if np.any(mask):
-            out[mask] = self.psi(np.stack([p1[mask], p2[mask]], axis=-1))
-            band = mask & (depth < self.cutoffs.delta)
-            out[band] *= 1.0 - self.cutoffs.phi(depth[band])
-        return out
+        support = depth > self.cutoffs.delta - self.cutoffs.epsilon
+        weight = support.astype(float)
+        band = support & (depth < self.cutoffs.delta)
+        weight[band] = 1.0 - self.cutoffs.phi(depth[band])
+        return weight * self.psi(np.moveaxis(xy, 0, -1))
 
 
 # ----------------------------------------------------------------------
@@ -297,7 +322,7 @@ def mollify_velocity(psi, chart: InteriorChart, eta, cutoffs: CutoffProfile,
     # the chart center follows the nodes in the batch: its row is the pole
     imask = depth >= cutoffs.delta - cutoffs.epsilon - eta - 2.0 * kernel.spacing
     x = np.concatenate([chart.points[imask], chart.center[None, :]])
-    _, d1, d2 = conv_i(x[:, 0], x[:, 1])
+    d1, d2 = conv_i(x[:, 0], x[:, 1], outputs=("d1", "d2"))
     ui = np.stack([-d2, d1], axis=-1)
     pole_u = ui[-1]
     u_vals[imask] += ui[:-1]
@@ -323,7 +348,11 @@ def _probe_divergence(conv_b, conv_i, chart, cutoffs, probe_n):
     uniform Cartesian probe grid (value-only shift-sums) and the centered
     difference divergence of its centered-difference curl is taken there.
     The two operators commute on that grid, so the result is rounding noise
-    for any psi^eta; it reads nothing of the returned u_eta."""
+    for any psi^eta; it reads nothing of the returned u_eta.
+
+    The divergence is read on the core: the points more than two probe
+    cells deep whose two-cell neighbourhood is too.  On the disk that core
+    is empty for probe_n <= 10, which raises MollifyError."""
     lo = np.min(chart.curve.x, axis=0)
     hi = np.max(chart.curve.x, axis=0)
     xs = np.linspace(lo[0], hi[0], probe_n)
@@ -334,26 +363,27 @@ def _probe_divergence(conv_b, conv_i, chart, cutoffs, probe_n):
     pts = np.stack([X.ravel(), Y.ravel()], axis=-1)
     depth, theta = (c.reshape(X.shape) for c in chart.collar_coords(pts))
     inside = depth > 2.0 * max(hp_x, hp_y)
-    psi = np.zeros_like(X)
-    # boundary part of psi on the probe points near the collar
-    eta = conv_b.kernel.eta
-    near = inside & (depth <= cutoffs.delta + 2.0 * eta)
-    if np.any(near):
-        psi[near] += conv_b(depth[near], theta[near], value_only=True)
-    deep = inside & (depth >= cutoffs.delta - cutoffs.epsilon -
-                     2.0 * conv_i.kernel.eta)
-    if np.any(deep):
-        psi[deep] += conv_i(X[deep], Y[deep], value_only=True)
-    # u = grad^perp psi by centered differences, divergence likewise
     core = np.zeros_like(inside)
     core[2:-2, 2:-2] = True
     for shift in ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1),
                   (-1, 1), (-1, -1), (2, 0), (-2, 0), (0, 2), (0, -2)):
         core &= np.roll(np.roll(inside, shift[0], axis=0), shift[1], axis=1)
+    if not np.any(core):
+        raise MollifyError(f"probe_n = {probe_n} leaves the divergence "
+                           "probe no core point")
+    psi = np.zeros_like(X)
+    # boundary part of psi on the probe points near the collar
+    eta = conv_b.kernel.eta
+    near = inside & (depth <= cutoffs.delta + 2.0 * eta)
+    if np.any(near):
+        psi[near] += conv_b(depth[near], theta[near], outputs=("value",))[0]
+    deep = inside & (depth >= cutoffs.delta - cutoffs.epsilon -
+                     2.0 * conv_i.kernel.eta)
+    if np.any(deep):
+        psi[deep] += conv_i(X[deep], Y[deep], outputs=("value",))[0]
+    # u = grad^perp psi by centered differences, divergence likewise
     u1 = -(np.roll(psi, -1, axis=1) - np.roll(psi, 1, axis=1)) / (2.0 * hp_y)
     u2 = (np.roll(psi, -1, axis=0) - np.roll(psi, 1, axis=0)) / (2.0 * hp_x)
     div = (np.roll(u1, -1, axis=0) - np.roll(u1, 1, axis=0)) / (2.0 * hp_x) \
         + (np.roll(u2, -1, axis=1) - np.roll(u2, 1, axis=1)) / (2.0 * hp_y)
-    if not np.any(core):
-        return 0.0
     return float(np.max(np.abs(div[core])))

@@ -88,6 +88,28 @@ def test_n_sub_guard():
         load_config(overrides=["mollify.n_sub=1"])
 
 
+@pytest.mark.parametrize("override", [
+    "mollify.probe_n=1", "mollify.probe_n=2.5", "mollify.probe_n=10",
+    "mollify.probe_n=true", "mollify.n_sub=2.5", "mollify.n_sub=true",
+])
+def test_mollify_integer_guards_exit_code(tmp_path, capsys, override):
+    # a fractional size used to end in a TypeError, probe_n = 1 in an
+    # IndexError, and probe_n <= 10 in a divergence_max of 0.0 read on no
+    # point at all
+    out = tmp_path / "out"
+    rc = main(["solve", *SMALL, "--set", override, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("config error") and override.split("=")[0] in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_smallest_probe_grid_accepted():
+    assert load_config(overrides=["mollify.probe_n=11"])["mollify"] == {
+        "n_sub": 4, "probe_n": 11}
+
+
 def test_alpha_range_guard():
     with pytest.raises(ConfigError, match="outside"):
         load_config(overrides=["study.alphas=[1.5]"])

@@ -127,6 +127,10 @@ def test_rough_stream_psi_is_pointwise(disk_chart_fine, j_max):
         [rough.psi(pts[i:i + 7]) for i in range(0, len(pts), 7)]))
     assert np.array_equal(rough.psi(pts.reshape(20, 30, 2)),
                           stacked.reshape(20, 30))
+    # the samplers pass a (K, N, 2) view of a component-major array
+    by_component = np.ascontiguousarray(np.moveaxis(pts, -1, 0))
+    assert np.array_equal(rough.psi(np.moveaxis(by_component, 0, -1)),
+                          stacked)
     # the modes are added as np.sum adds them (on two or more points: a
     # lone row takes another BLAS path, whose products add the other way)
     rel = pts - rough.center

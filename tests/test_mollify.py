@@ -124,28 +124,32 @@ def _interior_shift(sampler, x1, x2):
 
 def _per_shift_sum(conv, shift_sample, x1, x2):
     """(value, d1, d2) one shift at a time, in row-major shift order."""
-    val, d1, d2 = (np.zeros_like(x1) for _ in range(3))
+    weights = [conv.weights[name] for name in ("value", "d1", "d2")]
+    sums = [np.zeros_like(x1) for _ in weights]
     for a, sa in enumerate(conv.shifts):
         for b, sb in enumerate(conv.shifts):
-            if conv.w0[a, b] == 0.0 and conv.w1[a, b] == 0.0 \
-                    and conv.w2[a, b] == 0.0:
+            if all(w[a, b] == 0.0 for w in weights):
                 continue
             sample = shift_sample(x1 - sa, x2 - sb)
-            if conv.w0[a, b] != 0.0:
-                val += conv.w0[a, b] * sample
-            if conv.w1[a, b] != 0.0:
-                d1 += conv.w1[a, b] * sample
-            if conv.w2[a, b] != 0.0:
-                d2 += conv.w2[a, b] * sample
-    return val, d1, d2
+            for total, w in zip(sums, weights):
+                if w[a, b] != 0.0:
+                    total += w[a, b] * sample
+    return tuple(sums)
 
 
-def _active_shifts(conv, value_only):
-    """(sa, sb) of the shifts with a nonzero weight, in row-major order."""
-    weights = (conv.w0,) if value_only else (conv.w0, conv.w1, conv.w2)
+def _active_shifts(conv, outputs):
+    """(sa, sb) of the shifts where a named output has a nonzero weight, in
+    row-major order."""
+    weights = [conv.weights[name] for name in outputs]
     return [(sa, sb) for a, sa in enumerate(conv.shifts)
             for b, sb in enumerate(conv.shifts)
             if any(w[a, b] != 0.0 for w in weights)]
+
+
+# the requests a record makes: every output (boundary nodes), the
+# derivatives alone (interior nodes) and the value alone (the probe), with
+# their active shift counts
+REQUESTS = {("value", "d1", "d2"): 69, ("d1", "d2"): 68, ("value",): 45}
 
 
 # the sampled stream is the analytic one, the only kind the mollifier takes
@@ -162,9 +166,13 @@ def test_blocked_shift_sum_matches_per_shift_loop(disk_chart, cutoffs, stream,
     rng = np.random.default_rng(n_points)
     if part == "boundary":
         # depths on both sides of the wall and past the cutoff's support
-        # on both sides
+        # on both sides; then the wall from either side (s = +0.0, -0.0)
+        # and depths equal to stencil shifts, where s - a is exactly 0 and
+        # its sign is 0
         x1 = rng.uniform(-cutoffs.delta - 0.05, cutoffs.delta + 0.05,
                          n_points)
+        x1[-6:] = [0.0, -0.0, kernel.spacing, -kernel.spacing,
+                   5.0 * kernel.spacing, -5.0 * kernel.spacing]
         x2 = rng.uniform(0.0, disk_chart.curve.length, n_points)
         sampler = mollify._BoundarySampler(psi, cutoffs, disk_chart)
         shift_sample = _boundary_shift
@@ -181,11 +189,11 @@ def test_blocked_shift_sum_matches_per_shift_loop(disk_chart, cutoffs, stream,
         calls.append((x1.copy(), x2.copy(), shifts))
         return sampler(x1, x2, shifts)
 
-    def check_calls(value_only):
-        shifts = _active_shifts(conv, value_only)
-        assert len(shifts) == (45 if value_only else 69)
+    def check_calls(outputs):
+        shifts = _active_shifts(conv, outputs)
+        assert len(shifts) == REQUESTS[outputs]
         # every chunk gets the one _Shifts formed for the request
-        formed = conv._requests[value_only][0]
+        formed = conv._requests[outputs][0]
         assert all(c[2] is formed for c in calls)
         assert list(zip(formed.a, formed.b)) == shifts
         # the chunks cover every point once, in order, with no lone
@@ -198,19 +206,50 @@ def test_blocked_shift_sum_matches_per_shift_loop(disk_chart, cutoffs, stream,
         calls.clear()
 
     conv = mollify._StencilConvolution(recorded, kernel)
-    expected = _per_shift_sum(
-        conv, lambda x1, x2: shift_sample(sampler, x1, x2), x1, x2)
-    got = conv(x1, x2)
-    check_calls(value_only=False)
-    for e, g in zip(expected, got):
-        assert np.array_equal(e, g)
-        # an all-zero sum is +0.0, as the per-shift sum from zeros gives
-        assert np.array_equal(np.signbit(e), np.signbit(g))
-    assert np.any(expected[0] != 0.0) and np.any(expected[1] != 0.0)
-    value = conv(x1, x2, value_only=True)
-    check_calls(value_only=True)
-    assert np.array_equal(value, expected[0])
-    assert np.array_equal(np.signbit(value), np.signbit(expected[0]))
+    expected = dict(zip(("value", "d1", "d2"), _per_shift_sum(
+        conv, lambda x1, x2: shift_sample(sampler, x1, x2), x1, x2)))
+    assert np.any(expected["value"] != 0.0)
+    assert np.any(expected["d1"] != 0.0)
+    for outputs in REQUESTS:
+        got = conv(x1, x2, outputs=outputs)
+        check_calls(outputs)
+        assert len(got) == len(outputs)
+        for name, g in zip(outputs, got):
+            assert np.array_equal(expected[name], g)
+            # an all-zero sum is +0.0, as the per-shift sum from zeros gives
+            assert np.array_equal(np.signbit(expected[name]), np.signbit(g))
+
+
+def test_psi_is_sampled_in_the_closed_disk(disk_chart, cutoffs, collar):
+    # the samplers evaluate psi past the cutoff's support too, and weight
+    # it by zero there; that is safe for a stream defined on the closed
+    # disk only if every point it is given lies in it
+    rough = make_rough_stream(1.0 / 3.0, 7, 2, disk_chart)
+    radii = []
+
+    def recorded(pts):
+        rel = pts - disk_chart.center
+        radii.append(np.max(np.hypot(rel[..., 0], rel[..., 1])))
+        return rough.psi(pts)
+
+    for eta in (0.0125, 0.003125):
+        rv = mollify_velocity(recorded, disk_chart, eta, cutoffs, collar)
+        assert rv.trace_max <= 1e-10
+    # the wall is reached at radius R - |s - a| = R, up to the rounding of
+    # the angle's cosine and sine
+    assert max(radii) <= disk_chart.radius * (1.0 + 4.0 * np.finfo(float).eps)
+
+
+def test_empty_probe_core_raises(disk_chart, cutoffs, collar):
+    # a probe grid of side 10 has no point two cells inside the disk with
+    # its two-cell neighbourhood; it used to report divergence_max = 0.0
+    psi = make_rough_stream(1.0 / 3.0, 7, 2, disk_chart).psi
+    with pytest.raises(MollifyError, match="probe_n = 10"):
+        mollify_velocity(psi, disk_chart, 0.0125, cutoffs, collar,
+                         probe_n=10)
+    rv = mollify_velocity(psi, disk_chart, 0.0125, cutoffs, collar,
+                          probe_n=11)
+    assert 0.0 < rv.divergence_max <= 1e-8
 
 
 @pytest.mark.parametrize("eta", [0.0125, 0.00625, 0.003125])
