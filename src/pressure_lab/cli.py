@@ -112,7 +112,28 @@ def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _integer_leaves(cfg):
+    """(dotted key, value) of each config leaf, or list entry, that must
+    be an integer; mollify's keys have guards of their own."""
+    yield "domain.nodes", cfg["domain"]["nodes"]
+    for key, value in cfg["grid"].items():
+        yield f"grid.{key}", value
+    for key in ("seed", "j_max"):
+        yield f"field.{key}", cfg["field"][key]
+    for key in ("plan_seed", "n_random"):
+        yield f"norms.{key}", cfg["norms"][key]
+    for value in cfg["study"]["seeds"]:
+        yield "study.seeds", value
+    yield "jobs", cfg["jobs"]
+
+
 def validate_config(cfg):
+    for key, value in cfg["study"].items():
+        if not isinstance(value, list):
+            raise ConfigError(f"study.{key} = {value!r} must be a list")
+    for key, value in _integer_leaves(cfg):
+        if not _is_int(value):
+            raise ConfigError(f"{key} = {value!r} must be an integer")
     c = cfg["cutoffs"]
     try:
         build_cutoffs(c["delta"], c["epsilon"],
@@ -201,7 +222,7 @@ def cmd_solve(cfg):
     # the H^-2 norm of the boundary trace needs a power-of-two collar grid;
     # study reads no trace, so the check is solve's own
     n_theta = cfg["grid"]["collar_n_theta"]
-    if not isinstance(n_theta, int) or n_theta < 2 or n_theta & (n_theta - 1):
+    if n_theta < 2 or n_theta & (n_theta - 1):
         raise ConfigError(f"grid.collar_n_theta = {n_theta} must be an "
                           "integer power of two for the boundary trace's "
                           "H^-2 norm")

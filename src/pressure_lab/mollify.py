@@ -40,6 +40,18 @@ whose row gives the pole velocity.  The boundary batch reads all three
 outputs; the interior batch reads the two derivatives only, and so skips
 the center shift, whose derivative weights are zero.
 
+The two node batches run on the calling thread and the probe's two sums on
+one helper thread started per call and joined before mollify_velocity
+returns, so no thread outlives a call (a process that forks afterwards,
+such as a study's worker pool, copies none).  The probe depends on psi
+alone and has its own convolutions, so the threads share no mutable state;
+numpy releases the GIL in the sine, BLAS and reduction loops of each
+chunk, so the two halves run mostly in parallel, and each sum does the
+same operations in the same order as it would alone.  The pressure solve
+that follows stays on one thread: its CG makes about thirty short numpy
+calls per iteration, and the GIL hand-offs of running the probe beside it
+cost more than the overlap saved.
+
 divergence_max does not measure the returned u_eta.  It is the rounding of
 the centered-difference divergence of a centered-difference curl of
 psi^eta on a uniform Cartesian probe grid, where the two difference
@@ -51,6 +63,7 @@ Both samplers read the stream function through the caller's callable of
 physical points, such as RoughStream.psi.
 """
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -282,19 +295,62 @@ def mollify_velocity(psi, chart: InteriorChart, eta, cutoffs: CutoffProfile,
     scale eta, on the nodes of the chart.
 
     psi is the stream function, a callable of physical points that vanishes
-    on the boundary (e.g. RoughStream.psi).  eta must satisfy
+    on the boundary (e.g. RoughStream.psi).  It is called from two threads
+    at once (the node batches and the divergence probe), so it must be a
+    pure function of its points, as RoughStream.psi is.  eta must satisfy
     eta <= epsilon / 4 so that supports stay inside the cutoff bands.
     """
     if eta > cutoffs.epsilon / 4.0 + 1e-12:
         raise MollifyError(f"eta = {eta:.3g} exceeds epsilon/4 = "
                            f"{cutoffs.epsilon / 4.0:.3g}")
     kernel = MollifierKernel(float(eta), n_sub=n_sub)
-    conv_b = _StencilConvolution(_BoundarySampler(psi, cutoffs, chart),
-                                 kernel)
-    conv_i = _StencilConvolution(_InteriorSampler(psi, cutoffs, chart),
-                                 kernel)
+    conv_b, conv_i = _convolutions(psi, kernel, cutoffs, chart)
 
-    # --- chart evaluation -------------------------------------------------
+    # --- divergence probe, on a helper thread beside the node batches ----
+    probe = {}
+
+    def run_probe():
+        try:
+            probe["max"] = _probe_divergence(
+                *_convolutions(psi, kernel, cutoffs, chart), chart, cutoffs,
+                probe_n)
+        except BaseException as exc:     # re-raised on the calling thread
+            probe["error"] = exc
+
+    helper = threading.Thread(target=run_probe, name="mollify-probe")
+    helper.start()
+    try:
+        u_eta, ut_boundary, un_vals, trace_max, tangency_max = _node_batches(
+            conv_b, conv_i, chart, eta, kernel, cutoffs, collar)
+    finally:
+        helper.join()
+    if "error" in probe:
+        raise probe["error"]
+
+    return RegularizedVelocity(
+        u_eta=u_eta,
+        eta=float(eta),
+        boundary_tangential=ut_boundary,
+        normal_component=un_vals,
+        trace_max=trace_max,
+        tangency_max=tangency_max,
+        divergence_max=probe["max"],
+    )
+
+
+def _convolutions(psi, kernel, cutoffs, chart):
+    """A (boundary, interior) pair of convolutions of psi; each has its own
+    request cache, so each thread gets its own pair."""
+    return (_StencilConvolution(_BoundarySampler(psi, cutoffs, chart),
+                                kernel),
+            _StencilConvolution(_InteriorSampler(psi, cutoffs, chart),
+                                kernel))
+
+
+def _node_batches(conv_b, conv_i, chart, eta, kernel, cutoffs, collar):
+    """(u_eta, boundary tangential, normal component, trace_max,
+    tangency_max) from the boundary and interior shift-sums at the chart
+    nodes."""
     th, tau, nrm, gam = chart.collar_frame
     depth = chart.node_depth             # the collar depth s of the nodes
     u_vals = np.zeros(depth.shape + (2,))
@@ -327,20 +383,8 @@ def mollify_velocity(psi, chart: InteriorChart, eta, cutoffs: CutoffProfile,
     pole_u = ui[-1]
     u_vals[imask] += ui[:-1]
     un_vals[imask] += np.einsum("jk,jk->j", ui[:-1], nrm[imask])
-
-    # --- divergence probe ------------------------------------------------
-    divergence_max = _probe_divergence(conv_b, conv_i, chart, cutoffs,
-                                       probe_n)
-
-    return RegularizedVelocity(
-        u_eta=GridField(chart, u_vals, pole=pole_u),
-        eta=float(eta),
-        boundary_tangential=ut_boundary,
-        normal_component=un_vals,
-        trace_max=trace_max,
-        tangency_max=tangency_max,
-        divergence_max=divergence_max,
-    )
+    return (GridField(chart, u_vals, pole=pole_u), ut_boundary, un_vals,
+            trace_max, tangency_max)
 
 
 def _probe_divergence(conv_b, conv_i, chart, cutoffs, probe_n):

@@ -2,6 +2,10 @@ import csv
 import io
 import json
 import os
+import signal
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -91,11 +95,19 @@ def test_n_sub_guard():
 @pytest.mark.parametrize("override", [
     "mollify.probe_n=1", "mollify.probe_n=2.5", "mollify.probe_n=10",
     "mollify.probe_n=true", "mollify.n_sub=2.5", "mollify.n_sub=true",
+    "domain.nodes=128.5", "grid.n_rho=32.5", "grid.n_theta=true",
+    "grid.collar_n_s=32.5", "grid.collar_n_theta=64.0", "field.seed=0.5",
+    "field.j_max=1.5", "norms.plan_seed=x", "norms.n_random=2000.5",
+    "study.seeds=[0.5]", "study.seeds=3", "study.alphas=0.5",
+    "study.etas=0.01", "jobs=1.5",
 ])
 def test_mollify_integer_guards_exit_code(tmp_path, capsys, override):
     # a fractional size used to end in a TypeError, probe_n = 1 in an
     # IndexError, and probe_n <= 10 in a divergence_max of 0.0 read on no
-    # point at all
+    # point at all; outside mollify, grid.collar_n_s = 32.5 ended in a
+    # TypeError, and grid.n_rho = 32.5, field.j_max = 1.5, norms.n_random =
+    # 2000.5 and study.seeds = [0.5] exited 0; a study list given as one
+    # number ended in a TypeError
     out = tmp_path / "out"
     rc = main(["solve", *SMALL, "--set", override, "--out", str(out)])
     err = capsys.readouterr().err
@@ -274,3 +286,48 @@ def test_study_setup_error_exit_code(tmp_path, capsys, jobs):
     assert rc == 1
     assert "radius must be positive" in err
     assert "Traceback" not in err
+
+
+def test_study_pool_forks_after_mollify(tmp_path):
+    # the pool workers of a study are forked from a process that has run
+    # mollify_velocity; a thread pool kept alive between calls would be
+    # copied into them without its thread, and the workers would wait on it
+    # for ever.  The run is a subprocess with a timeout, so that a hang
+    # fails the test instead of stalling it
+    script = textwrap.dedent(f"""
+        import sys
+        from pressure_lab.cli import main
+        from pressure_lab.fields import InteriorChart, make_rough_stream
+        from pressure_lab.geometry import (GeodesicChart, build_curve,
+                                           default_cutoffs)
+        from pressure_lab.mollify import mollify_velocity
+        curve = build_curve({{"kind": "circle", "radius": 1.0}}, 128)
+        chart = InteriorChart(curve, 32, 64)
+        cutoffs = default_cutoffs(0.4)
+        collar = GeodesicChart(curve, cutoffs.delta, 32, 64)
+        rough = make_rough_stream(0.5, 0, 1, chart)
+        mollify_velocity(rough.psi, chart, 0.0125, cutoffs, collar)
+        sys.exit(main(["study", *{SMALL!r},
+                       "--set", "study.alphas=[0.5]",
+                       "--set", "study.seeds=[0, 1]",
+                       "--set", "study.etas=[0.0125]",
+                       "--set", "field.j_max=1",
+                       "--out", {str(tmp_path / "out")!r}, "--jobs", "2"]))
+    """)
+    src = os.path.dirname(os.path.dirname(
+        os.path.abspath(sys.modules["pressure_lab"].__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    # a session of its own, so that a hang is ended with its pool workers
+    proc = subprocess.Popen([sys.executable, "-c", script], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("study --jobs 2 hung after mollify_velocity")
+    assert proc.returncode == 0, err.decode()
+    rows = (tmp_path / "out" / "ledger.csv").read_text().strip().splitlines()
+    assert len(rows) == 1 + 2

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -277,3 +280,70 @@ def test_pole_and_wall_trace_ride_in_the_node_batches(disk_chart, circle,
         np.zeros_like(collar.theta), collar.theta)
     assert rv.trace_max == np.max(np.abs(value))
     assert rv.tangency_max == np.max(np.abs(dt))
+
+
+# ----------------------------------------------------------------------
+# the divergence probe's helper thread
+# ----------------------------------------------------------------------
+
+def test_no_thread_outlives_mollify(disk_chart, cutoffs, collar):
+    # the probe runs on a helper thread started and joined per call: after a
+    # normal call, a probe that raises and a node batch that raises, no
+    # thread is left behind (a study forks its pool workers afterwards)
+    rough = make_rough_stream(1.0 / 3.0, 7, 2, disk_chart)
+    caller = threading.current_thread()
+    before = threading.active_count()
+    threads = set()
+
+    def recorded(pts):
+        threads.add(threading.current_thread())
+        return rough.psi(pts)
+
+    mollify_velocity(recorded, disk_chart, 0.0125, cutoffs, collar)
+    # psi was called on the caller's thread and on one other
+    assert caller in threads and len(threads) == 2
+    assert not any(t.is_alive() for t in threads - {caller})
+    assert threading.active_count() == before
+
+    with pytest.raises(MollifyError, match="probe_n = 10"):
+        mollify_velocity(rough.psi, disk_chart, 0.0125, cutoffs, collar,
+                         probe_n=10)
+    assert threading.active_count() == before
+
+    class NodeBatchError(Exception):
+        pass
+
+    def raising(pts):
+        if threading.current_thread() is caller:
+            raise NodeBatchError
+        return rough.psi(pts)
+
+    with pytest.raises(NodeBatchError):
+        mollify_velocity(raising, disk_chart, 0.0125, cutoffs, collar)
+    assert threading.active_count() == before
+
+
+def test_outputs_do_not_depend_on_thread_switching(disk_chart, cutoffs,
+                                                   collar):
+    # each shift-sum sees the same operations in the same order whatever
+    # the interleaving of the two threads: a switch every microsecond
+    # changes no bit, and divergence_max is the probe's own value
+    psi = make_rough_stream(1.0 / 3.0, 7, 2, disk_chart).psi
+    eta = 0.00625
+    default = mollify_velocity(psi, disk_chart, eta, cutoffs, collar)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        switched = mollify_velocity(psi, disk_chart, eta, cutoffs, collar)
+    finally:
+        sys.setswitchinterval(interval)
+    for name in ("boundary_tangential", "normal_component"):
+        assert np.array_equal(getattr(default, name), getattr(switched, name))
+    assert np.array_equal(default.u_eta.values, switched.u_eta.values)
+    assert np.array_equal(default.u_eta.pole, switched.u_eta.pole)
+    assert default.diagnostics() == switched.diagnostics()
+    kernel = MollifierKernel(eta)
+    alone = mollify._probe_divergence(
+        *mollify._convolutions(psi, kernel, cutoffs, disk_chart), disk_chart,
+        cutoffs, 128)
+    assert switched.divergence_max == alone
