@@ -50,6 +50,7 @@ from .mollify import (
     MollifierKernel,
     MollifyError,
     RegularizedVelocity,
+    divergence_probe,
     mollify_velocity,
 )
 from .pressure import (
@@ -87,6 +88,7 @@ __all__ = [
     "build_pair_plan",
     "c0_distance",
     "collar_flux_residual",
+    "divergence_probe",
     "eta_study",
     "h_minus2_norm",
     "holder_norm",

@@ -25,7 +25,8 @@ from .norms import NormError, build_pair_plan
 from .elliptic import SolverError
 from .mollify import MollifyError
 from .pressure import (EstimateLedger, PressureError, _collar_resample,
-                       boundary_trace, eta_study, solve_pressure)
+                       boundary_trace, eta_study, probe_beside_solve,
+                       solve_pressure)
 from . import report, verification
 
 DEFAULT_CONFIG = {
@@ -134,6 +135,9 @@ def validate_config(cfg):
     for key, value in _integer_leaves(cfg):
         if not _is_int(value):
             raise ConfigError(f"{key} = {value!r} must be an integer")
+    if cfg["jobs"] < 0:
+        raise ConfigError(f"jobs = {cfg['jobs']} must be >= 0 (0 runs one "
+                          "worker per core)")
     c = cfg["cutoffs"]
     try:
         build_cutoffs(c["delta"], c["epsilon"],
@@ -234,10 +238,10 @@ def cmd_solve(cfg):
     if rough is not None:
         from .mollify import mollify_velocity
         rv = mollify_velocity(rough.psi, chart, cfg["field"]["eta"], cutoffs,
-                              collar, n_sub=cfg["mollify"]["n_sub"],
-                              probe_n=cfg["mollify"]["probe_n"])
-        sol = solve_pressure(rv, chart=chart, cutoffs=cutoffs)
-        moll_diag = rv.diagnostics()
+                              collar, n_sub=cfg["mollify"]["n_sub"])
+        divergence_max, sol = probe_beside_solve(rough.psi, rv, cutoffs,
+                                                 **cfg["mollify"])
+        moll_diag = {**rv.diagnostics(), "divergence_max": divergence_max}
         u_for_trace = rv.u_eta
     else:
         sol = solve_pressure(u, chart=chart, cutoffs=cutoffs)

@@ -149,10 +149,15 @@ class InteriorChart:
 
     def depth(self, x, y):
         """Distance of the physical points (x, y) to the boundary circle."""
-        dx = x - self.center[0]
-        dy = y - self.center[1]
-        # the sum np.linalg.norm forms, by component instead of per point
-        return self.radius - np.sqrt(dx * dx + dy * dy)
+        dx = np.subtract(x, self.center[0], out=np.empty(np.shape(x)))
+        dy = np.subtract(y, self.center[1], out=np.empty(np.shape(y)))
+        # the sum np.linalg.norm forms, by component instead of per point,
+        # in the table of dx
+        dx *= dx
+        dy *= dy
+        dx += dy
+        np.sqrt(dx, out=dx)
+        return np.subtract(self.radius, dx, out=dx)[()]
 
     def _arc(self, rel):
         """Arc-length angle in [0, L] of points relative to the center."""
@@ -359,7 +364,17 @@ class RoughStream:
         x, y, phase = self._phases(pts)
         np.sin(phase, out=phase)
         phase *= self.amps[:, None]
-        return self._beta(x, y) * _sum_modes(phase).reshape(x.shape)
+        # the series is summed in the phase table's first row, beta is
+        # formed in the table of x and y as _beta forms it, and the product
+        # in the series
+        series = _sum_modes(phase).reshape(x.shape)
+        x *= x
+        y *= y
+        x += y
+        x /= self.radius**2
+        np.subtract(1.0, x, out=x)
+        series *= x
+        return series[()]
 
     def grad_psi(self, pts):
         """Pointwise, like psi; shape pts.shape."""
@@ -384,9 +399,11 @@ class RoughStream:
 def _sum_modes(terms):
     """Sum over the leading (mode) axis, left to right from zero, as np.sum
     adds the few modes a resolved field has (its pairwise summation only
-    reorders from 8 terms on)."""
-    out = np.zeros(terms.shape[1:])
-    for term in terms:
+    reorders from 8 terms on).  The sum is formed in the first term's row,
+    as 0.0 + t0 (= t0 + 0.0), then + t1, ..., and that row is returned."""
+    out = terms[0]
+    out += 0.0
+    for term in terms[1:]:
         out += term
     return out
 

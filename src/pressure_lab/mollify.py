@@ -17,11 +17,12 @@ w2 on a stencil one ring wider) of each smoothed part.
 The shift-sum runs in point-major blocks.  The points are split into equal
 chunks, and each sampler call takes one chunk with every active shift in
 row-major order, so the work that a shift component leaves unchanged is
-done once per distinct component value of the whole stencil.  Each output
-then adds its w * sample rows in that shift order, starting from +0.0, so
-the blocked sums are the per-shift sums bit for bit.  Each call names the
-outputs it reads, and visits only the shifts where one of their weights
-is nonzero.
+done once per distinct component value of the whole stencil.  The chunks
+write their points into one table, allocated once per shift-sum.  Each
+output then gathers its sample rows, scales them by w in place and adds
+them in that shift order, starting from +0.0, so the blocked sums are the
+per-shift sums bit for bit.  Each call names the outputs it reads, and
+visits only the shifts where one of their weights is nonzero.
 
 The samplers are dense: psi is evaluated on every (shift, point) pair of a
 chunk, also where the cutoff weight is zero (the boundary part past depth
@@ -33,31 +34,36 @@ as it is, so these pairs change no sum.  They cost psi points only: at
 more than on the support alone.
 
 A record makes four shift-sums: one boundary and one interior sum over
-the chart nodes, and the two value-only sums of the divergence probe.  The
-boundary batch ends with the collar wall (0, collar.theta), whose rows give
-trace_max and tangency_max; the interior batch ends with the chart center,
-whose row gives the pole velocity.  The boundary batch reads all three
-outputs; the interior batch reads the two derivatives only, and so skips
-the center shift, whose derivative weights are zero.
+the chart nodes in mollify_velocity, and the two value-only sums of
+divergence_probe.  The boundary batch ends with the collar wall
+(0, collar.theta), whose rows give trace_max and tangency_max; the interior
+batch ends with the chart center, whose row gives the pole velocity.  The
+boundary batch reads all three outputs; the interior batch reads the two
+derivatives only, and so skips the center shift, whose derivative weights
+are zero.
 
-The two node batches run on the calling thread and the probe's two sums on
-one helper thread started per call and joined before mollify_velocity
-returns, so no thread outlives a call (a process that forks afterwards,
-such as a study's worker pool, copies none).  The probe depends on psi
-alone and has its own convolutions, so the threads share no mutable state;
-numpy releases the GIL in the sine, BLAS and reduction loops of each
-chunk, so the two halves run mostly in parallel, and each sum does the
-same operations in the same order as it would alone.  The pressure solve
-that follows stays on one thread: its CG makes about thirty short numpy
-calls per iteration, and the GIL hand-offs of running the probe beside it
-cost more than the overlap saved.
-
-divergence_max does not measure the returned u_eta.  It is the rounding of
-the centered-difference divergence of a centered-difference curl of
-psi^eta on a uniform Cartesian probe grid, where the two difference
-operators commute, so it reads rounding noise for any psi^eta.  The
-returned u_eta differentiates the boundary and interior parts in their own
-coordinates, and is not divergence-free across the cutoff band.
+A record runs on two threads.  mollify_velocity runs its boundary batch on
+a helper thread beside its interior batch, and eta_study_record runs
+divergence_probe on a helper thread beside the pressure solve; the probe
+reads psi and nothing of u_eta, so it is the one piece of a record that can
+overlap the solve.  Each helper is started and joined per call (_beside),
+so no thread outlives a call (a process that forks afterwards, such as a
+study's worker pool, copies none).  The threads share no mutable state:
+each shift-sum has its own convolution, and psi is a pure function of its
+points.  numpy releases the GIL in the sine, BLAS and reduction loops of
+each chunk, and each sum does the same operations in the same order as it
+would alone, so every output is the serial one bit for bit.  The probe
+takes chunks of _PROBE_BLOCK_POINTS pairs, four times the nodes'
+_BLOCK_POINTS, because the solve beside it is the one part of a record
+that makes many short numpy calls: its CG makes about thirty calls of
+about 2 us per iteration, and each time the probe takes the GIL back
+between two array operations of a chunk, the CG waits for the probe's
+Python glue.  Measured at 64x128 on a 2-core VM (numpy path, BLAS on one
+thread, median of 36 records), the probe alone takes 21 ms and the solve
+alone 30 ms.  Side by side they take 52 ms at 8192-pair chunks, and a
+record 72 ms, more than the 69 ms of a record that ran the probe beside
+the node batches; at 32768-pair chunks they take 39 ms, and a record
+58 ms.
 
 Both samplers read the stream function through the caller's callable of
 physical points, such as RoughStream.psi.
@@ -82,6 +88,10 @@ class MollifyError(ValueError):
 # twice as many raised the peak RSS of a 64x128 study record by about 1 MB
 # and ran no faster
 _BLOCK_POINTS = 8192
+# (shift, point) pairs per sampler evaluation of the divergence probe, which
+# runs beside the pressure solve: fewer chunks take the GIL from the solve's
+# CG less often (see the module docstring)
+_PROBE_BLOCK_POINTS = 32768
 
 
 # ----------------------------------------------------------------------
@@ -120,14 +130,16 @@ class _StencilConvolution:
     """Pointwise convolution of a 2-variable sampler with a MollifierKernel:
     the smoothed value and its two centered first derivatives, of which
     each call names the ones it wants.  Each sampler call takes every active
-    shift on a chunk of points, at most _BLOCK_POINTS (shift, point) pairs.
+    shift on a chunk of points, at most block_points (shift, point) pairs.
     Callers pass at least two points: numpy sums a lone column pairwise, not
     in shift order, so a single point would match the per-shift sum only to
     rounding."""
 
-    def __init__(self, sampler, kernel: MollifierKernel):
+    def __init__(self, sampler, kernel: MollifierKernel,
+                 block_points=_BLOCK_POINTS):
         self.sampler = sampler
         self.kernel = kernel
+        self.block_points = block_points
         n = kernel.n_sub
         d = kernel.spacing
         # union stencil includes one extra ring for the derivative shifts
@@ -168,17 +180,26 @@ class _StencilConvolution:
         shifts, terms = self._request(tuple(outputs))
         outs = [np.empty_like(x1) for _ in terms]
         # equal chunks, so that a remainder is never a lone point
-        n = x1.size
-        n_chunks = -(-n // max(1, _BLOCK_POINTS // len(shifts.a)))
+        n, k = x1.size, len(shifts.a)
+        n_chunks = -(-n // max(1, self.block_points // k))
         bounds = [n * i // n_chunks for i in range(n_chunks + 1)]
+        # one table of points serves every chunk, so that the chunks reuse
+        # its memory: a fresh table per chunk, with psi's temporaries above
+        # it, is handed back to the system and faulted in again each chunk
+        points = np.empty(2 * k * -(-n // n_chunks))
         for lo, hi in zip(bounds[:-1], bounds[1:]):
-            samples = self.sampler(x1[lo:hi], x2[lo:hi], shifts)
+            samples = self.sampler(
+                x1[lo:hi], x2[lo:hi], shifts,
+                points[:2 * k * (hi - lo)].reshape(2, k, hi - lo))
             for out, (rows, w) in zip(outs, terms):
+                table = samples[rows]
+                table *= w
                 # rows added in shift order, from +0.0 (so a column of -0.0
                 # sums to +0.0 on any numpy, as it did shift by shift into
                 # zeros)
-                np.add.reduce(w * samples[rows], axis=0, initial=0.0,
-                              out=out[lo:hi])
+                np.add.reduce(table, axis=0, initial=0.0, out=out[lo:hi])
+            # freed before the next chunk is sampled
+            del samples, table
         return tuple(outs)
 
 
@@ -201,15 +222,16 @@ class _Sampler:
     """A cutoff-weighted part of the stream psi, a callable of physical
     points.
 
-    A sampler is called with N base points (x1, x2) and K _Shifts and
-    returns the (K, N) samples at (x1 - a_k, x2 - b_k); psi is evaluated
-    once, on the whole (K, N) table of points, a view of a (2, K, N) array
-    so that psi reads each coordinate contiguously.  A pair where the cutoff
-    weight vanishes is evaluated too, and its sample is the signed zero
-    0 * psi; the shift-sum adds it to a partial sum started at +0.0, which
-    it leaves as it was (such a partial sum is never -0.0), so these pairs
-    change no sum.  Every such point lies in the closed disk, where psi is
-    defined.
+    A sampler is called with N base points (x1, x2), K _Shifts and a
+    (2, K, N) array xy that it may overwrite, and returns the (K, N)
+    samples at (x1 - a_k, x2 - b_k).  It writes the points into xy,
+    component by component, and psi is evaluated once, on the whole
+    (K, N, 2) view of it, so that psi reads each coordinate contiguously.
+    A pair where the cutoff weight vanishes is evaluated too, and its
+    sample is the signed zero 0 * psi; the shift-sum adds it to a partial
+    sum started at +0.0, which it leaves as it was (such a partial sum is
+    never -0.0), so these pairs change no sum.  Every such point lies in
+    the closed disk, where psi is defined.
     """
 
     def __init__(self, psi, cutoffs: CutoffProfile, chart: InteriorChart):
@@ -223,31 +245,45 @@ class _BoundarySampler(_Sampler):
 
     Exactly odd: f(-s, theta) = -f(s, theta); zero for s >= delta (the cutoff
     vanishes there), which keeps the convolution footprint inside the collar.
-    The depth terms (|s - a|, its sign, the cutoff and the radius R - |s - a|)
-    are computed once per distinct shift component a and the angle terms
-    once per distinct b; row gathers of them form the (K, N) table of points,
-    and psi is evaluated on all of it, past the cutoff's support too.  A
-    record's batches keep |s - a| below delta + 3 eta, so those points lie
-    at radius R - |s - a|, inside the disk.
+    The depth terms (|s - a|, the signed cutoff sign(s - a) phi(|s - a|)
+    and the radius R - |s - a|) are computed once per distinct shift
+    component a and the angle terms once per distinct b; row gathers of
+    them form the (K, N) table of points, and psi is evaluated on all of it,
+    past the cutoff's support too.  The sign is -1, 0 or 1, so the signed
+    cutoff times psi is sign * (cutoff * psi) exactly.  A record's batches
+    keep |s - a| below delta + 3 eta, so those points lie at radius
+    R - |s - a|, inside the disk.
     """
 
-    def __call__(self, s, theta, shifts):
+    def __call__(self, s, theta, shifts, xy):
         chart = self.chart
         ia, ib = shifts.ia, shifts.ib
         shifted = s - shifts.ua[:, None]
         depth = np.abs(shifted)
-        cut = np.zeros_like(depth)
-        inside = depth < self.cutoffs.delta
-        cut[inside] = self.cutoffs.phi(depth[inside])
+        # phi is exactly 1 up to delta - epsilon, so it is evaluated on the
+        # band (delta - epsilon, delta) only, as the interior sampler does
+        plateau = self.cutoffs.delta - self.cutoffs.epsilon
+        cut = (depth <= plateau).astype(float)
+        band = (depth > plateau) & (depth < self.cutoffs.delta)
+        cut[band] = self.cutoffs.phi(depth[band])
+        signed_cut = np.sign(shifted)
+        signed_cut *= cut
         rad = (chart.radius - depth)[ia]
+        del shifted, depth, cut, band
         ang = ((theta - shifts.ub[:, None]) % chart.curve.length) \
             / chart.radius
-        xy = np.empty((2,) + rad.shape)
-        np.multiply(rad, np.cos(ang)[ib], out=xy[0])
-        np.multiply(rad, np.sin(ang)[ib], out=xy[1])
+        # mode="clip" takes straight into out (the default mode goes through
+        # a buffer); ia and ib index the distinct values, so none is clipped
+        np.take(np.cos(ang), ib, axis=0, out=xy[0], mode="clip")
+        np.take(np.sin(ang), ib, axis=0, out=xy[1], mode="clip")
+        xy *= rad
+        del rad, ang
         xy += chart.center[:, None, None]
         psi = self.psi(np.moveaxis(xy, 0, -1))
-        return np.sign(shifted)[ia] * (cut[ia] * psi)
+        # the signed cutoff is gathered into the table of points, read by now
+        np.take(signed_cut, ia, axis=0, out=xy[0], mode="clip")
+        psi *= xy[0]
+        return psi
 
 
 class _InteriorSampler(_Sampler):
@@ -257,16 +293,19 @@ class _InteriorSampler(_Sampler):
     < depth < delta (the cutoff is evaluated there only) and exactly 1
     deeper."""
 
-    def __call__(self, x1, x2, shifts):
-        xy = np.empty((2, len(shifts.a), len(x1)))
-        p1 = np.subtract(x1, shifts.a[:, None], out=xy[0])
-        p2 = np.subtract(x2, shifts.b[:, None], out=xy[1])
-        depth = self.chart.depth(p1, p2)
-        support = depth > self.cutoffs.delta - self.cutoffs.epsilon
-        weight = support.astype(float)
-        band = support & (depth < self.cutoffs.delta)
-        weight[band] = 1.0 - self.cutoffs.phi(depth[band])
-        return weight * self.psi(np.moveaxis(xy, 0, -1))
+    def __call__(self, x1, x2, shifts, xy):
+        np.subtract(x1, shifts.a[:, None], out=xy[0])
+        np.subtract(x2, shifts.b[:, None], out=xy[1])
+        psi = self.psi(np.moveaxis(xy, 0, -1))
+        # the weight is formed in the depth's own table
+        weight = self.chart.depth(xy[0], xy[1])
+        support = weight > self.cutoffs.delta - self.cutoffs.epsilon
+        band = support & (weight < self.cutoffs.delta)
+        in_band = 1.0 - self.cutoffs.phi(weight[band])
+        np.copyto(weight, support)
+        weight[band] = in_band
+        psi *= weight
+        return psi
 
 
 # ----------------------------------------------------------------------
@@ -281,80 +320,27 @@ class RegularizedVelocity:
     normal_component: np.ndarray         # u^eta . n at the chart nodes
     trace_max: float
     tangency_max: float
-    divergence_max: float
 
     def diagnostics(self):
         return {"eta": self.eta, "trace_max": self.trace_max,
-                "tangency_max": self.tangency_max,
-                "divergence_max": self.divergence_max}
+                "tangency_max": self.tangency_max}
 
 
 def mollify_velocity(psi, chart: InteriorChart, eta, cutoffs: CutoffProfile,
-                     collar: GeodesicChart, n_sub=4, probe_n=128):
+                     collar: GeodesicChart, n_sub=4):
     """Regularize the divergence-free tangential field grad^perp psi at
     scale eta, on the nodes of the chart.
 
     psi is the stream function, a callable of physical points that vanishes
     on the boundary (e.g. RoughStream.psi).  It is called from two threads
-    at once (the node batches and the divergence probe), so it must be a
+    at once (the boundary and the interior node batch), so it must be a
     pure function of its points, as RoughStream.psi is.  eta must satisfy
     eta <= epsilon / 4 so that supports stay inside the cutoff bands.
     """
-    if eta > cutoffs.epsilon / 4.0 + 1e-12:
-        raise MollifyError(f"eta = {eta:.3g} exceeds epsilon/4 = "
-                           f"{cutoffs.epsilon / 4.0:.3g}")
-    kernel = MollifierKernel(float(eta), n_sub=n_sub)
-    conv_b, conv_i = _convolutions(psi, kernel, cutoffs, chart)
-
-    # --- divergence probe, on a helper thread beside the node batches ----
-    probe = {}
-
-    def run_probe():
-        try:
-            probe["max"] = _probe_divergence(
-                *_convolutions(psi, kernel, cutoffs, chart), chart, cutoffs,
-                probe_n)
-        except BaseException as exc:     # re-raised on the calling thread
-            probe["error"] = exc
-
-    helper = threading.Thread(target=run_probe, name="mollify-probe")
-    helper.start()
-    try:
-        u_eta, ut_boundary, un_vals, trace_max, tangency_max = _node_batches(
-            conv_b, conv_i, chart, eta, kernel, cutoffs, collar)
-    finally:
-        helper.join()
-    if "error" in probe:
-        raise probe["error"]
-
-    return RegularizedVelocity(
-        u_eta=u_eta,
-        eta=float(eta),
-        boundary_tangential=ut_boundary,
-        normal_component=un_vals,
-        trace_max=trace_max,
-        tangency_max=tangency_max,
-        divergence_max=probe["max"],
-    )
-
-
-def _convolutions(psi, kernel, cutoffs, chart):
-    """A (boundary, interior) pair of convolutions of psi; each has its own
-    request cache, so each thread gets its own pair."""
-    return (_StencilConvolution(_BoundarySampler(psi, cutoffs, chart),
-                                kernel),
-            _StencilConvolution(_InteriorSampler(psi, cutoffs, chart),
-                                kernel))
-
-
-def _node_batches(conv_b, conv_i, chart, eta, kernel, cutoffs, collar):
-    """(u_eta, boundary tangential, normal component, trace_max,
-    tangency_max) from the boundary and interior shift-sums at the chart
-    nodes."""
+    kernel = _kernel(eta, cutoffs, n_sub)
+    conv_b, conv_i = _convolutions(psi, kernel, cutoffs, chart, _BLOCK_POINTS)
     th, tau, nrm, gam = chart.collar_frame
     depth = chart.node_depth             # the collar depth s of the nodes
-    u_vals = np.zeros(depth.shape + (2,))
-    un_vals = np.zeros_like(depth)
 
     # the smoothed boundary part reaches at most depth delta + eta.  The
     # collar wall (0, collar.theta) follows the nodes in the batch, for
@@ -363,9 +349,18 @@ def _node_batches(conv_b, conv_i, chart, eta, kernel, cutoffs, collar):
     # the boundary tangential component
     bmask = depth <= cutoffs.delta + eta + 2.0 * kernel.spacing
     n_b = np.count_nonzero(bmask)
-    pb, ds, dt = conv_b(np.concatenate([depth[bmask],
-                                        np.zeros_like(collar.theta)]),
-                        np.concatenate([th[bmask], collar.theta]))
+    s_b = np.concatenate([depth[bmask], np.zeros_like(collar.theta)])
+    theta_b = np.concatenate([th[bmask], collar.theta])
+    # the chart center follows the nodes in the batch: its row is the pole
+    imask = depth >= cutoffs.delta - cutoffs.epsilon - eta - 2.0 * kernel.spacing
+    x = np.concatenate([chart.points[imask], chart.center[None, :]])
+
+    (pb, ds, dt), (d1, d2) = _beside(
+        lambda: conv_b(s_b, theta_b),
+        lambda: conv_i(x[:, 0], x[:, 1], outputs=("d1", "d2")))
+
+    u_vals = np.zeros(depth.shape + (2,))
+    un_vals = np.zeros_like(depth)
     trace_max = float(np.max(np.abs(pb[n_b:])))
     tangency_max = float(np.max(np.abs(dt[n_b:])))   # J = 1 at s = 0
     J = 1.0 + depth[bmask] * gam[bmask]
@@ -373,30 +368,82 @@ def _node_batches(conv_b, conv_i, chart, eta, kernel, cutoffs, collar):
     un = dt[:n_b] / J
     u_vals[bmask] += ut[:, None] * tau[bmask] + un[:, None] * nrm[bmask]
     un_vals[bmask] += un
-    ut_boundary = ut[-chart.n_theta:]
 
-    # the chart center follows the nodes in the batch: its row is the pole
-    imask = depth >= cutoffs.delta - cutoffs.epsilon - eta - 2.0 * kernel.spacing
-    x = np.concatenate([chart.points[imask], chart.center[None, :]])
-    d1, d2 = conv_i(x[:, 0], x[:, 1], outputs=("d1", "d2"))
     ui = np.stack([-d2, d1], axis=-1)
-    pole_u = ui[-1]
     u_vals[imask] += ui[:-1]
     un_vals[imask] += np.einsum("jk,jk->j", ui[:-1], nrm[imask])
-    return (GridField(chart, u_vals, pole=pole_u), ut_boundary, un_vals,
-            trace_max, tangency_max)
+    return RegularizedVelocity(
+        u_eta=GridField(chart, u_vals, pole=ui[-1]),
+        eta=float(eta),
+        boundary_tangential=ut[-chart.n_theta:],
+        normal_component=un_vals,
+        trace_max=trace_max,
+        tangency_max=tangency_max,
+    )
 
 
-def _probe_divergence(conv_b, conv_i, chart, cutoffs, probe_n):
-    """Rounding of a difference-curl's divergence: psi^eta is resampled on a
-    uniform Cartesian probe grid (value-only shift-sums) and the centered
-    difference divergence of its centered-difference curl is taken there.
-    The two operators commute on that grid, so the result is rounding noise
-    for any psi^eta; it reads nothing of the returned u_eta.
+def _kernel(eta, cutoffs, n_sub):
+    """The kernel at scale eta, which must keep supports inside the cutoff
+    bands: eta <= epsilon / 4."""
+    if eta > cutoffs.epsilon / 4.0 + 1e-12:
+        raise MollifyError(f"eta = {eta:.3g} exceeds epsilon/4 = "
+                           f"{cutoffs.epsilon / 4.0:.3g}")
+    return MollifierKernel(float(eta), n_sub=n_sub)
+
+
+def _convolutions(psi, kernel, cutoffs, chart, block_points):
+    """A (boundary, interior) pair of convolutions of psi; each has its own
+    request cache, so two threads never share one."""
+    return (_StencilConvolution(_BoundarySampler(psi, cutoffs, chart),
+                                kernel, block_points),
+            _StencilConvolution(_InteriorSampler(psi, cutoffs, chart),
+                                kernel, block_points))
+
+
+def _beside(helper, main):
+    """(helper(), main()), with helper run on a thread started and joined
+    here and main on the calling thread.  If either raises, the call raises
+    once both are done; if both raise, it raises helper's exception, the
+    one that running helper first and main second would raise."""
+    box = {}
+
+    def run():
+        try:
+            box["result"] = helper()
+        except BaseException as exc:     # re-raised on the calling thread
+            box["error"] = exc
+
+    thread = threading.Thread(target=run, name="pressure-lab-helper")
+    thread.start()
+    try:
+        result = main()
+    finally:
+        thread.join()
+        if "error" in box:
+            raise box.pop("error")
+    return box["result"], result
+
+
+def divergence_probe(psi, chart: InteriorChart, eta, cutoffs: CutoffProfile,
+                     n_sub=4, probe_n=128):
+    """Rounding of a difference-curl's divergence, the divergence_max of a
+    record: psi^eta is resampled on a uniform Cartesian probe grid of side
+    probe_n (value-only shift-sums, with the kernel mollify_velocity uses
+    at the same eta and n_sub) and the centered-difference divergence of
+    its centered-difference curl is taken there.
+
+    It does not measure the u_eta that mollify_velocity returns.  The two
+    difference operators commute on the probe grid, so the result is
+    rounding noise for any psi^eta; it reads nothing of u_eta, which
+    differentiates the boundary and interior parts in their own coordinates
+    and is not divergence-free across the cutoff band.
 
     The divergence is read on the core: the points more than two probe
     cells deep whose two-cell neighbourhood is too.  On the disk that core
     is empty for probe_n <= 10, which raises MollifyError."""
+    kernel = _kernel(eta, cutoffs, n_sub)
+    conv_b, conv_i = _convolutions(psi, kernel, cutoffs, chart,
+                                   _PROBE_BLOCK_POINTS)
     lo = np.min(chart.curve.x, axis=0)
     hi = np.max(chart.curve.x, axis=0)
     xs = np.linspace(lo[0], hi[0], probe_n)
@@ -406,6 +453,7 @@ def _probe_divergence(conv_b, conv_i, chart, cutoffs, probe_n):
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     pts = np.stack([X.ravel(), Y.ravel()], axis=-1)
     depth, theta = (c.reshape(X.shape) for c in chart.collar_coords(pts))
+    del pts
     inside = depth > 2.0 * max(hp_x, hp_y)
     core = np.zeros_like(inside)
     core[2:-2, 2:-2] = True
@@ -415,19 +463,28 @@ def _probe_divergence(conv_b, conv_i, chart, cutoffs, probe_n):
     if not np.any(core):
         raise MollifyError(f"probe_n = {probe_n} leaves the divergence "
                            "probe no core point")
-    psi = np.zeros_like(X)
-    # boundary part of psi on the probe points near the collar
-    eta = conv_b.kernel.eta
-    near = inside & (depth <= cutoffs.delta + 2.0 * eta)
-    if np.any(near):
-        psi[near] += conv_b(depth[near], theta[near], outputs=("value",))[0]
+    # the boundary part of psi^eta on the probe points near the collar,
+    # the interior part on the deep ones.  The grids are freed once read,
+    # and psi^eta is assembled after the shift-sums, so that their chunks
+    # reuse the memory the grids held
+    near = inside & (depth <= cutoffs.delta + 2.0 * kernel.eta)
     deep = inside & (depth >= cutoffs.delta - cutoffs.epsilon -
-                     2.0 * conv_i.kernel.eta)
-    if np.any(deep):
-        psi[deep] += conv_i(X[deep], Y[deep], outputs=("value",))[0]
-    # u = grad^perp psi by centered differences, divergence likewise
-    u1 = -(np.roll(psi, -1, axis=1) - np.roll(psi, 1, axis=1)) / (2.0 * hp_y)
-    u2 = (np.roll(psi, -1, axis=0) - np.roll(psi, 1, axis=0)) / (2.0 * hp_x)
-    div = (np.roll(u1, -1, axis=0) - np.roll(u1, 1, axis=0)) / (2.0 * hp_x) \
-        + (np.roll(u2, -1, axis=1) - np.roll(u2, 1, axis=1)) / (2.0 * hp_y)
-    return float(np.max(np.abs(div[core])))
+                     2.0 * kernel.eta)
+    near_st = depth[near], theta[near]
+    deep_xy = X[deep], Y[deep]
+    del X, Y, depth, theta, inside
+    psi_b = conv_b(*near_st, outputs=("value",))[0] if np.any(near) else 0.0
+    psi_i = conv_i(*deep_xy, outputs=("value",))[0] if np.any(deep) else 0.0
+    psi_eta = np.zeros((probe_n, probe_n))
+    psi_eta[near] += psi_b
+    psi_eta[deep] += psi_i
+    # u = grad^perp psi by centered differences, divergence likewise; the
+    # core lies two cells inside the grid, so the differences are taken on
+    # the slices that reach it, u1 on the columns 1..n-2 and u2 on the rows
+    # 1..n-2, and div on the rows and columns 1..n-2
+    u1 = -(psi_eta[:, 2:] - psi_eta[:, :-2]) / (2.0 * hp_y)
+    u2 = (psi_eta[2:, :] - psi_eta[:-2, :]) / (2.0 * hp_x)
+    del psi_eta
+    div = (u1[2:, :] - u1[:-2, :]) / (2.0 * hp_x) \
+        + (u2[:, 2:] - u2[:, :-2]) / (2.0 * hp_y)
+    return float(np.max(np.abs(div[core[1:-1, 1:-1]])))

@@ -17,7 +17,8 @@ from .fields import (FieldError, GridField, InteriorChart, collar_components,
 from .geometry import CutoffProfile, GeodesicChart, GeometryError
 from .elliptic import (LinearSolveReport, SlabOperator, SolverError,
                        solve_neumann)
-from .mollify import MollifyError, RegularizedVelocity, mollify_velocity
+from .mollify import (MollifyError, RegularizedVelocity, _beside,
+                      divergence_probe, mollify_velocity)
 from .norms import NormError, h_minus2_norm, holder_norm, c0_distance
 
 
@@ -72,6 +73,19 @@ def solve_pressure(u, chart: InteriorChart = None, collar: GeodesicChart = None,
     P = GridField(chart, p.values + cutoffs.phi(chart.node_depth) * un**2,
                   pole=p.pole)
     return PressureSolution(p=p, P=P, report=report)
+
+
+def probe_beside_solve(psi, rv: RegularizedVelocity, cutoffs: CutoffProfile,
+                       n_sub=4, probe_n=128):
+    """(divergence_max, PressureSolution) of a mollified stream psi: the
+    divergence probe of psi at rv's scale runs on a helper thread beside the
+    pressure solve of rv.  If both raise, the probe's error is raised, as it
+    was when the probe ran inside the mollifier, before the solve."""
+    chart = rv.u_eta.chart
+    return _beside(
+        lambda: divergence_probe(psi, chart, rv.eta, cutoffs, n_sub=n_sub,
+                                 probe_n=probe_n),
+        lambda: solve_pressure(rv, chart=chart, cutoffs=cutoffs))
 
 
 # ----------------------------------------------------------------------
@@ -363,11 +377,14 @@ def eta_study_record(rough, eta, cutoffs, collar, plan, prev_p=None,
                      mollify_kwargs=None):
     """One (field, eta) run: mollify, solve, measure.  Returns the ledger
     record plus the pressure samples (for the successive-eta C0 diagnostic).
+    mollify_kwargs may set n_sub and probe_n.
     """
     chart = rough.chart
+    mollify_kwargs = mollify_kwargs or {}
     rv = mollify_velocity(rough.psi, chart, eta, cutoffs, collar,
-                          **(mollify_kwargs or {}))
-    sol = solve_pressure(rv, chart=chart, cutoffs=cutoffs)
+                          n_sub=mollify_kwargs.get("n_sub", 4))
+    divergence_max, sol = probe_beside_solve(rough.psi, rv, cutoffs,
+                                             **mollify_kwargs)
     alpha = rough.alpha
     uu = holder_norm(tensor_square(rv.u_eta), alpha, plan)
     hp = holder_norm(sol.p, alpha, plan)
@@ -383,7 +400,7 @@ def eta_study_record(rough, eta, cutoffs, collar, plan, prev_p=None,
         "plan_seed": plan.seed, "pair_count": plan.n_pairs,
         "solver_iterations": sol.report.iterations,
         "trace_max": rv.trace_max, "tangency_max": rv.tangency_max,
-        "divergence_max": rv.divergence_max,
+        "divergence_max": divergence_max,
     }
     if uu.norm == 0.0:
         rec["degenerate"] = True

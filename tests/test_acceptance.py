@@ -13,7 +13,7 @@ from pressure_lab._fourier import fourier_diff
 from pressure_lab.elliptic import SlabOperator, solve_neumann
 from pressure_lab.fields import RadialFlow, make_rough_stream, radial_flow
 from pressure_lab.geometry import GeodesicChart, build_curve
-from pressure_lab.mollify import mollify_velocity
+from pressure_lab.mollify import divergence_probe, mollify_velocity
 from pressure_lab.norms import (build_pair_plan, c0_distance, h_minus2_norm,
                                 holder_norm)
 from pressure_lab.pressure import (_collar_resample, bc_equivalence_check,
@@ -168,7 +168,8 @@ def test_09_mollifier_suite(disk_chart, cutoffs, collar):
                                       collar)
                 assert rv.trace_max <= 1e-10
                 assert rv.tangency_max <= 1e-8
-                assert rv.divergence_max <= 1e-8
+                assert divergence_probe(rough.psi, disk_chart, eta,
+                                        cutoffs) <= 1e-8
                 ratio = holder_norm(rv.u_eta, alpha, plan).norm / base
                 assert ratio <= 5.0
                 c0_steps.append(c0_distance(rv.u_eta.values, u.values))

@@ -99,7 +99,7 @@ def test_n_sub_guard():
     "grid.collar_n_s=32.5", "grid.collar_n_theta=64.0", "field.seed=0.5",
     "field.j_max=1.5", "norms.plan_seed=x", "norms.n_random=2000.5",
     "study.seeds=[0.5]", "study.seeds=3", "study.alphas=0.5",
-    "study.etas=0.01", "jobs=1.5",
+    "study.etas=0.01", "jobs=1.5", "jobs=-3",
 ])
 def test_mollify_integer_guards_exit_code(tmp_path, capsys, override):
     # a fractional size used to end in a TypeError, probe_n = 1 in an
@@ -107,7 +107,7 @@ def test_mollify_integer_guards_exit_code(tmp_path, capsys, override):
     # point at all; outside mollify, grid.collar_n_s = 32.5 ended in a
     # TypeError, and grid.n_rho = 32.5, field.j_max = 1.5, norms.n_random =
     # 2000.5 and study.seeds = [0.5] exited 0; a study list given as one
-    # number ended in a TypeError
+    # number ended in a TypeError, and a negative jobs ran serially
     out = tmp_path / "out"
     rc = main(["solve", *SMALL, "--set", override, "--out", str(out)])
     err = capsys.readouterr().err

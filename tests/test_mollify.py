@@ -8,7 +8,7 @@ from pressure_lab import mollify
 from pressure_lab.fields import make_rough_stream
 from pressure_lab.geometry import GeodesicChart
 from pressure_lab.mollify import (MollifierKernel, MollifyError,
-                                  mollify_velocity)
+                                  divergence_probe, mollify_velocity)
 
 
 def test_kernel_unit_mass_and_support():
@@ -32,7 +32,7 @@ def test_mollify_invariants_one_field(disk_chart, cutoffs, collar):
     rv = mollify_velocity(rough.psi, disk_chart, 0.0125, cutoffs, collar)
     assert rv.trace_max <= 1e-10
     assert rv.tangency_max <= 1e-8
-    assert rv.divergence_max <= 1e-8
+    assert divergence_probe(rough.psi, disk_chart, 0.0125, cutoffs) <= 1e-8
     assert rv.u_eta.values.shape == disk_chart.points.shape
 
 
@@ -90,7 +90,8 @@ def test_mollify_diagnostics_record(disk_chart, cutoffs, collar):
     rough = make_rough_stream(0.25, 1, 1, disk_chart)
     rv = mollify_velocity(rough.psi, disk_chart, 0.00625, cutoffs, collar)
     d = rv.diagnostics()
-    assert set(d) == {"eta", "trace_max", "tangency_max", "divergence_max"}
+    # divergence_max is the probe's, not a property of the returned field
+    assert set(d) == {"eta", "trace_max", "tangency_max"}
     assert d["eta"] == 0.00625
 
 
@@ -188,9 +189,10 @@ def test_blocked_shift_sum_matches_per_shift_loop(disk_chart, cutoffs, stream,
         shift_sample = _interior_shift
     calls = []
 
-    def recorded(x1, x2, shifts):
+    def recorded(x1, x2, shifts, xy):
         calls.append((x1.copy(), x2.copy(), shifts))
-        return sampler(x1, x2, shifts)
+        assert xy.shape == (2, len(shifts.a), len(x1))
+        return sampler(x1, x2, shifts, xy)
 
     def check_calls(outputs):
         shifts = _active_shifts(conv, outputs)
@@ -221,6 +223,12 @@ def test_blocked_shift_sum_matches_per_shift_loop(disk_chart, cutoffs, stream,
             assert np.array_equal(expected[name], g)
             # an all-zero sum is +0.0, as the per-shift sum from zeros gives
             assert np.array_equal(np.signbit(expected[name]), np.signbit(g))
+    # the divergence probe's chunks are larger; the sums are the same
+    probe = mollify._StencilConvolution(sampler, kernel,
+                                        mollify._PROBE_BLOCK_POINTS)
+    value, = probe(x1, x2, outputs=("value",))
+    assert np.array_equal(expected["value"], value)
+    assert np.array_equal(np.signbit(expected["value"]), np.signbit(value))
 
 
 def test_psi_is_sampled_in_the_closed_disk(disk_chart, cutoffs, collar):
@@ -248,11 +256,12 @@ def test_empty_probe_core_raises(disk_chart, cutoffs, collar):
     # its two-cell neighbourhood; it used to report divergence_max = 0.0
     psi = make_rough_stream(1.0 / 3.0, 7, 2, disk_chart).psi
     with pytest.raises(MollifyError, match="probe_n = 10"):
-        mollify_velocity(psi, disk_chart, 0.0125, cutoffs, collar,
-                         probe_n=10)
-    rv = mollify_velocity(psi, disk_chart, 0.0125, cutoffs, collar,
-                          probe_n=11)
-    assert 0.0 < rv.divergence_max <= 1e-8
+        divergence_probe(psi, disk_chart, 0.0125, cutoffs, probe_n=10)
+    assert 0.0 < divergence_probe(psi, disk_chart, 0.0125, cutoffs,
+                                  probe_n=11) <= 1e-8
+    # the probe checks the mollifier's eta guard itself
+    with pytest.raises(MollifyError, match="eta"):
+        divergence_probe(psi, disk_chart, 0.1, cutoffs)
 
 
 @pytest.mark.parametrize("eta", [0.0125, 0.00625, 0.003125])
@@ -283,13 +292,15 @@ def test_pole_and_wall_trace_ride_in_the_node_batches(disk_chart, circle,
 
 
 # ----------------------------------------------------------------------
-# the divergence probe's helper thread
+# the boundary batch's helper thread
 # ----------------------------------------------------------------------
 
 def test_no_thread_outlives_mollify(disk_chart, cutoffs, collar):
-    # the probe runs on a helper thread started and joined per call: after a
-    # normal call, a probe that raises and a node batch that raises, no
-    # thread is left behind (a study forks its pool workers afterwards)
+    # the boundary node batch runs on a helper thread started and joined per
+    # call, beside the interior batch: after a normal call and after either
+    # batch or both raise, no thread is left behind (a study forks its pool
+    # workers afterwards), and the boundary batch's error wins, as it did
+    # when the boundary batch ran first
     rough = make_rough_stream(1.0 / 3.0, 7, 2, disk_chart)
     caller = threading.current_thread()
     before = threading.active_count()
@@ -305,29 +316,36 @@ def test_no_thread_outlives_mollify(disk_chart, cutoffs, collar):
     assert not any(t.is_alive() for t in threads - {caller})
     assert threading.active_count() == before
 
-    with pytest.raises(MollifyError, match="probe_n = 10"):
-        mollify_velocity(rough.psi, disk_chart, 0.0125, cutoffs, collar,
-                         probe_n=10)
-    assert threading.active_count() == before
-
-    class NodeBatchError(Exception):
+    class BoundaryError(Exception):
         pass
 
-    def raising(pts):
-        if threading.current_thread() is caller:
-            raise NodeBatchError
-        return rough.psi(pts)
+    class InteriorError(Exception):
+        pass
 
-    with pytest.raises(NodeBatchError):
-        mollify_velocity(raising, disk_chart, 0.0125, cutoffs, collar)
-    assert threading.active_count() == before
+    def raising(on_helper, on_caller):
+        def psi(pts):
+            if threading.current_thread() is caller:
+                if on_caller:
+                    raise InteriorError
+            elif on_helper:
+                raise BoundaryError
+            return rough.psi(pts)
+        return psi
+
+    for on_helper, on_caller, error in ((True, False, BoundaryError),
+                                        (False, True, InteriorError),
+                                        (True, True, BoundaryError)):
+        with pytest.raises(error):
+            mollify_velocity(raising(on_helper, on_caller), disk_chart,
+                             0.0125, cutoffs, collar)
+        assert threading.active_count() == before
 
 
 def test_outputs_do_not_depend_on_thread_switching(disk_chart, cutoffs,
                                                    collar):
     # each shift-sum sees the same operations in the same order whatever
     # the interleaving of the two threads: a switch every microsecond
-    # changes no bit, and divergence_max is the probe's own value
+    # changes no bit
     psi = make_rough_stream(1.0 / 3.0, 7, 2, disk_chart).psi
     eta = 0.00625
     default = mollify_velocity(psi, disk_chart, eta, cutoffs, collar)
@@ -342,8 +360,3 @@ def test_outputs_do_not_depend_on_thread_switching(disk_chart, cutoffs,
     assert np.array_equal(default.u_eta.values, switched.u_eta.values)
     assert np.array_equal(default.u_eta.pole, switched.u_eta.pole)
     assert default.diagnostics() == switched.diagnostics()
-    kernel = MollifierKernel(eta)
-    alone = mollify._probe_divergence(
-        *mollify._convolutions(psi, kernel, cutoffs, disk_chart), disk_chart,
-        cutoffs, 128)
-    assert switched.divergence_max == alone

@@ -1,17 +1,21 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 import sympy as sp
 
 from pressure_lab.elliptic import SolverError
-from pressure_lab.fields import GridField, make_rough_stream
-from pressure_lab.geometry import GeodesicChart
-from pressure_lab.mollify import mollify_velocity
-from pressure_lab.norms import build_pair_plan
+from pressure_lab.fields import GridField, InteriorChart, make_rough_stream
+from pressure_lab.geometry import GeodesicChart, build_curve
+from pressure_lab.mollify import (MollifyError, divergence_probe,
+                                  mollify_velocity)
+from pressure_lab.norms import build_pair_plan, c0_distance, holder_norm
 from pressure_lab.pressure import (EstimateLedger, PressureError,
                                    bc_equivalence_check, boundary_trace,
                                    collar_flux_residual, eta_study,
-                                   sanss2_rhs, solve_pressure, split_Pb,
-                                   tensor_square)
+                                   eta_study_record, sanss2_rhs,
+                                   solve_pressure, split_Pb, tensor_square)
 
 from conftest import disk_radii
 
@@ -278,6 +282,78 @@ def test_eta_study_propagates_programming_errors(disk_chart, cutoffs, collar,
     plan = build_pair_plan(disk_chart.points, seed=0, n_random=200)
     with pytest.raises(TypeError, match="bug"):
         eta_study([rough], [0.0125], cutoffs, collar, plan)
+
+
+def _serial_record(rough, eta, cutoffs, collar, plan, prev_p):
+    """The record of eta_study_record, from mollify_velocity, solve_pressure
+    and divergence_probe called one after the other on this thread."""
+    chart = rough.chart
+    rv = mollify_velocity(rough.psi, chart, eta, cutoffs, collar)
+    sol = solve_pressure(rv, chart=chart, cutoffs=cutoffs)
+    divergence_max = divergence_probe(rough.psi, chart, eta, cutoffs)
+    uu = holder_norm(tensor_square(rv.u_eta), rough.alpha, plan).norm
+    hP = holder_norm(sol.P, rough.alpha, plan).norm
+    sup_P = float(np.max(np.abs(sol.P.values)))
+    return {
+        "alpha": rough.alpha, "seed": rough.seed, "eta": eta,
+        "n_rho": chart.n_rho, "n_theta": chart.n_theta,
+        "uu_holder": uu, "p_holder": holder_norm(sol.p, rough.alpha,
+                                                 plan).norm,
+        "P_holder": hP, "P_sup": sup_P, "C_meas": hP / uu,
+        "C1_meas": sup_P / uu, "plan_seed": plan.seed,
+        "pair_count": plan.n_pairs,
+        "solver_iterations": sol.report.iterations,
+        "trace_max": rv.trace_max, "tangency_max": rv.tangency_max,
+        "divergence_max": divergence_max,
+        "p_c0_step": c0_distance(sol.p.values, prev_p),
+    }, sol.p.values
+
+
+def test_record_matches_serial_composition(disk_chart, cutoffs, collar):
+    # the probe runs on a helper thread beside the solve; the record is the
+    # serial composition's bit for bit, also when the threads switch every
+    # microsecond
+    rough = make_rough_stream(1.0 / 3.0, 7, 2, disk_chart)
+    plan = build_pair_plan(disk_chart.points, seed=0, n_random=2000)
+    prev = np.zeros(disk_chart.points.shape[:-1])
+    before = threading.active_count()
+    want, want_p = _serial_record(rough, 0.00625, cutoffs, collar, plan, prev)
+    interval = sys.getswitchinterval()
+    for switch in (interval, 1e-6):
+        sys.setswitchinterval(switch)
+        try:
+            rec, p = eta_study_record(rough, 0.00625, cutoffs, collar, plan,
+                                      prev_p=prev)
+        finally:
+            sys.setswitchinterval(interval)
+        assert rec == want
+        assert np.array_equal(p, want_p)
+        assert threading.active_count() == before
+
+
+def test_no_thread_outlives_a_record(cutoffs):
+    # alpha = 1/3 with one dyadic level fails the compatibility check of
+    # the solve at 32x64: a SolverError record.  A probe grid of side 10
+    # has no core: the probe's MollifyError, raised beside that same solve,
+    # wins, as it did when the probe ran inside the mollifier
+    curve = build_curve({"kind": "circle", "radius": 1.0}, 128)
+    chart = InteriorChart(curve, 32, 64)
+    collar = GeodesicChart(curve, cutoffs.delta, 32, 64)
+    plan = build_pair_plan(chart.points, seed=0, n_random=200)
+    before = threading.active_count()
+    good = make_rough_stream(0.5, 0, 1, chart)
+    rec, _ = eta_study_record(good, 0.0125, cutoffs, collar, plan)
+    assert "error" not in rec and rec["divergence_max"] <= 1e-8
+    assert threading.active_count() == before
+    bad = make_rough_stream(1.0 / 3.0, 7, 1, chart)
+    with pytest.raises(SolverError):
+        eta_study_record(bad, 0.0125, cutoffs, collar, plan)
+    assert threading.active_count() == before
+    for rough in (good, bad):
+        with pytest.raises(MollifyError, match="probe_n = 10"):
+            eta_study_record(rough, 0.0125, cutoffs, collar, plan,
+                             mollify_kwargs={"n_sub": 4, "probe_n": 10})
+        assert threading.active_count() == before
 
 
 def test_tensor_square(disk_chart):

@@ -9,7 +9,7 @@ checkouts whose digests agree produce the same outputs bit for bit on:
   chained largest eta first as a study chains them; a run that fails with
   a domain error (such as the compatibility check) is compared by its
   error text;
-- mollify_velocity on a rough stream at 64x128;
+- mollify_velocity and divergence_probe on a rough stream at 64x128;
 - two smooth-128 ops (V = r and V = r^2 at 128x256): the pressure solution,
   the boundary trace, the BC defect and split_Pb;
 - the ledger.csv of a small `pressure-lab study --jobs 2`.
@@ -191,9 +191,13 @@ def mollify_groups():
     chart, cutoffs, collar = _geometry(64)
     rough = fields.make_rough_stream(1.0 / 3.0, 3, 2, chart)
     rv = mollify.mollify_velocity(rough.psi, chart, 0.00625, cutoffs, collar,
-                                  **MOLLIFY)
+                                  n_sub=MOLLIFY["n_sub"])
+    divergence_max = mollify.divergence_probe(rough.psi, chart, 0.00625,
+                                              cutoffs, **MOLLIFY)
     yield "mollify/analytic", (rv.u_eta, rv.boundary_tangential,
-                               rv.normal_component, rv.diagnostics())
+                               rv.normal_component,
+                               {**rv.diagnostics(),
+                                "divergence_max": divergence_max})
 
 
 def smooth_groups():
