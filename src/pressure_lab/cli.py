@@ -140,8 +140,7 @@ def validate_config(cfg):
                           "worker per core)")
     c = cfg["cutoffs"]
     try:
-        build_cutoffs(c["delta"], c["epsilon"],
-                      c["delta1"], c["delta2"], c["delta3"])
+        build_cutoffs(**c)
     except GeometryError as exc:
         raise ConfigError(f"cutoffs: {exc}") from exc
     n_sub, probe_n = cfg["mollify"]["n_sub"], cfg["mollify"]["probe_n"]
@@ -175,10 +174,8 @@ def _build_geometry(cfg):
                         dom["nodes"])
     g = cfg["grid"]
     chart = InteriorChart(curve, g["n_rho"], g["n_theta"])
-    c = cfg["cutoffs"]
-    cutoffs = build_cutoffs(c["delta"], c["epsilon"],
-                            c["delta1"], c["delta2"], c["delta3"])
-    collar = GeodesicChart(curve, c["delta"], g["collar_n_s"],
+    cutoffs = build_cutoffs(**cfg["cutoffs"])
+    collar = GeodesicChart(curve, cutoffs.delta, g["collar_n_s"],
                            g["collar_n_theta"])
     return curve, chart, cutoffs, collar
 
@@ -206,10 +203,7 @@ def _make_field(cfg, chart):
 # ----------------------------------------------------------------------
 
 def cmd_verify(cfg):
-    c = cfg["cutoffs"]
-    cutoffs = build_cutoffs(c["delta"], c["epsilon"],
-                            c["delta1"], c["delta2"], c["delta3"])
-    suites = verification.run_all(cutoffs=cutoffs)
+    suites = verification.run_all(cutoffs=build_cutoffs(**cfg["cutoffs"]))
     outdir = cfg["output"]
     os.makedirs(outdir, exist_ok=True)
     ok = all(s["passed"] for s in suites)

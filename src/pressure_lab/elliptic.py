@@ -33,9 +33,7 @@ from .geometry import GeodesicChart
 
 
 class SolverError(RuntimeError):
-    def __init__(self, message, residuals=None):
-        super().__init__(message)
-        self.residuals = residuals if residuals is not None else []
+    pass
 
 
 @dataclass
@@ -162,7 +160,6 @@ def _pcg(apply_a, b, diag, x0, tol, maxiter):
     p = z.copy()
     step = np.empty_like(b)
     rz = float(r @ z)
-    residuals = []
     for it in range(1, maxiter + 1):
         apply_a(p, ap)
         alpha = rz / float(p @ ap)
@@ -171,7 +168,6 @@ def _pcg(apply_a, b, diag, x0, tol, maxiter):
         x -= np.add.reduce(x) / x.size
         r -= np.add.reduce(r) / r.size
         rnorm = math.sqrt(r @ r)          # np.linalg.norm of a 1-D vector
-        residuals.append(rnorm)
         if rnorm <= tol * bnorm:
             return x, LinearSolveReport(it, rnorm / bnorm)
         np.divide(r, diag, out=z)
@@ -181,7 +177,7 @@ def _pcg(apply_a, b, diag, x0, tol, maxiter):
         rz = rz_new
     raise SolverError(
         f"conjugate gradients stalled at relative residual "
-        f"{residuals[-1] / bnorm:.3e} after {maxiter} iterations", residuals)
+        f"{rnorm / bnorm:.3e} after {maxiter} iterations")
 
 
 # ----------------------------------------------------------------------

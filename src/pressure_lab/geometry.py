@@ -225,7 +225,8 @@ class _Profile:
 
 @dataclass
 class CutoffProfile:
-    """The profiles phi, phi_b, phi_i of the boundary/interior splitting."""
+    """The profiles phi, phi_b of the boundary/interior splitting.  delta1
+    and delta2 bound no profile; they enter the parameter chain only."""
 
     delta: float
     epsilon: float
@@ -250,17 +251,12 @@ class CutoffProfile:
         self._phi = _Profile(d - e, d, decreasing=True)
         # phi_b: 1 on [0, d3+e], 0 on [d-e, inf), non-increasing
         self._phi_b = _Profile(d3 + e, d - e, decreasing=True)
-        # phi_i: 0 on [0, d1], 1 on [d2-e, inf), non-decreasing
-        self._phi_i = _Profile(d1, d2 - e, decreasing=False)
 
     def phi(self, s):
         return self._phi(s)
 
     def phi_b(self, s):
         return self._phi_b(s)
-
-    def phi_i(self, s):
-        return self._phi_i(s)
 
     def phi_b_d1(self, s):
         return self._phi_b.d1(s)

@@ -11,18 +11,21 @@ stencil of offsets xi_k = (eta/4) * k, |xi_k| < eta, so every invariant is
 structural: the kernel weights are even in each offset axis, the extended
 boundary stream is odd in s, hence the smoothed stream (and its theta
 derivative) vanish identically at s = 0 -- tangency and zero trace hold to
-rounding, for every eta.  Velocities are centered differences (weights w1,
-w2 on a stencil one ring wider) of each smoothed part.
+rounding, for every eta.  Velocities are centered differences (weights d1,
+d2 on a stencil one ring wider) of each smoothed part.  The kernel owns
+that wider stencil: its shifts and the read-only weight tables value, d1
+and d2.
 
-The shift-sum runs in point-major blocks.  The points are split into equal
-chunks, and each sampler call takes one chunk with every active shift in
-row-major order, so the work that a shift component leaves unchanged is
-done once per distinct component value of the whole stencil.  The chunks
-write their points into one table, allocated once per shift-sum.  Each
-output then gathers its sample rows, scales them by w in place and adds
-them in that shift order, starting from +0.0, so the blocked sums are the
-per-shift sums bit for bit.  Each call names the outputs it reads, and
-visits only the shifts where one of their weights is nonzero.
+The shift-sum (_shift_sum) runs in point-major blocks.  The points are
+split into equal chunks, and each sampler call takes one chunk with every
+active shift in row-major order, so the work that a shift component
+leaves unchanged is done once per distinct component value of the whole
+stencil.  The chunks write their points into one table, allocated once
+per shift-sum.  Each output then gathers its sample rows, scales them by
+w in place and adds them in that shift order, starting from +0.0, so the
+blocked sums are the per-shift sums bit for bit.  Each call passes the
+kernel's tables it reads, one output per table, and visits only the
+shifts where one of them is nonzero.
 
 The samplers are dense: psi is evaluated on every (shift, point) pair of a
 chunk, also where the cutoff weight is zero (the boundary part past depth
@@ -38,9 +41,9 @@ the chart nodes in mollify_velocity, and the two value-only sums of
 divergence_probe.  The boundary batch ends with the collar wall
 (0, collar.theta), whose rows give trace_max and tangency_max; the interior
 batch ends with the chart center, whose row gives the pole velocity.  The
-boundary batch reads all three outputs; the interior batch reads the two
-derivatives only, and so skips the center shift, whose derivative weights
-are zero.
+boundary batch reads all three tables; the interior batch reads the two
+derivative tables only, and so skips the center shift, whose derivative
+weights are zero.
 
 A record runs on two threads.  mollify_velocity runs its boundary batch on
 a helper thread beside its interior batch, and eta_study_record runs
@@ -49,8 +52,8 @@ reads psi and nothing of u_eta, so it is the one piece of a record that can
 overlap the solve.  Each helper is started and joined per call (_beside),
 so no thread outlives a call (a process that forks afterwards, such as a
 study's worker pool, copies none).  The threads share no mutable state:
-each shift-sum has its own convolution, and psi is a pure function of its
-points.  numpy releases the GIL in the sine, BLAS and reduction loops of
+only psi, a pure function of its points, and the kernel's read-only
+tables.  numpy releases the GIL in the sine, BLAS and reduction loops of
 each chunk, and each sum does the same operations in the same order as it
 would alone, so every output is the serial one bit for bit.  The probe
 takes chunks of _PROBE_BLOCK_POINTS pairs, four times the nodes'
@@ -102,105 +105,96 @@ _PROBE_BLOCK_POINTS = 32768
 class MollifierKernel:
     """Radial C^infty bump exp(-1/(1-|x/eta|^2)), support radius exactly eta,
     discretized on a (2n+1)^2 offset stencil with spacing eta/n and weights
-    normalized to unit mass."""
+    normalized to unit mass.
+
+    The kernel owns the stencil of the shift-sums: the shift components
+    `shifts` of a (2n+3)^2 stencil, one ring wider than the weights' own,
+    and on it three read-only weight tables, `value` (the normalized
+    weights, zero on the outer ring) and `d1`, `d2`, its centered
+    differences along the first and the second shift axis."""
 
     eta: float
     n_sub: int = 4
-    weights: np.ndarray = field(init=False, repr=False)
-    offsets: np.ndarray = field(init=False, repr=False)
+    shifts: np.ndarray = field(init=False, repr=False)
+    value: np.ndarray = field(init=False, repr=False)
+    d1: np.ndarray = field(init=False, repr=False)
+    d2: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.eta <= 0:
             raise MollifyError("eta must be positive")
-        n = self.n_sub
+        n, d = self.n_sub, self.spacing
         a = np.arange(-n, n + 1)
         r2 = (a[:, None] ** 2 + a[None, :] ** 2) / float(n * n)
         w = np.zeros_like(r2)
         inside = r2 < 1.0
         w[inside] = np.exp(-1.0 / (1.0 - r2[inside]))
-        self.weights = w / w.sum()
-        self.offsets = a * (self.eta / n)
+        # normalized over the (2n+1)^2 stencil, in its summation order, then
+        # widened by the ring the derivative shifts reach
+        self.value = np.pad(w / w.sum(), 1)
+        self.d1 = (np.roll(self.value, -1, axis=0)
+                   - np.roll(self.value, 1, axis=0)) / (2.0 * d)
+        self.d2 = (np.roll(self.value, -1, axis=1)
+                   - np.roll(self.value, 1, axis=1)) / (2.0 * d)
+        self.shifts = np.arange(-n - 1, n + 2) * d
+        # shared by the threads of a record, so never written
+        for table in (self.shifts, self.value, self.d1, self.d2):
+            table.flags.writeable = False
 
     @property
     def spacing(self):
         return self.eta / self.n_sub
 
 
-class _StencilConvolution:
-    """Pointwise convolution of a 2-variable sampler with a MollifierKernel:
-    the smoothed value and its two centered first derivatives, of which
-    each call names the ones it wants.  Each sampler call takes every active
-    shift on a chunk of points, at most block_points (shift, point) pairs.
-    Callers pass at least two points: numpy sums a lone column pairwise, not
-    in shift order, so a single point would match the per-shift sum only to
-    rounding."""
+def _shift_sum(sampler, kernel, x1, x2, weights, block_points=_BLOCK_POINTS):
+    """The convolution of a 2-variable sampler with each of the kernel's
+    weight tables in `weights` (such as (kernel.d1, kernel.d2)) at the
+    points: a tuple of one array per table, in their order.
 
-    def __init__(self, sampler, kernel: MollifierKernel,
-                 block_points=_BLOCK_POINTS):
-        self.sampler = sampler
-        self.kernel = kernel
-        self.block_points = block_points
-        n = kernel.n_sub
-        d = kernel.spacing
-        # union stencil includes one extra ring for the derivative shifts
-        self.shifts = np.arange(-n - 1, n + 2) * d
-        w = np.zeros((2 * n + 3, 2 * n + 3))
-        w[1:-1, 1:-1] = kernel.weights
-        self.weights = {
-            "value": w,
-            "d1": (np.roll(w, -1, axis=0) - np.roll(w, 1, axis=0)) / (2.0 * d),
-            "d2": (np.roll(w, -1, axis=1) - np.roll(w, 1, axis=1)) / (2.0 * d),
-        }
-        # the requests formed so far, by the outputs they name: the active
-        # shifts and, per output, the rows of its nonzero weights and those
-        # weights
-        self._requests = {}
-
-    def _request(self, outputs):
-        if outputs not in self._requests:
-            weights = [self.weights[name] for name in outputs]
-            active = np.argwhere(np.any([w != 0.0 for w in weights], axis=0))
-            shifts = _Shifts(self.shifts[active[:, 0]],
-                             self.shifts[active[:, 1]])
-            terms = []
-            for w in weights:
-                wa = w[active[:, 0], active[:, 1]]
-                rows = np.flatnonzero(wa)
-                terms.append((rows, wa[rows, None]))
-            self._requests[outputs] = shifts, terms
-        return self._requests[outputs]
-
-    def __call__(self, x1, x2, outputs=("value", "d1", "d2")):
-        """The named outputs at the points, a tuple in the order named.  The
-        sampler visits only the shifts where a named output has a nonzero
-        weight: ("value",) the kernel's own support, ("d1", "d2") every
-        shift of the wider ring but the center."""
-        x1 = np.asarray(x1, dtype=float)
-        x2 = np.asarray(x2, dtype=float)
-        shifts, terms = self._request(tuple(outputs))
-        outs = [np.empty_like(x1) for _ in terms]
-        # equal chunks, so that a remainder is never a lone point
-        n, k = x1.size, len(shifts.a)
-        n_chunks = -(-n // max(1, self.block_points // k))
-        bounds = [n * i // n_chunks for i in range(n_chunks + 1)]
-        # one table of points serves every chunk, so that the chunks reuse
-        # its memory: a fresh table per chunk, with psi's temporaries above
-        # it, is handed back to the system and faulted in again each chunk
-        points = np.empty(2 * k * -(-n // n_chunks))
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            samples = self.sampler(
-                x1[lo:hi], x2[lo:hi], shifts,
-                points[:2 * k * (hi - lo)].reshape(2, k, hi - lo))
-            for out, (rows, w) in zip(outs, terms):
-                table = samples[rows]
-                table *= w
-                # rows added in shift order, from +0.0 (so a column of -0.0
-                # sums to +0.0 on any numpy, as it did shift by shift into
-                # zeros)
-                np.add.reduce(table, axis=0, initial=0.0, out=out[lo:hi])
-            # freed before the next chunk is sampled
-            del samples, table
-        return tuple(outs)
+    The sampler visits only the shifts where one of the tables has a
+    nonzero weight: at n_sub = 4, (kernel.value,) the 45 shifts of the
+    kernel's support, (kernel.d1, kernel.d2) the 68 its differences reach,
+    which leave out the center.  Each sampler
+    call takes every such shift on a chunk of points, at most block_points
+    (shift, point) pairs; zero points make no call.  Callers pass at least
+    two points: numpy sums a lone column pairwise, not in shift order, so a
+    single point would match the per-shift sum only to rounding."""
+    x1 = np.asarray(x1, dtype=float)
+    x2 = np.asarray(x2, dtype=float)
+    outs = tuple(np.empty_like(x1) for _ in weights)
+    n = x1.size
+    if n == 0:
+        return outs
+    active = np.argwhere(np.any([w != 0.0 for w in weights], axis=0))
+    shifts = _Shifts(kernel.shifts[active[:, 0]], kernel.shifts[active[:, 1]])
+    # per table, the rows of its nonzero weights among the active shifts
+    # and those weights
+    terms = []
+    for w in weights:
+        wa = w[active[:, 0], active[:, 1]]
+        rows = np.flatnonzero(wa)
+        terms.append((rows, wa[rows, None]))
+    # equal chunks, so that a remainder is never a lone point
+    k = len(shifts.a)
+    n_chunks = -(-n // max(1, block_points // k))
+    bounds = [n * i // n_chunks for i in range(n_chunks + 1)]
+    # one table of points serves every chunk, so that the chunks reuse its
+    # memory: a fresh table per chunk, with psi's temporaries above it, is
+    # handed back to the system and faulted in again each chunk
+    points = np.empty(2 * k * -(-n // n_chunks))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        samples = sampler(x1[lo:hi], x2[lo:hi], shifts,
+                          points[:2 * k * (hi - lo)].reshape(2, k, hi - lo))
+        for out, (rows, w) in zip(outs, terms):
+            table = samples[rows]
+            table *= w
+            # rows added in shift order, from +0.0 (so a column of -0.0
+            # sums to +0.0 on any numpy, as it did shift by shift into
+            # zeros)
+            np.add.reduce(table, axis=0, initial=0.0, out=out[lo:hi])
+        # freed before the next chunk is sampled
+        del samples, table
+    return outs
 
 
 # ----------------------------------------------------------------------
@@ -338,7 +332,6 @@ def mollify_velocity(psi, chart: InteriorChart, eta, cutoffs: CutoffProfile,
     eta <= epsilon / 4 so that supports stay inside the cutoff bands.
     """
     kernel = _kernel(eta, cutoffs, n_sub)
-    conv_b, conv_i = _convolutions(psi, kernel, cutoffs, chart, _BLOCK_POINTS)
     th, tau, nrm, gam = chart.collar_frame
     depth = chart.node_depth             # the collar depth s of the nodes
 
@@ -356,8 +349,10 @@ def mollify_velocity(psi, chart: InteriorChart, eta, cutoffs: CutoffProfile,
     x = np.concatenate([chart.points[imask], chart.center[None, :]])
 
     (pb, ds, dt), (d1, d2) = _beside(
-        lambda: conv_b(s_b, theta_b),
-        lambda: conv_i(x[:, 0], x[:, 1], outputs=("d1", "d2")))
+        lambda: _shift_sum(_BoundarySampler(psi, cutoffs, chart), kernel,
+                           s_b, theta_b, (kernel.value, kernel.d1, kernel.d2)),
+        lambda: _shift_sum(_InteriorSampler(psi, cutoffs, chart), kernel,
+                           x[:, 0], x[:, 1], (kernel.d1, kernel.d2)))
 
     u_vals = np.zeros(depth.shape + (2,))
     un_vals = np.zeros_like(depth)
@@ -389,15 +384,6 @@ def _kernel(eta, cutoffs, n_sub):
         raise MollifyError(f"eta = {eta:.3g} exceeds epsilon/4 = "
                            f"{cutoffs.epsilon / 4.0:.3g}")
     return MollifierKernel(float(eta), n_sub=n_sub)
-
-
-def _convolutions(psi, kernel, cutoffs, chart, block_points):
-    """A (boundary, interior) pair of convolutions of psi; each has its own
-    request cache, so two threads never share one."""
-    return (_StencilConvolution(_BoundarySampler(psi, cutoffs, chart),
-                                kernel, block_points),
-            _StencilConvolution(_InteriorSampler(psi, cutoffs, chart),
-                                kernel, block_points))
 
 
 def _beside(helper, main):
@@ -442,8 +428,6 @@ def divergence_probe(psi, chart: InteriorChart, eta, cutoffs: CutoffProfile,
     cells deep whose two-cell neighbourhood is too.  On the disk that core
     is empty for probe_n <= 10, which raises MollifyError."""
     kernel = _kernel(eta, cutoffs, n_sub)
-    conv_b, conv_i = _convolutions(psi, kernel, cutoffs, chart,
-                                   _PROBE_BLOCK_POINTS)
     lo = np.min(chart.curve.x, axis=0)
     hi = np.max(chart.curve.x, axis=0)
     xs = np.linspace(lo[0], hi[0], probe_n)
@@ -473,8 +457,10 @@ def divergence_probe(psi, chart: InteriorChart, eta, cutoffs: CutoffProfile,
     near_st = depth[near], theta[near]
     deep_xy = X[deep], Y[deep]
     del X, Y, depth, theta, inside
-    psi_b = conv_b(*near_st, outputs=("value",))[0] if np.any(near) else 0.0
-    psi_i = conv_i(*deep_xy, outputs=("value",))[0] if np.any(deep) else 0.0
+    psi_b, = _shift_sum(_BoundarySampler(psi, cutoffs, chart), kernel,
+                        *near_st, (kernel.value,), _PROBE_BLOCK_POINTS)
+    psi_i, = _shift_sum(_InteriorSampler(psi, cutoffs, chart), kernel,
+                        *deep_xy, (kernel.value,), _PROBE_BLOCK_POINTS)
     psi_eta = np.zeros((probe_n, probe_n))
     psi_eta[near] += psi_b
     psi_eta[deep] += psi_i

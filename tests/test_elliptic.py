@@ -204,6 +204,23 @@ def test_neumann_compatibility_guard(disk_chart):
         solve_neumann(f, g, disk_chart)
 
 
+def test_neumann_stall_raises(disk_chart):
+    # a CG that runs out of iterations reports the relative residual of
+    # its last one
+    r = disk_radii(disk_chart)
+    f = np.full_like(r, 4.0)
+    g = np.full(disk_chart.n_theta, 2.0)
+    with pytest.raises(SolverError, match="stalled at relative residual "
+                       "[^ ]+ after 1 iterations") as info:
+        solve_neumann(f, g, disk_chart, maxiter=1)
+    reported = str(info.value).split()[-4]
+    # a tolerance just above it stops the same first iteration
+    _, rep = solve_neumann(f, g, disk_chart, tol=1.001 * float(reported),
+                           maxiter=1)
+    assert rep.iterations == 1
+    assert f"{rep.residual:.3e}" == reported
+
+
 def test_neumann_volume_mean_gauge(disk_chart):
     # the gauge: the volume mean of p, pole cell included, is zero
     r = disk_radii(disk_chart)

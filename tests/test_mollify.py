@@ -14,11 +14,40 @@ from pressure_lab.mollify import (MollifierKernel, MollifyError,
 def test_kernel_unit_mass_and_support():
     for eta in (0.0125, 0.00625):
         k = MollifierKernel(eta)
-        assert abs(np.sum(k.weights) - 1.0) < 1e-12
+        assert k.shifts.shape == (2 * k.n_sub + 3,)
+        assert np.all(np.diff(k.shifts) > 0.0)
+        assert np.array_equal(k.shifts, -k.shifts[::-1])
+        assert abs(np.sum(k.value) - 1.0) < 1e-12
         # support strictly inside radius eta
-        rr = np.hypot(k.offsets[:, None], k.offsets[None, :])
-        assert np.all(k.weights[rr >= eta] == 0.0)
-        assert np.all(k.weights >= 0.0)
+        rr = np.hypot(k.shifts[:, None], k.shifts[None, :])
+        assert np.all(k.value[rr >= eta] == 0.0)
+        assert np.all(k.value >= 0.0)
+        # the derivative weights reach one shift past the value's support
+        for d in (k.d1, k.d2):
+            assert np.any((d != 0.0) & (k.value == 0.0))
+
+
+def test_kernel_derivative_tables_are_centered_differences():
+    # d1 and d2 are the centered differences of value along the first and
+    # the second shift axis, at the stencil's spacing, with value zero
+    # beyond the stencil
+    for n_sub in (2, 4):
+        k = MollifierKernel(0.0125, n_sub=n_sub)
+        v = np.pad(k.value, 1)
+        h2 = 2.0 * k.spacing
+        assert np.array_equal(k.d1, (v[2:, 1:-1] - v[:-2, 1:-1]) / h2)
+        assert np.array_equal(k.d2, (v[1:-1, 2:] - v[1:-1, :-2]) / h2)
+        # even in each axis, so each derivative is odd along its own axis
+        assert np.array_equal(k.d1, -k.d1[::-1])
+        assert np.array_equal(k.d2, -k.d2[:, ::-1])
+
+
+def test_kernel_tables_are_read_only():
+    # the threads of a record share the kernel's tables
+    k = MollifierKernel(0.0125)
+    for table in (k.shifts, k.value, k.d1, k.d2):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 1.0
 
 
 def test_eta_guard(disk_chart, cutoffs, collar):
@@ -126,12 +155,12 @@ def _interior_shift(sampler, x1, x2):
     return out
 
 
-def _per_shift_sum(conv, shift_sample, x1, x2):
+def _per_shift_sum(kernel, shift_sample, x1, x2):
     """(value, d1, d2) one shift at a time, in row-major shift order."""
-    weights = [conv.weights[name] for name in ("value", "d1", "d2")]
+    weights = [kernel.value, kernel.d1, kernel.d2]
     sums = [np.zeros_like(x1) for _ in weights]
-    for a, sa in enumerate(conv.shifts):
-        for b, sb in enumerate(conv.shifts):
+    for a, sa in enumerate(kernel.shifts):
+        for b, sb in enumerate(kernel.shifts):
             if all(w[a, b] == 0.0 for w in weights):
                 continue
             sample = shift_sample(x1 - sa, x2 - sb)
@@ -141,19 +170,18 @@ def _per_shift_sum(conv, shift_sample, x1, x2):
     return tuple(sums)
 
 
-def _active_shifts(conv, outputs):
-    """(sa, sb) of the shifts where a named output has a nonzero weight, in
-    row-major order."""
-    weights = [conv.weights[name] for name in outputs]
-    return [(sa, sb) for a, sa in enumerate(conv.shifts)
-            for b, sb in enumerate(conv.shifts)
+def _active_shifts(kernel, weights):
+    """(sa, sb) of the shifts where one of the tables has a nonzero weight,
+    in row-major order."""
+    return [(sa, sb) for a, sa in enumerate(kernel.shifts)
+            for b, sb in enumerate(kernel.shifts)
             if any(w[a, b] != 0.0 for w in weights)]
 
 
-# the requests a record makes: every output (boundary nodes), the
-# derivatives alone (interior nodes) and the value alone (the probe), with
-# their active shift counts
-REQUESTS = {("value", "d1", "d2"): 69, ("d1", "d2"): 68, ("value",): 45}
+# the tables a record's shift-sums read, by name: all three (boundary
+# nodes), the derivatives alone (interior nodes) and the value alone (the
+# probe), with their active shift counts
+TABLE_SETS = {("value", "d1", "d2"): 69, ("d1", "d2"): 68, ("value",): 45}
 
 
 # the sampled stream is the analytic one, the only kind the mollifier takes
@@ -194,11 +222,14 @@ def test_blocked_shift_sum_matches_per_shift_loop(disk_chart, cutoffs, stream,
         assert xy.shape == (2, len(shifts.a), len(x1))
         return sampler(x1, x2, shifts, xy)
 
-    def check_calls(outputs):
-        shifts = _active_shifts(conv, outputs)
-        assert len(shifts) == REQUESTS[outputs]
-        # every chunk gets the one _Shifts formed for the request
-        formed = conv._requests[outputs][0]
+    def tables(names):
+        return tuple(getattr(kernel, name) for name in names)
+
+    def check_calls(names):
+        shifts = _active_shifts(kernel, tables(names))
+        assert len(shifts) == TABLE_SETS[names]
+        # every chunk gets the one _Shifts formed for the call
+        formed = calls[0][2]
         assert all(c[2] is formed for c in calls)
         assert list(zip(formed.a, formed.b)) == shifts
         # the chunks cover every point once, in order, with no lone
@@ -210,25 +241,37 @@ def test_blocked_shift_sum_matches_per_shift_loop(disk_chart, cutoffs, stream,
         assert max(sizes) * len(shifts) <= mollify._BLOCK_POINTS
         calls.clear()
 
-    conv = mollify._StencilConvolution(recorded, kernel)
     expected = dict(zip(("value", "d1", "d2"), _per_shift_sum(
-        conv, lambda x1, x2: shift_sample(sampler, x1, x2), x1, x2)))
+        kernel, lambda x1, x2: shift_sample(sampler, x1, x2), x1, x2)))
     assert np.any(expected["value"] != 0.0)
     assert np.any(expected["d1"] != 0.0)
-    for outputs in REQUESTS:
-        got = conv(x1, x2, outputs=outputs)
-        check_calls(outputs)
-        assert len(got) == len(outputs)
-        for name, g in zip(outputs, got):
+    for names in TABLE_SETS:
+        got = mollify._shift_sum(recorded, kernel, x1, x2, tables(names))
+        check_calls(names)
+        assert len(got) == len(names)
+        for name, g in zip(names, got):
             assert np.array_equal(expected[name], g)
             # an all-zero sum is +0.0, as the per-shift sum from zeros gives
             assert np.array_equal(np.signbit(expected[name]), np.signbit(g))
     # the divergence probe's chunks are larger; the sums are the same
-    probe = mollify._StencilConvolution(sampler, kernel,
-                                        mollify._PROBE_BLOCK_POINTS)
-    value, = probe(x1, x2, outputs=("value",))
+    value, = mollify._shift_sum(sampler, kernel, x1, x2, (kernel.value,),
+                                mollify._PROBE_BLOCK_POINTS)
     assert np.array_equal(expected["value"], value)
     assert np.array_equal(np.signbit(expected["value"]), np.signbit(value))
+
+
+def test_shift_sum_over_no_points():
+    # zero points make no chunk and no sampler call: one empty sum per
+    # table
+    kernel = MollifierKernel(0.0125)
+
+    def sampler(*args):
+        raise AssertionError("sampled with no points")
+
+    got = mollify._shift_sum(sampler, kernel, np.empty(0), np.empty(0),
+                             (kernel.d1, kernel.d2))
+    assert len(got) == 2
+    assert all(g.shape == (0,) and g.dtype == float for g in got)
 
 
 def test_psi_is_sampled_in_the_closed_disk(disk_chart, cutoffs, collar):
@@ -276,16 +319,14 @@ def test_pole_and_wall_trace_ride_in_the_node_batches(disk_chart, circle,
     kernel = MollifierKernel(eta)
 
     inner = mollify._InteriorSampler(psi, cutoffs, disk_chart)
-    conv = mollify._StencilConvolution(inner, kernel)
     c = disk_chart.center
     _, d1, d2 = _per_shift_sum(
-        conv, lambda x1, x2: _interior_shift(inner, x1, x2), c[:1], c[1:])
+        kernel, lambda x1, x2: _interior_shift(inner, x1, x2), c[:1], c[1:])
     assert np.array_equal(rv.u_eta.pole, [-d2[0], d1[0]])
 
     wall = mollify._BoundarySampler(psi, cutoffs, disk_chart)
-    conv = mollify._StencilConvolution(wall, kernel)
     value, _, dt = _per_shift_sum(
-        conv, lambda x1, x2: _boundary_shift(wall, x1, x2),
+        kernel, lambda x1, x2: _boundary_shift(wall, x1, x2),
         np.zeros_like(collar.theta), collar.theta)
     assert rv.trace_max == np.max(np.abs(value))
     assert rv.tangency_max == np.max(np.abs(dt))
