@@ -12,6 +12,7 @@ with --set dotted.key=value.  Exit codes: 0 success, 1 validation error,
 
 import argparse
 import copy
+import dataclasses
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -20,13 +21,14 @@ import numpy as np
 import yaml
 
 from .geometry import GeodesicChart, GeometryError, build_curve, build_cutoffs
-from .fields import FieldError, GridField, InteriorChart, make_rough_stream, radial_flow
-from .norms import NormError, build_pair_plan
+from .fields import (FieldError, InteriorChart, RadialFlow, make_rough_stream,
+                     radial_flow)
+from .norms import NormError, build_pair_plan, holder_norm
 from .elliptic import SolverError
 from .mollify import MollifyError
 from .pressure import (EstimateLedger, PressureError, _collar_resample,
-                       boundary_trace, eta_study, probe_beside_solve,
-                       solve_pressure)
+                       boundary_trace, eta_study, mollify_and_solve,
+                       solve_pressure, tensor_square)
 from . import report, verification
 
 DEFAULT_CONFIG = {
@@ -180,18 +182,18 @@ def _build_geometry(cfg):
     return curve, chart, cutoffs, collar
 
 
+# the smooth kinds of field: u = V(r) e_theta for the profile V
+_PROFILES = {"rigid": lambda r: r, "radial2": lambda r: r**2,
+             "zero": lambda r: 0.0 * r}
+
+
 def _make_field(cfg, chart):
-    """(u, None) for a given velocity; (None, rough) for a rough stream,
-    whose velocity is the mollified one."""
+    """(RadialFlow, None) for a smooth kind; (None, rough) for a rough
+    stream, whose velocity is the mollified one."""
     f = cfg["field"]
     kind = f["kind"]
-    if kind == "rigid":
-        return radial_flow(lambda r: r, chart), None
-    if kind == "radial2":
-        return radial_flow(lambda r: r**2, chart), None
-    if kind == "zero":
-        return GridField(chart, np.zeros(chart.points.shape),
-                         pole=np.zeros(2)), None
+    if kind in _PROFILES:
+        return RadialFlow(_PROFILES[kind], chart.radius, chart.center), None
     if kind == "rough":
         return None, make_rough_stream(f["alpha"], f["seed"], f["j_max"],
                                        chart)
@@ -225,25 +227,21 @@ def cmd_solve(cfg):
                           "integer power of two for the boundary trace's "
                           "H^-2 norm")
     curve, chart, cutoffs, collar = _build_geometry(cfg)
-    u, rough = _make_field(cfg, chart)
+    flow, rough = _make_field(cfg, chart)
     outdir = cfg["output"]
     os.makedirs(outdir, exist_ok=True)
 
-    if rough is not None:
-        from .mollify import mollify_velocity
-        rv = mollify_velocity(rough.psi, chart, cfg["field"]["eta"], cutoffs,
-                              collar, n_sub=cfg["mollify"]["n_sub"])
-        divergence_max, sol = probe_beside_solve(rough.psi, rv, cutoffs,
-                                                 **cfg["mollify"])
-        moll_diag = {**rv.diagnostics(), "divergence_max": divergence_max}
-        u_for_trace = rv.u_eta
-    else:
+    if rough is None:
+        u = radial_flow(flow.profile, chart)
         sol = solve_pressure(u, chart=chart, cutoffs=cutoffs)
-        moll_diag = None
-        u_for_trace = u
+    else:
+        rv, divergence_max, sol = mollify_and_solve(
+            rough.psi, chart, cfg["field"]["eta"], cutoffs, collar,
+            **cfg["mollify"])
+        u = rv.u_eta
 
     Pc = _collar_resample(sol.P, collar)
-    tc = boundary_trace(Pc, u_for_trace, collar)
+    tc = boundary_trace(Pc, u, collar)
 
     report.write_field_csv(os.path.join(outdir, "p.csv"), sol.p)
     report.write_field_csv(os.path.join(outdir, "P.csv"), sol.P)
@@ -253,25 +251,22 @@ def cmd_solve(cfg):
     payload = {
         "command": "solve", "field": cfg["field"],
         "grid": cfg["grid"],
-        "solver": sol.report.as_record(),
+        "solver": dataclasses.asdict(sol.report),
         "trace": {"s": tc.s, "distances": tc.distances,
                   "wall_distance": tc.wall_distance, "slope": tc.slope},
     }
-    if rough is not None:
+    if rough is None:
+        payload["oracle_error"] = float(
+            np.max(np.abs(sol.p.values - flow.pressure(chart.points))))
+    else:
         plan = build_pair_plan(chart.points, seed=cfg["norms"]["plan_seed"],
                                n_random=cfg["norms"]["n_random"])
-        from .norms import holder_norm
-        from .pressure import tensor_square
-        uu = holder_norm(tensor_square(u_for_trace), cfg["field"]["alpha"],
-                         plan)
+        uu = holder_norm(tensor_square(u), cfg["field"]["alpha"], plan)
         hP = holder_norm(sol.P, cfg["field"]["alpha"], plan)
         payload["C_meas"] = hP.norm / uu.norm
         payload["norms"] = {"uu": uu.as_record(), "P": hP.as_record()}
-        payload["mollify"] = moll_diag
-    if cfg["field"]["kind"] == "rigid":
-        r = np.linalg.norm(chart.points - chart.center, axis=-1)
-        payload["oracle_error"] = float(
-            np.max(np.abs(sol.p.values - (r**2 / 2 - 0.25))))
+        payload["mollify"] = {**rv.diagnostics(),
+                              "divergence_max": divergence_max}
     report.write_json_report(os.path.join(outdir, "solve.json"), payload)
     print(f"wrote {outdir}/solve.json")
     return 0
@@ -290,9 +285,7 @@ def _study_records(cfg, setup, alpha, seed):
     chart, cutoffs, collar, plan = setup
     rough = make_rough_stream(alpha, seed, cfg["field"]["j_max"], chart)
     return eta_study([rough], cfg["study"]["etas"], cutoffs, collar, plan,
-                     mollify_kwargs={"n_sub": cfg["mollify"]["n_sub"],
-                                     "probe_n": cfg["mollify"]["probe_n"]}
-                     ).records
+                     mollify_kwargs=cfg["mollify"]).records
 
 
 # a pool worker process's config and, from its first task on, its set-up

@@ -41,12 +41,6 @@ class LinearSolveReport:
     iterations: int
     residual: float
     compat_defect: float = 0.0
-    converged: bool = True
-
-    def as_record(self):
-        return {"iterations": self.iterations, "residual": self.residual,
-                "compat_defect": self.compat_defect,
-                "converged": self.converged}
 
 
 # ----------------------------------------------------------------------
@@ -190,8 +184,12 @@ def solve_neumann(f, g, chart: InteriorChart, tol=1e-10, maxiter=100_000,
     with the volume mean of p, pole cell included, pinned to zero.
 
     f: GridField (scalar, optional pole value) or sample array; g: boundary
-    samples on the chart's theta nodes.  Returns (GridField, report).
+    samples on the chart's theta nodes.  Returns (GridField, report); a CG
+    that has not met tol after maxiter iterations raises SolverError, and
+    maxiter < 1 is a ValueError.
     """
+    if maxiter < 1:
+        raise ValueError(f"maxiter = {maxiter} must be at least 1")
     st = _StarStencil(chart)
     if isinstance(f, GridField):
         fvals, fpole = f.values, f.pole
@@ -291,21 +289,6 @@ class SlabOperator:
             pivots[i + 1] += cs[i] * mult[i]
         return pivots, mult
 
-    def solve_modes(self, rhs):
-        """Direct solve of A w = rhs: one forward and one backward sweep over
-        the rows, each row step acting on all theta-modes at once.  Returns
-        the full grid (n_s+1, n_theta), the zero Dirichlet row included."""
-        pivots, mult = self._factors
-        y = np.fft.rfft(rhs, axis=1)                         # (ns, n_modes)
-        for i in range(len(mult)):
-            y[i + 1] -= mult[i] * y[i]
-        y /= pivots
-        for i in range(len(mult) - 1, -1, -1):
-            y[i] -= mult[i] * y[i + 1]
-        full = np.zeros((len(rhs) + 1, rhs.shape[1]))
-        full[:-1] = np.fft.irfft(y, n=rhs.shape[1], axis=1)
-        return full
-
     def matvec(self, w):
         out = np.zeros_like(w)
         flux = self.cs[:-1] * (w[1:] - w[:-1])
@@ -324,9 +307,20 @@ class SlabOperator:
         return b
 
     def solve(self, b):
-        """Solve A w = b for a raw right-hand side; returns the full grid
-        (n_s+1, n_theta) including the zero Dirichlet row."""
-        return self.solve_modes(b)
+        """Direct solve of A w = b for a raw right-hand side: one forward
+        and one backward sweep over the rows, each row step acting on all
+        theta-modes at once.  Returns the full grid (n_s+1, n_theta), the
+        zero Dirichlet row included."""
+        pivots, mult = self._factors
+        y = np.fft.rfft(b, axis=1)                           # (ns, n_modes)
+        for i in range(len(mult)):
+            y[i + 1] -= mult[i] * y[i]
+        y /= pivots
+        for i in range(len(mult) - 1, -1, -1):
+            y[i] -= mult[i] * y[i + 1]
+        full = np.zeros((len(b) + 1, b.shape[1]))
+        full[:-1] = np.fft.irfft(y, n=b.shape[1], axis=1)
+        return full
 
     def green_column(self, i0, j0):
         """Discrete Green kernel column k(., .; s_i0, theta_j0): the solve
@@ -334,4 +328,4 @@ class SlabOperator:
         solution value at (i0, j0) by symmetry of the stencil."""
         b = np.zeros((self.chart.n_s, self.chart.n_theta))
         b[i0, j0] = 1.0
-        return self.solve_modes(b)
+        return self.solve(b)

@@ -165,68 +165,54 @@ def _bump_d2(t):
     return out
 
 
-class SmoothStep:
-    """C-infinity transition 0 -> 1 on [a, b] built from exp(-1/t)."""
+class _FallingStep:
+    """C-infinity cutoff, 1 on (-inf, a] and 0 on [b, inf), built from
+    exp(-1/t): 1 - A / (A + B) with A = bump(t), B = bump(1 - t) and
+    t = (s - a) / (b - a) clipped to [0, 1].  d1 and d2 are its first and
+    second derivatives, exactly zero outside (a, b)."""
 
     def __init__(self, a, b):
-        if not b > a:
-            raise GeometryError("smoothstep needs b > a")
         self.a = float(a)
         self.b = float(b)
         self.w = float(b - a)
 
     def _parts(self, s):
-        t = np.clip((np.asarray(s, dtype=float) - self.a) / self.w, 0.0, 1.0)
+        t = np.clip((s - self.a) / self.w, 0.0, 1.0)
         return t, _bump(t), _bump(1.0 - t)
 
     def __call__(self, s):
-        t, A, B = self._parts(s)
-        return A / (A + B)
+        _, A, B = self._parts(np.asarray(s, dtype=float))
+        return 1.0 - A / (A + B)
 
     def d1(self, s):
+        s = np.asarray(s, dtype=float)
         t, A, B = self._parts(s)
         Ap = _bump_d1(t)
         Bp = -_bump_d1(1.0 - t)
-        out = (Ap * B - A * Bp) / (A + B) ** 2
-        inside = (np.asarray(s, dtype=float) > self.a) & (np.asarray(s, dtype=float) < self.b)
-        return np.where(inside, out / self.w, 0.0)
+        rising = (Ap * B - A * Bp) / (A + B) ** 2
+        inside = (s > self.a) & (s < self.b)
+        return -np.where(inside, rising / self.w, 0.0)
 
     def d2(self, s):
+        s = np.asarray(s, dtype=float)
         t, A, B = self._parts(s)
         Ap = _bump_d1(t)
         Bp = -_bump_d1(1.0 - t)
         App = _bump_d2(t)
         Bpp = _bump_d2(1.0 - t)
         N = Ap * B - A * Bp
-        out = (App * B - A * Bpp) / (A + B) ** 2 - 2.0 * N * (Ap + Bp) / (A + B) ** 3
-        inside = (np.asarray(s, dtype=float) > self.a) & (np.asarray(s, dtype=float) < self.b)
-        return np.where(inside, out / self.w**2, 0.0)
-
-
-class _Profile:
-    """One cutoff profile: plateau value `left` before [a, b], `right` after."""
-
-    def __init__(self, a, b, decreasing):
-        self.step = SmoothStep(a, b)
-        self.decreasing = decreasing
-
-    def __call__(self, s):
-        v = self.step(np.asarray(s, dtype=float))
-        return 1.0 - v if self.decreasing else v
-
-    def d1(self, s):
-        v = self.step.d1(np.asarray(s, dtype=float))
-        return -v if self.decreasing else v
-
-    def d2(self, s):
-        v = self.step.d2(np.asarray(s, dtype=float))
-        return -v if self.decreasing else v
+        rising = (App * B - A * Bpp) / (A + B) ** 2 \
+            - 2.0 * N * (Ap + Bp) / (A + B) ** 3
+        inside = (s > self.a) & (s < self.b)
+        return -np.where(inside, rising / self.w**2, 0.0)
 
 
 @dataclass
 class CutoffProfile:
-    """The profiles phi, phi_b of the boundary/interior splitting.  delta1
-    and delta2 bound no profile; they enter the parameter chain only."""
+    """The profiles phi, phi_b of the boundary/interior splitting, with the
+    derivatives phi_b_d1, phi_b_d2.  delta1 and delta2 bound no profile;
+    they enter the parameter chain only, which also orders the ends of
+    each profile's step."""
 
     delta: float
     epsilon: float
@@ -247,22 +233,12 @@ class CutoffProfile:
         for ok, name in checks:
             if not ok:
                 raise GeometryError(f"cutoff parameter chain violated: {name}")
-        # phi: 1 on [0, d-e], 0 on [d, inf), non-increasing
-        self._phi = _Profile(d - e, d, decreasing=True)
-        # phi_b: 1 on [0, d3+e], 0 on [d-e, inf), non-increasing
-        self._phi_b = _Profile(d3 + e, d - e, decreasing=True)
-
-    def phi(self, s):
-        return self._phi(s)
-
-    def phi_b(self, s):
-        return self._phi_b(s)
-
-    def phi_b_d1(self, s):
-        return self._phi_b.d1(s)
-
-    def phi_b_d2(self, s):
-        return self._phi_b.d2(s)
+        # phi: 1 on [0, d-e], 0 on [d, inf)
+        self.phi = _FallingStep(d - e, d)
+        # phi_b: 1 on [0, d3+e], 0 on [d-e, inf)
+        self.phi_b = _FallingStep(d3 + e, d - e)
+        self.phi_b_d1 = self.phi_b.d1
+        self.phi_b_d2 = self.phi_b.d2
 
 
 def build_cutoffs(delta, epsilon, delta1, delta2, delta3):

@@ -46,7 +46,8 @@ derivative tables only, and so skips the center shift, whose derivative
 weights are zero.
 
 A record runs on two threads.  mollify_velocity runs its boundary batch on
-a helper thread beside its interior batch, and eta_study_record runs
+a helper thread beside its interior batch, and mollify_and_solve (in
+pressure.py; eta_study_record and the solve command call it) then runs
 divergence_probe on a helper thread beside the pressure solve; the probe
 reads psi and nothing of u_eta, so it is the one piece of a record that can
 overlap the solve.  Each helper is started and joined per call (_beside),

@@ -75,17 +75,20 @@ def solve_pressure(u, chart: InteriorChart = None, collar: GeodesicChart = None,
     return PressureSolution(p=p, P=P, report=report)
 
 
-def probe_beside_solve(psi, rv: RegularizedVelocity, cutoffs: CutoffProfile,
-                       n_sub=4, probe_n=128):
-    """(divergence_max, PressureSolution) of a mollified stream psi: the
-    divergence probe of psi at rv's scale runs on a helper thread beside the
-    pressure solve of rv.  If both raise, the probe's error is raised, as it
-    was when the probe ran inside the mollifier, before the solve."""
-    chart = rv.u_eta.chart
-    return _beside(
+def mollify_and_solve(psi, chart: InteriorChart, eta, cutoffs: CutoffProfile,
+                      collar: GeodesicChart, n_sub=4, probe_n=128):
+    """(RegularizedVelocity, divergence_max, PressureSolution) of the stream
+    psi at scale eta: mollify_velocity, then the divergence probe of psi on
+    a helper thread beside the pressure solve of the mollified velocity.
+    A mollifier error is raised before either runs; if both the probe and
+    the solve raise, the probe's error is raised, as it was when the probe
+    ran inside the mollifier, before the solve."""
+    rv = mollify_velocity(psi, chart, eta, cutoffs, collar, n_sub=n_sub)
+    divergence_max, sol = _beside(
         lambda: divergence_probe(psi, chart, rv.eta, cutoffs, n_sub=n_sub,
                                  probe_n=probe_n),
         lambda: solve_pressure(rv, chart=chart, cutoffs=cutoffs))
+    return rv, divergence_max, sol
 
 
 # ----------------------------------------------------------------------
@@ -139,27 +142,17 @@ def collar_flux_residual(u, chart_rhs, collar: GeodesicChart):
     return lhs - geodesic
 
 
-@dataclass
-class _SlabSource:
-    """The slab source of phi_b P and its pieces, in the quadrature
-    normalization values * J = phi_b (A + B - C) + phi_b (J R_b) - J D."""
-
-    values: np.ndarray
-    audit: dict
-    phi_b: np.ndarray                # phi_b(s) as a column
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    D: np.ndarray
-
-
 def _slab_source(un, ut, P_collar, cutoffs: CutoffProfile,
                  collar: GeodesicChart):
-    """Assemble the slab source from the collar components (u.n, u.tau).
+    """The slab source of phi_b P from the collar components (u.n, u.tau)
+    and its pieces, (values, phi_b, A, B, C, D) with phi_b = phi_b(s) a
+    column, in the quadrature normalization
 
-    The audit tracks the highest order of s-differentiation applied to
-    velocity- or pressure-derived samples during assembly (it must be one:
-    the mixed d_s d_theta term only).
+        values * J = phi_b (A + B - C) + phi_b (J R_b) - J D.
+
+    No second s-derivative of a sample appears: the one d_s of B (the mixed
+    d_s d_theta term), the one of R_b and the d_s P of D are each a single
+    centred difference, so a sample reaches the rows next to its own only.
     """
     J = collar.J
     gam = collar.gamma_b
@@ -167,40 +160,22 @@ def _slab_source(un, ut, P_collar, cutoffs: CutoffProfile,
     phi_b = cutoffs.phi_b(s)
     dphi_b = cutoffs.phi_b_d1(s)
     d2phi_b = cutoffs.phi_b_d2(s)
-    s_orders = []
-
-    def ds(values, order_in):
-        s_orders.append(order_in + 1)
-        return _d_s(collar, values)
-
-    # braces: only first-order s-derivatives of velocity products appear
     A = _d_theta(collar, _d_theta(collar, ut**2) / J)
-    B = 2.0 * ds(_d_theta(collar, un * ut), 0)
+    B = 2.0 * _d_s(collar, _d_theta(collar, un * ut))
     C = _d_theta(collar, _d_theta(collar, un**2) / J)
     reste = _reste_term(un, ut, collar)
-    s_orders.append(1)          # its one d_s, of (u.n)^2 - (u.tau)^2
-    D = d2phi_b * P_collar + 2.0 * dphi_b * ds(P_collar, 0) \
+    D = d2phi_b * P_collar + 2.0 * dphi_b * _d_s(collar, P_collar) \
         + (gam / J) * P_collar * dphi_b
     values = (phi_b / J) * (A + B + J * reste - C) - D
-    max_order = max(s_orders)
-    audit = {"max_s_derivative_order": max_order,
-             "second_s_derivative_free": max_order <= 1}
-    return _SlabSource(values=values, audit=audit, phi_b=phi_b,
-                       A=A, B=B, C=C, D=D)
+    return values, phi_b, A, B, C, D
 
 
 def sanss2_rhs(u, P_collar, cutoffs: CutoffProfile, collar: GeodesicChart):
     """Right-hand side of the no-second-s-derivative identity for the
-    boundary piece phi_b P.
-
-    Returns (values, audit); the audit tracks the highest order of
-    s-differentiation applied to velocity- or pressure-derived samples
-    during assembly (it must be one: the mixed d_s d_theta term only).
-    """
+    boundary piece phi_b P (the values of _slab_source)."""
     un, ut = collar_components(u, collar)
-    src = _slab_source(un, ut, np.asarray(P_collar, dtype=float), cutoffs,
-                       collar)
-    return src.values, src.audit
+    return _slab_source(un, ut, np.asarray(P_collar, dtype=float), cutoffs,
+                        collar)[0]
 
 
 # ----------------------------------------------------------------------
@@ -218,7 +193,6 @@ class SplitPb:
     I2b: np.ndarray
     I3: np.ndarray
     P_bi_at_probes: np.ndarray
-    audit: dict
 
     @property
     def reconstruction_error(self):
@@ -244,22 +218,21 @@ def split_Pb(u, P_collar, cutoffs: CutoffProfile, collar: GeodesicChart,
     P_bb = op.solve(op.rhs_from_source(np.zeros((ns + 1, nt)),
                                        neumann=gam * ut0_sq))
 
-    src = _slab_source(un, ut, P_collar, cutoffs, collar)
-    P_bi = op.solve(op.rhs_from_source(src.values))
-    phi_b = src.phi_b
+    source, phi_b, A, B, C, D = _slab_source(un, ut, P_collar, cutoffs,
+                                             collar)
+    P_bi = op.solve(op.rhs_from_source(source))
     target = phi_b * P_collar
 
     # the probe-independent factors of the four functionals, formed once
     # instead of per probe; the loop does not hold the slab source pieces
     J = collar.J
     rows = slice(0, ns)
-    f1 = (phi_b * (src.A + src.B - src.C))[rows]
+    f1 = (phi_b * (A + B - C))[rows]
     f2 = (un**2 - ut**2)[rows]
     f3 = ((gam / J) * un * ut)[rows]
-    f4 = (J * src.D)[rows]
+    f4 = (J * D)[rows]
     gam_phi_b = gam * phi_b
-    audit = src.audit
-    del src
+    del source, A, B, C, D
 
     rng = np.random.default_rng(seed)
     i_lo, i_hi = max(1, ns // 5), max(2, (3 * ns) // 5)
@@ -284,7 +257,7 @@ def split_Pb(u, P_collar, cutoffs: CutoffProfile, collar: GeodesicChart,
         at_probes[k] = P_bi[i0, j0]
     return SplitPb(P_bb=P_bb, P_bi=P_bi, target=target, probes=probes,
                    I1=I1, I2i=I2i, I2b=I2b, I3=I3,
-                   P_bi_at_probes=at_probes, audit=audit)
+                   P_bi_at_probes=at_probes)
 
 
 # ----------------------------------------------------------------------
@@ -380,11 +353,9 @@ def eta_study_record(rough, eta, cutoffs, collar, plan, prev_p=None,
     mollify_kwargs may set n_sub and probe_n.
     """
     chart = rough.chart
-    mollify_kwargs = mollify_kwargs or {}
-    rv = mollify_velocity(rough.psi, chart, eta, cutoffs, collar,
-                          n_sub=mollify_kwargs.get("n_sub", 4))
-    divergence_max, sol = probe_beside_solve(rough.psi, rv, cutoffs,
-                                             **mollify_kwargs)
+    rv, divergence_max, sol = mollify_and_solve(rough.psi, chart, eta,
+                                                cutoffs, collar,
+                                                **(mollify_kwargs or {}))
     alpha = rough.alpha
     uu = holder_norm(tensor_square(rv.u_eta), alpha, plan)
     hp = holder_norm(sol.p, alpha, plan)

@@ -7,7 +7,7 @@ versions live in the test suite.
 
 import numpy as np
 
-from .geometry import GeodesicChart, build_curve, default_cutoffs
+from .geometry import GeodesicChart, build_curve
 from .fields import InteriorChart, make_rough_stream, radial_flow
 from .norms import build_pair_plan, h_minus2_norm, holder_norm
 from .elliptic import SlabOperator, solve_neumann
@@ -101,10 +101,9 @@ def verify_elliptic():
     return _suite("elliptic", checks)
 
 
-def verify_mollify(cutoffs=None, eta=0.0125):
+def verify_mollify(cutoffs, eta=0.0125):
     curve = build_curve({"kind": "circle", "radius": 1.0}, 256)
     chart = InteriorChart(curve, 64, 128)
-    cutoffs = cutoffs or default_cutoffs(0.4)
     collar = GeodesicChart(curve, cutoffs.delta, 64, 128)
     rough = make_rough_stream(0.5, 3, 2, chart)
     rv = mollify_velocity(rough.psi, chart, eta, cutoffs, collar)
@@ -117,10 +116,9 @@ def verify_mollify(cutoffs=None, eta=0.0125):
     return _suite("mollify", checks)
 
 
-def verify_pressure(cutoffs=None):
+def verify_pressure(cutoffs):
     curve = build_curve({"kind": "circle", "radius": 1.0}, 256)
     chart = InteriorChart(curve, 64, 128)
-    cutoffs = cutoffs or default_cutoffs(0.4)
     collar = GeodesicChart(curve, cutoffs.delta, 64, 128)
     u = radial_flow(lambda r: r, chart)
     sol = solve_pressure(u, chart=chart, cutoffs=cutoffs)
@@ -143,15 +141,8 @@ def verify_pressure(cutoffs=None):
     return _suite("pressure", checks)
 
 
-ALL_SUITES = [verify_geometry, verify_fields, verify_norms, verify_elliptic,
-              verify_mollify, verify_pressure]
-
-
-def run_all(cutoffs=None):
-    results = []
-    for fn in ALL_SUITES:
-        if fn in (verify_mollify, verify_pressure) and cutoffs is not None:
-            results.append(fn(cutoffs=cutoffs))
-        else:
-            results.append(fn())
-    return results
+def run_all(cutoffs):
+    """Every suite, the mollifier and pressure ones with the given cutoffs."""
+    return [verify_geometry(), verify_fields(), verify_norms(),
+            verify_elliptic(), verify_mollify(cutoffs),
+            verify_pressure(cutoffs)]

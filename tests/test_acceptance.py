@@ -142,9 +142,7 @@ def test_08_sanss2_consistency(circle, cutoffs):
         s = cc.s[:, None]
         P = np.exp(-2.0 * s) * (1.0 + 0.5 * np.cos(2.0 * cc.theta))
         dP = -2.0 * P
-        values, audit = sanss2_rhs(rigid_velocity, P, cutoffs, cc)
-        assert audit["second_s_derivative_free"]
-        assert audit["max_s_derivative_order"] == 1
+        values = sanss2_rhs(rigid_velocity, P, cutoffs, cc)
         exact = (-2.0 * cutoffs.phi_b(s) - cutoffs.phi_b_d2(s) * P
                  - 2.0 * cutoffs.phi_b_d1(s) * dP
                  + cutoffs.phi_b_d1(s) * P / (1.0 - s))

@@ -12,7 +12,9 @@ checkouts whose digests agree produce the same outputs bit for bit on:
 - mollify_velocity and divergence_probe on a rough stream at 64x128;
 - two smooth-128 ops (V = r and V = r^2 at 128x256): the pressure solution,
   the boundary trace, the BC defect and split_Pb;
-- the ledger.csv of a small `pressure-lab study --jobs 2`.
+- the ledger.csv of a small `pressure-lab study --jobs 2`;
+- p.csv, P.csv and trace.csv of `pressure-lab solve` for the rough, rigid
+  and zero fields at 32x64.
 
 The package is imported from the src/ directory next to this script, so a
 copy of the script digests the checkout it sits in.  To compare two
@@ -62,6 +64,11 @@ SEEDS = (0, 5)
 ETAS = (0.0125, 0.00625, 0.003125)
 CUTOFFS = (0.4, 0.05, 0.1, 0.2, 0.25)      # delta, epsilon, delta1..3
 MOLLIFY = {"n_sub": 4, "probe_n": 128}
+# the 32x64 grid of the CLI runs (SMALL in tests/test_cli.py)
+SMALL = ["--set", "domain.nodes=128",
+         "--set", "grid.n_rho=32", "--set", "grid.n_theta=64",
+         "--set", "grid.collar_n_s=32", "--set", "grid.collar_n_theta=64",
+         "--set", "norms.n_random=2000"]
 # what a --dump file holds per group, besides its name and SHA-256
 LEAF_KEYS = ("values", "sizes", "paths")
 
@@ -215,26 +222,34 @@ def smooth_groups():
         yield f"smooth-128/{name}", (sol, trace, bc_defect, split)
 
 
-def ledger_groups():
+def _cli_outputs(argv, names):
+    """(exit code, text of each named output file) of one CLI run."""
     with tempfile.TemporaryDirectory() as tmp:
-        out = os.path.join(tmp, "study")
-        argv = ["study", "--set", "domain.nodes=128",
-                "--set", "grid.n_rho=32", "--set", "grid.n_theta=64",
-                "--set", "grid.collar_n_s=32",
-                "--set", "grid.collar_n_theta=64",
-                "--set", "norms.n_random=2000",
-                "--set", "study.alphas=[0.25, 0.75]",
-                "--set", "study.seeds=[0, 1]",
-                "--jobs", "2", "--out", out]
         with contextlib.redirect_stdout(io.StringIO()):
-            code = cli.main(argv)
-        with open(os.path.join(out, "ledger.csv"), "rb") as fh:
-            yield "study-cli/ledger.csv", (code, fh.read().decode())
+            code = cli.main([*argv, "--out", tmp])
+        texts = []
+        for name in names:
+            with open(os.path.join(tmp, name), "rb") as fh:
+                texts.append(fh.read().decode())
+    return (code, *texts)
+
+
+def ledger_groups():
+    argv = ["study", *SMALL, "--set", "study.alphas=[0.25, 0.75]",
+            "--set", "study.seeds=[0, 1]", "--jobs", "2"]
+    yield "study-cli/ledger.csv", _cli_outputs(argv, ["ledger.csv"])
+
+
+def solve_groups():
+    for kind in ("rough", "rigid", "zero"):
+        argv = ["solve", *SMALL, "--set", f"field.kind={kind}"]
+        yield f"solve-cli/{kind}", _cli_outputs(
+            argv, ["p.csv", "P.csv", "trace.csv"])
 
 
 def digests():
     for groups in (study_groups, mollify_groups, smooth_groups,
-                   ledger_groups):
+                   ledger_groups, solve_groups):
         for name, value in groups():
             yield name, _digest(value)
 
