@@ -13,6 +13,7 @@ with --set dotted.key=value.  Exit codes: 0 success, 1 validation error,
 import argparse
 import copy
 import dataclasses
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -26,9 +27,9 @@ from .fields import (FieldError, InteriorChart, RadialFlow, make_rough_stream,
 from .norms import NormError, build_pair_plan, holder_norm
 from .elliptic import SolverError
 from .mollify import MollifyError
-from .pressure import (EstimateLedger, PressureError, _collar_resample,
-                       boundary_trace, eta_study, mollify_and_solve,
-                       solve_pressure, tensor_square)
+from .pressure import (PressureError, _collar_resample, boundary_trace,
+                       eta_study, mollify_and_solve, solve_pressure,
+                       tensor_square)
 from . import report, verification
 
 DEFAULT_CONFIG = {
@@ -110,33 +111,42 @@ def load_config(path=None, overrides=(), out=None, jobs=None):
     return cfg
 
 
-def _is_int(value):
+# what a leaf must be, by the type of its default
+_KINDS = {int: "an integer", float: "a finite real number", str: "a string"}
+
+
+def _check_leaf(key, value, default):
+    if isinstance(default, float):
+        ok = isinstance(value, (int, float)) and math.isfinite(value)
+    else:
+        ok = isinstance(value, type(default))
     # YAML reads true/false as bools, which Python counts as ints
-    return isinstance(value, int) and not isinstance(value, bool)
+    if isinstance(value, bool) or not ok:
+        raise ConfigError(f"{key} = {value!r} must be "
+                          f"{_KINDS[type(default)]}")
 
 
-def _integer_leaves(cfg):
-    """(dotted key, value) of each config leaf, or list entry, that must
-    be an integer; mollify's keys have guards of their own."""
-    yield "domain.nodes", cfg["domain"]["nodes"]
-    for key, value in cfg["grid"].items():
-        yield f"grid.{key}", value
-    for key in ("seed", "j_max"):
-        yield f"field.{key}", cfg["field"][key]
-    for key in ("plan_seed", "n_random"):
-        yield f"norms.{key}", cfg["norms"][key]
-    for value in cfg["study"]["seeds"]:
-        yield "study.seeds", value
-    yield "jobs", cfg["jobs"]
+def _check_types(cfg, defaults=DEFAULT_CONFIG, path=""):
+    """Each leaf takes the type of its default in DEFAULT_CONFIG, and each
+    entry of a list leaf the type of the default's first entry."""
+    for key, default in defaults.items():
+        key_path = f"{path}.{key}" if path else key
+        value = cfg[key]
+        if isinstance(default, dict):
+            if not isinstance(value, dict):
+                raise ConfigError(f"{key_path} must be a mapping")
+            _check_types(value, default, key_path)
+        elif isinstance(default, list):
+            if not isinstance(value, list):
+                raise ConfigError(f"{key_path} = {value!r} must be a list")
+            for entry in value:
+                _check_leaf(key_path, entry, default[0])
+        else:
+            _check_leaf(key_path, value, default)
 
 
 def validate_config(cfg):
-    for key, value in cfg["study"].items():
-        if not isinstance(value, list):
-            raise ConfigError(f"study.{key} = {value!r} must be a list")
-    for key, value in _integer_leaves(cfg):
-        if not _is_int(value):
-            raise ConfigError(f"{key} = {value!r} must be an integer")
+    _check_types(cfg)
     if cfg["jobs"] < 0:
         raise ConfigError(f"jobs = {cfg['jobs']} must be >= 0 (0 runs one "
                           "worker per core)")
@@ -146,25 +156,26 @@ def validate_config(cfg):
     except GeometryError as exc:
         raise ConfigError(f"cutoffs: {exc}") from exc
     n_sub, probe_n = cfg["mollify"]["n_sub"], cfg["mollify"]["probe_n"]
-    if not _is_int(n_sub) or n_sub < 2:
+    if n_sub < 2:
         raise ConfigError(
-            f"mollify.n_sub = {n_sub!r} must be an integer >= 2: the kernel "
-            "would span fewer than two sample cells across its radius")
-    if not _is_int(probe_n) or probe_n < 11:
+            f"mollify.n_sub = {n_sub!r} must be >= 2: the kernel would span "
+            "fewer than two sample cells across its radius")
+    if probe_n < 11:
         raise ConfigError(
-            f"mollify.probe_n = {probe_n!r} must be an integer >= 11: the "
-            "side of a smaller divergence-probe grid leaves it no core point")
-    etas = cfg["study"]["etas"]
-    if not etas:
-        raise ConfigError("study.etas must not be empty")
+            f"mollify.probe_n = {probe_n!r} must be >= 11: the side of a "
+            "smaller divergence-probe grid leaves it no core point")
+    for key, value in cfg["study"].items():
+        if not value:
+            raise ConfigError(f"study.{key} must not be empty")
     guard = c["epsilon"] / 4.0 + 1e-12
-    for eta in list(etas) + [cfg["field"].get("eta", 0.0)]:
+    for key, eta in ([("study.etas", eta) for eta in cfg["study"]["etas"]]
+                     + [("field.eta", cfg["field"]["eta"])]):
+        if eta <= 0.0:
+            raise ConfigError(f"{key} = {eta} must be positive")
         if eta > guard:
             raise ConfigError(
-                f"eta = {eta} exceeds epsilon/4 = {c['epsilon'] / 4.0}: the "
-                "mollifier support would leak across the cutoff bands")
-    if not cfg["study"]["alphas"] or not cfg["study"]["seeds"]:
-        raise ConfigError("study.alphas and study.seeds must not be empty")
+                f"{key} = {eta} exceeds epsilon/4 = {c['epsilon'] / 4.0}: "
+                "the mollifier support would leak across the cutoff bands")
     for a in cfg["study"]["alphas"]:
         if not 0.0 < a < 1.0:
             raise ConfigError(f"alpha = {a} outside (0, 1)")
@@ -285,7 +296,7 @@ def _study_records(cfg, setup, alpha, seed):
     chart, cutoffs, collar, plan = setup
     rough = make_rough_stream(alpha, seed, cfg["field"]["j_max"], chart)
     return eta_study([rough], cfg["study"]["etas"], cutoffs, collar, plan,
-                     mollify_kwargs=cfg["mollify"]).records
+                     mollify_kwargs=cfg["mollify"])
 
 
 # a pool worker process's config and, from its first task on, its set-up
@@ -312,24 +323,23 @@ def cmd_study(cfg):
     tasks = [(alpha, seed) for alpha in cfg["study"]["alphas"]
              for seed in cfg["study"]["seeds"]]
     jobs = cfg["jobs"] or os.cpu_count() or 1
-    ledger = EstimateLedger()
+    records = []
     if jobs > 1 and len(tasks) > 1:
         # the parent only collects records; each worker builds the set-up
         with ProcessPoolExecutor(max_workers=jobs,
                                  initializer=_study_worker_init,
                                  initargs=(cfg,)) as pool:
             for recs in pool.map(_study_worker, tasks):
-                for r in recs:
-                    ledger.append(r)
+                records.extend(recs)
     else:
         setup = _study_setup(cfg)
         for task in tasks:
-            for r in _study_records(cfg, setup, *task):
-                ledger.append(r)
+            records.extend(_study_records(cfg, setup, *task))
+    # every record, an error row too, has these keys
+    records.sort(key=lambda r: (r["alpha"], r["seed"], r["eta"]))
 
     outdir = cfg["output"]
     os.makedirs(outdir, exist_ok=True)
-    records = ledger.sorted_records()
     columns = ["alpha", "seed", "eta", "n_rho", "n_theta", "uu_holder",
                "p_holder", "P_holder", "P_sup", "C_meas", "C1_meas",
                "plan_seed", "pair_count", "solver_iterations", "trace_max",

@@ -8,7 +8,7 @@ the wall; the adjusted pressure P = p + phi(d) (u.n)^2 makes that normal
 derivative well defined for rough velocities.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -317,28 +317,6 @@ def bc_equivalence_check(p: GridField, u, collar: GeodesicChart):
 # eta study
 # ----------------------------------------------------------------------
 
-@dataclass
-class EstimateLedger:
-    records: list = field(default_factory=list)
-
-    def append(self, rec):
-        self.records.append(rec)
-
-    def sorted_records(self):
-        return sorted(self.records,
-                      key=lambda r: (r.get("alpha", 0.0), r.get("seed", 0),
-                                     r.get("eta", 0.0)))
-
-    def per_field(self, key="C_meas"):
-        """Group key values by (alpha, seed)."""
-        groups = {}
-        for r in self.sorted_records():
-            if "error" in r:
-                continue
-            groups.setdefault((r["alpha"], r["seed"]), []).append(r[key])
-        return groups
-
-
 def tensor_square(u: GridField) -> GridField:
     uv = u.values
     comps = np.stack([uv[..., 0] ** 2, uv[..., 0] * uv[..., 1],
@@ -387,11 +365,11 @@ _DOMAIN_ERRORS = (SolverError, PressureError, MollifyError, FieldError,
 
 
 def eta_study(rough_fields, etas, cutoffs, collar, plan,
-              ledger: EstimateLedger = None, mollify_kwargs=None):
-    """Sweep eta over each rough field, largest first; a run that fails with
-    a domain error is recorded with its error string and the sweep
-    continues."""
-    ledger = ledger or EstimateLedger()
+              mollify_kwargs=None):
+    """Sweep eta over each rough field, largest first; returns the list of
+    records.  A run that fails with a domain error is recorded with its
+    error string and the sweep continues."""
+    records = []
     for rough in rough_fields:
         prev = None
         for eta in sorted(etas, reverse=True):
@@ -402,5 +380,5 @@ def eta_study(rough_fields, etas, cutoffs, collar, plan,
             except _DOMAIN_ERRORS as exc:   # partial-failure policy
                 rec = {"alpha": float(rough.alpha), "seed": int(rough.seed),
                        "eta": float(eta), "error": str(exc)}
-            ledger.append(rec)
-    return ledger
+            records.append(rec)
+    return records

@@ -29,14 +29,8 @@ def write_csv(path, rows, header):
             fh.write(",".join(format_value(v) for v in row) + "\n")
 
 
-def write_records_csv(path, records, columns=None):
+def write_records_csv(path, records, columns):
     """Dict records in a fixed column order; missing keys empty."""
-    if columns is None:
-        columns = []
-        for rec in records:
-            for k in rec:
-                if k not in columns:
-                    columns.append(k)
     rows = [[format_value(rec[k]) if k in rec else "" for k in columns]
             for rec in records]
     write_csv(path, rows, columns)

@@ -100,6 +100,9 @@ def test_n_sub_guard():
     "field.j_max=1.5", "norms.plan_seed=x", "norms.n_random=2000.5",
     "study.seeds=[0.5]", "study.seeds=3", "study.alphas=0.5",
     "study.etas=0.01", "jobs=1.5", "jobs=-3",
+    "study.etas=[abc]", "study.alphas=[abc]", "field.alpha=abc",
+    "cutoffs.delta=abc", "domain.radius=abc", "field.eta=0",
+    "field.eta=-0.001", "study.etas=[0.0]", "grid=5",
 ])
 def test_mollify_integer_guards_exit_code(tmp_path, capsys, override):
     # a fractional size used to end in a TypeError, probe_n = 1 in an
@@ -107,7 +110,10 @@ def test_mollify_integer_guards_exit_code(tmp_path, capsys, override):
     # point at all; outside mollify, grid.collar_n_s = 32.5 ended in a
     # TypeError, and grid.n_rho = 32.5, field.j_max = 1.5, norms.n_random =
     # 2000.5 and study.seeds = [0.5] exited 0; a study list given as one
-    # number ended in a TypeError, and a negative jobs ran serially
+    # number ended in a TypeError, and a negative jobs ran serially.  A
+    # string for a float leaf ended in a TypeError (a ValueError for
+    # domain.radius), a section given as one number in an AttributeError,
+    # and an eta <= 0 in a solver error or a ledger of error rows
     out = tmp_path / "out"
     rc = main(["solve", *SMALL, "--set", override, "--out", str(out)])
     err = capsys.readouterr().err
@@ -210,11 +216,9 @@ def test_solve_radial2(tmp_path):
 
 
 def test_solve_rough(tmp_path):
-    # rough fields need the default grid: at 32x64 the discrete source and
-    # flux data are no longer compatible to the solver's tolerance
-    rc = main(["solve", "--set", "field.j_max=1",
-               "--set", "norms.n_random=2000", "--set", "domain.nodes=128",
-               "--out", str(tmp_path)])
+    # the default rough field (alpha = 1/3, seed 7, j_max 2) at 32x64; with
+    # j_max 1 the same field fails the solver's compatibility check there
+    rc = main(["solve", *SMALL, "--out", str(tmp_path)])
     assert rc == 0
     payload = json.loads((tmp_path / "solve.json").read_text())
     assert np.isfinite(payload["C_meas"]) and payload["C_meas"] > 0

@@ -1,6 +1,6 @@
-"""Cold-start guard: the package runs on numpy alone.  Importing it,
-running a study, a collar resample and a rough-field `pressure-lab solve`
-load no scipy module.
+"""Cold-start guard: the package runs on numpy alone.  Importing each of
+its modules, running a study, a collar resample and a rough-field
+`pressure-lab solve` load no scipy module.
 
 Each check runs in a fresh interpreter with this checkout's src on
 PYTHONPATH, since this process's sys.modules already holds what other
@@ -32,9 +32,22 @@ def _scipy_modules_after(code, cwd):
     return json.loads(run.stdout.splitlines()[-1])
 
 
-@pytest.mark.parametrize("module", ["pressure_lab", "pressure_lab.cli"])
-def test_import_loads_no_scipy(module, tmp_path):
-    assert _scipy_modules_after(f"import {module}", tmp_path) == []
+# `import pressure_lab` loads no submodule, so its case imports each one
+IMPORT_ALL = """
+import importlib, pkgutil, pressure_lab
+names = [m.name for m in pkgutil.iter_modules(pressure_lab.__path__)]
+assert "pressure" in names, names
+for name in names:
+    importlib.import_module(f"pressure_lab.{name}")
+"""
+
+
+@pytest.mark.parametrize("code", [
+    pytest.param(IMPORT_ALL, id="pressure_lab"),
+    pytest.param("import pressure_lab.cli", id="pressure_lab.cli"),
+])
+def test_import_loads_no_scipy(code, tmp_path):
+    assert _scipy_modules_after(code, tmp_path) == []
 
 
 def test_study_loads_no_scipy(tmp_path):

@@ -11,10 +11,9 @@ from pressure_lab.geometry import GeodesicChart, build_curve
 from pressure_lab.mollify import (MollifyError, divergence_probe,
                                   mollify_velocity)
 from pressure_lab.norms import build_pair_plan, c0_distance, holder_norm
-from pressure_lab.pressure import (EstimateLedger, PressureError,
-                                   bc_equivalence_check, boundary_trace,
-                                   collar_flux_residual, eta_study,
-                                   eta_study_record, sanss2_rhs,
+from pressure_lab.pressure import (PressureError, bc_equivalence_check,
+                                   boundary_trace, collar_flux_residual,
+                                   eta_study, eta_study_record, sanss2_rhs,
                                    solve_pressure, split_Pb, tensor_square,
                                    _slab_source)
 
@@ -251,13 +250,23 @@ def test_bc_equivalence_rigid(disk_chart, cutoffs, collar):
 # eta study
 # ----------------------------------------------------------------------
 
+def per_field(records, key="C_meas"):
+    """The key values of the records without an error, grouped by
+    (alpha, seed), in ascending eta."""
+    groups = {}
+    for r in sorted(records, key=lambda r: (r["alpha"], r["seed"], r["eta"])):
+        if "error" not in r:
+            groups.setdefault((r["alpha"], r["seed"]), []).append(r[key])
+    return groups
+
+
 def test_eta_study_ledger(disk_chart, cutoffs, collar):
     rough = make_rough_stream(0.5, 11, 1, disk_chart)
     plan = build_pair_plan(disk_chart.points, seed=0, n_random=2000)
-    ledger = eta_study([rough], [0.0125, 0.00625], cutoffs, collar, plan)
-    recs = ledger.sorted_records()
-    assert len(recs) == 2
-    assert [r["eta"] for r in recs] == [0.00625, 0.0125]
+    recs = eta_study([rough], [0.0125, 0.00625], cutoffs, collar, plan)
+    # the eta sweep runs largest-first, so the second record carries the
+    # successive-pressure diagnostic
+    assert [r["eta"] for r in recs] == [0.0125, 0.00625]
     for r in recs:
         assert "error" not in r
         assert np.isfinite(r["C_meas"]) and r["C_meas"] > 0
@@ -265,24 +274,20 @@ def test_eta_study_ledger(disk_chart, cutoffs, collar):
         assert r["trace_max"] < 1e-10
         assert r["tangency_max"] < 1e-8
         assert r["divergence_max"] < 1e-8
-    # the eta sweep runs largest-first, so the second record carries the
-    # successive-pressure diagnostic
-    with_step = [r for r in ledger.records if "p_c0_step" in r]
-    assert len(with_step) == 1
-    groups = ledger.per_field("C_meas")
+    assert ["p_c0_step" in r for r in recs] == [False, True]
+    groups = per_field(recs, "C_meas")
     assert list(groups) == [(0.5, 11)]
-    assert len(groups[(0.5, 11)]) == 2
+    assert groups[(0.5, 11)] == [recs[1]["C_meas"], recs[0]["C_meas"]]
 
 
 def test_eta_study_partial_failure(disk_chart, cutoffs, collar):
     rough = make_rough_stream(0.5, 1, 1, disk_chart)
     plan = build_pair_plan(disk_chart.points, seed=0, n_random=2000)
     # eta above epsilon/4 pushes kernel supports out of the cutoff bands
-    ledger = EstimateLedger()
-    eta_study([rough], [0.05], cutoffs, collar, plan, ledger=ledger)
-    assert len(ledger.records) == 1
-    assert "error" in ledger.records[0]
-    assert ledger.per_field() == {}
+    recs = eta_study([rough], [0.05], cutoffs, collar, plan)
+    assert len(recs) == 1
+    assert "error" in recs[0]
+    assert per_field(recs) == {}
 
 
 def test_eta_study_propagates_programming_errors(disk_chart, cutoffs, collar,
