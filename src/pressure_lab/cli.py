@@ -325,8 +325,10 @@ def cmd_study(cfg):
     jobs = cfg["jobs"] or os.cpu_count() or 1
     records = []
     if jobs > 1 and len(tasks) > 1:
-        # the parent only collects records; each worker builds the set-up
-        with ProcessPoolExecutor(max_workers=jobs,
+        # the parent only collects records; each worker builds the set-up.
+        # Under fork every worker is started at the first submit, so the
+        # pool has no more workers than tasks
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks)),
                                  initializer=_study_worker_init,
                                  initargs=(cfg,)) as pool:
             for recs in pool.map(_study_worker, tasks):

@@ -13,8 +13,7 @@ boundary stream is odd in s, hence the smoothed stream (and its theta
 derivative) vanish identically at s = 0 -- tangency and zero trace hold to
 rounding, for every eta.  Velocities are centered differences (weights d1,
 d2 on a stencil one ring wider) of each smoothed part.  The kernel owns
-that wider stencil: its shifts and the read-only weight tables value, d1
-and d2.
+that wider stencil: its shifts and the weight tables value, d1 and d2.
 
 The shift-sum (_shift_sum) runs in point-major blocks.  The points are
 split into equal chunks, and each sampler call takes one chunk with every
@@ -45,35 +44,20 @@ boundary batch reads all three tables; the interior batch reads the two
 derivative tables only, and so skips the center shift, whose derivative
 weights are zero.
 
-A record runs on two threads.  mollify_velocity runs its boundary batch on
-a helper thread beside its interior batch, and mollify_and_solve (in
-pressure.py; eta_study_record and the solve command call it) then runs
-divergence_probe on a helper thread beside the pressure solve; the probe
-reads psi and nothing of u_eta, so it is the one piece of a record that can
-overlap the solve.  Each helper is started and joined per call (_beside),
-so no thread outlives a call (a process that forks afterwards, such as a
-study's worker pool, copies none).  The threads share no mutable state:
-only psi, a pure function of its points, and the kernel's read-only
-tables.  numpy releases the GIL in the sine, BLAS and reduction loops of
-each chunk, and each sum does the same operations in the same order as it
-would alone, so every output is the serial one bit for bit.  The probe
-takes chunks of _PROBE_BLOCK_POINTS pairs, four times the nodes'
-_BLOCK_POINTS, because the solve beside it is the one part of a record
-that makes many short numpy calls: its CG makes about thirty calls of
-about 2 us per iteration, and each time the probe takes the GIL back
-between two array operations of a chunk, the CG waits for the probe's
-Python glue.  Measured at 64x128 on a 2-core VM (numpy path, BLAS on one
-thread, median of 36 records), the probe alone takes 21 ms and the solve
-alone 30 ms.  Side by side they take 52 ms at 8192-pair chunks, and a
-record 72 ms, more than the 69 ms of a record that ran the probe beside
-the node batches; at 32768-pair chunks they take 39 ms, and a record
-58 ms.
+mollify_velocity starts no thread: it runs the boundary batch and then
+the interior one on the calling thread.  A record's one helper thread
+belongs to mollify_and_solve (in pressure.py; eta_study_record and the
+solve command call it), which runs divergence_probe on it beside
+mollify_velocity and the pressure solve.  The probe builds its own kernel,
+so the two threads share only psi, which must therefore be a pure function
+of its points.  The probe takes chunks of _PROBE_BLOCK_POINTS pairs, four
+times the nodes' _BLOCK_POINTS: fewer chunks take the GIL less often from
+the calling thread, whose CG makes many short numpy calls.
 
 Both samplers read the stream function through the caller's callable of
 physical points, such as RoughStream.psi.
 """
 
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,8 +77,9 @@ class MollifyError(ValueError):
 # and ran no faster
 _BLOCK_POINTS = 8192
 # (shift, point) pairs per sampler evaluation of the divergence probe, which
-# runs beside the pressure solve: fewer chunks take the GIL from the solve's
-# CG less often (see the module docstring)
+# runs on a helper thread beside the mollifier and the pressure solve: fewer
+# chunks take the GIL from the calling thread less often (see the module
+# docstring)
 _PROBE_BLOCK_POINTS = 32768
 
 
@@ -110,7 +95,7 @@ class MollifierKernel:
 
     The kernel owns the stencil of the shift-sums: the shift components
     `shifts` of a (2n+3)^2 stencil, one ring wider than the weights' own,
-    and on it three read-only weight tables, `value` (the normalized
+    and on it three weight tables, `value` (the normalized
     weights, zero on the outer ring) and `d1`, `d2`, its centered
     differences along the first and the second shift axis."""
 
@@ -138,9 +123,6 @@ class MollifierKernel:
         self.d2 = (np.roll(self.value, -1, axis=1)
                    - np.roll(self.value, 1, axis=1)) / (2.0 * d)
         self.shifts = np.arange(-n - 1, n + 2) * d
-        # shared by the threads of a record, so never written
-        for table in (self.shifts, self.value, self.d1, self.d2):
-            table.flags.writeable = False
 
     @property
     def spacing(self):
@@ -327,10 +309,10 @@ def mollify_velocity(psi, chart: InteriorChart, eta, cutoffs: CutoffProfile,
     scale eta, on the nodes of the chart.
 
     psi is the stream function, a callable of physical points that vanishes
-    on the boundary (e.g. RoughStream.psi).  It is called from two threads
-    at once (the boundary and the interior node batch), so it must be a
-    pure function of its points, as RoughStream.psi is.  eta must satisfy
-    eta <= epsilon / 4 so that supports stay inside the cutoff bands.
+    on the boundary (e.g. RoughStream.psi); it is called on the calling
+    thread only, by the boundary node batch and then by the interior one.
+    eta must satisfy eta <= epsilon / 4 so that supports stay inside the
+    cutoff bands.
     """
     kernel = _kernel(eta, cutoffs, n_sub)
     th, tau, nrm, gam = chart.collar_frame
@@ -349,11 +331,10 @@ def mollify_velocity(psi, chart: InteriorChart, eta, cutoffs: CutoffProfile,
     imask = depth >= cutoffs.delta - cutoffs.epsilon - eta - 2.0 * kernel.spacing
     x = np.concatenate([chart.points[imask], chart.center[None, :]])
 
-    (pb, ds, dt), (d1, d2) = _beside(
-        lambda: _shift_sum(_BoundarySampler(psi, cutoffs, chart), kernel,
-                           s_b, theta_b, (kernel.value, kernel.d1, kernel.d2)),
-        lambda: _shift_sum(_InteriorSampler(psi, cutoffs, chart), kernel,
-                           x[:, 0], x[:, 1], (kernel.d1, kernel.d2)))
+    pb, ds, dt = _shift_sum(_BoundarySampler(psi, cutoffs, chart), kernel,
+                            s_b, theta_b, (kernel.value, kernel.d1, kernel.d2))
+    d1, d2 = _shift_sum(_InteriorSampler(psi, cutoffs, chart), kernel,
+                        x[:, 0], x[:, 1], (kernel.d1, kernel.d2))
 
     u_vals = np.zeros(depth.shape + (2,))
     un_vals = np.zeros_like(depth)
@@ -385,30 +366,6 @@ def _kernel(eta, cutoffs, n_sub):
         raise MollifyError(f"eta = {eta:.3g} exceeds epsilon/4 = "
                            f"{cutoffs.epsilon / 4.0:.3g}")
     return MollifierKernel(float(eta), n_sub=n_sub)
-
-
-def _beside(helper, main):
-    """(helper(), main()), with helper run on a thread started and joined
-    here and main on the calling thread.  If either raises, the call raises
-    once both are done; if both raise, it raises helper's exception, the
-    one that running helper first and main second would raise."""
-    box = {}
-
-    def run():
-        try:
-            box["result"] = helper()
-        except BaseException as exc:     # re-raised on the calling thread
-            box["error"] = exc
-
-    thread = threading.Thread(target=run, name="pressure-lab-helper")
-    thread.start()
-    try:
-        result = main()
-    finally:
-        thread.join()
-        if "error" in box:
-            raise box.pop("error")
-    return box["result"], result
 
 
 def divergence_probe(psi, chart: InteriorChart, eta, cutoffs: CutoffProfile,

@@ -6,8 +6,16 @@ Sign conventions (validated by the rigid-rotation oracle): interior normal,
 gamma < 0 on convex boundaries, and Neumann data d_n p = gamma (u.tau)^2 on
 the wall; the adjusted pressure P = p + phi(d) (u.n)^2 makes that normal
 derivative well defined for rough velocities.
+
+A record runs on one helper thread, owned by mollify_and_solve: the
+divergence probe runs on it from the start of the record, while the
+calling thread mollifies psi and solves for the pressure; the thread is
+joined before the Holder norms are taken.  Each shift-sum and the solve do
+the same operations in the same order as they would alone, so every output
+is the serial one bit for bit.
 """
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,8 +25,8 @@ from .fields import (FieldError, GridField, InteriorChart, collar_components,
 from .geometry import CutoffProfile, GeodesicChart, GeometryError
 from .elliptic import (LinearSolveReport, SlabOperator, SolverError,
                        solve_neumann)
-from .mollify import (MollifyError, RegularizedVelocity, _beside,
-                      divergence_probe, mollify_velocity)
+from .mollify import (MollifyError, RegularizedVelocity, divergence_probe,
+                      mollify_velocity)
 from .norms import NormError, h_minus2_norm, holder_norm, c0_distance
 
 
@@ -78,17 +86,49 @@ def solve_pressure(u, chart: InteriorChart = None, collar: GeodesicChart = None,
 def mollify_and_solve(psi, chart: InteriorChart, eta, cutoffs: CutoffProfile,
                       collar: GeodesicChart, n_sub=4, probe_n=128):
     """(RegularizedVelocity, divergence_max, PressureSolution) of the stream
-    psi at scale eta: mollify_velocity, then the divergence probe of psi on
-    a helper thread beside the pressure solve of the mollified velocity.
-    A mollifier error is raised before either runs; if both the probe and
-    the solve raise, the probe's error is raised, as it was when the probe
-    ran inside the mollifier, before the solve."""
-    rv = mollify_velocity(psi, chart, eta, cutoffs, collar, n_sub=n_sub)
-    divergence_max, sol = _beside(
-        lambda: divergence_probe(psi, chart, rv.eta, cutoffs, n_sub=n_sub,
-                                 probe_n=probe_n),
-        lambda: solve_pressure(rv, chart=chart, cutoffs=cutoffs))
+    psi at scale eta.
+
+    A record's one helper thread: divergence_probe of psi runs on it, started
+    here and joined once the calling thread has run mollify_velocity and then
+    the pressure solve of the mollified velocity.  No thread outlives the
+    call (a study forks its pool workers afterwards), and psi is called from
+    both threads at once, so it must be a pure function of its points, as
+    RoughStream.psi is.  If either side raises, the call raises once both
+    are done; if both raise, the probe's error is raised.  Both check the
+    same eta guard (eta <= epsilon / 4) with the same MollifyError text, so
+    a record that fails it fails with that text either way."""
+    def mollify_then_solve():
+        rv = mollify_velocity(psi, chart, eta, cutoffs, collar, n_sub=n_sub)
+        return rv, solve_pressure(rv, chart=chart, cutoffs=cutoffs)
+
+    divergence_max, (rv, sol) = _beside(
+        lambda: divergence_probe(psi, chart, float(eta), cutoffs,
+                                 n_sub=n_sub, probe_n=probe_n),
+        mollify_then_solve)
     return rv, divergence_max, sol
+
+
+def _beside(helper, main):
+    """(helper(), main()), with helper run on a thread started and joined
+    here and main on the calling thread.  If either raises, the call raises
+    once both are done; if both raise, it raises helper's exception."""
+    box = {}
+
+    def run():
+        try:
+            box["result"] = helper()
+        except BaseException as exc:     # re-raised on the calling thread
+            box["error"] = exc
+
+    thread = threading.Thread(target=run, name="pressure-lab-helper")
+    thread.start()
+    try:
+        result = main()
+    finally:
+        thread.join()
+        if "error" in box:
+            raise box.pop("error")
+    return box["result"], result
 
 
 # ----------------------------------------------------------------------

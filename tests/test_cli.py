@@ -303,25 +303,63 @@ def test_study_setup_error_exit_code(tmp_path, capsys, jobs):
     assert "Traceback" not in err
 
 
+def test_study_pool_has_no_more_workers_than_tasks(tmp_path, monkeypatch):
+    # every pool worker is forked at the first submit, so --jobs 64 with two
+    # tasks asks for two workers, and writes the --jobs 1 ledger
+    requested = []
+
+    class InProcessPool:
+        """A stand-in for ProcessPoolExecutor that starts no process: it
+        records max_workers and runs the initializer and map in this
+        process."""
+
+        def __init__(self, max_workers, initializer, initargs):
+            requested.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    args = ["study", *SMALL,
+            "--set", "study.alphas=[0.5]", "--set", "study.seeds=[0, 1]",
+            "--set", "study.etas=[0.0125]", "--set", "field.j_max=1"]
+    assert main([*args, "--out", str(tmp_path / "serial"), "--jobs", "1"]) == 0
+    monkeypatch.setattr("pressure_lab.cli.ProcessPoolExecutor", InProcessPool)
+    # the worker's globals, which the in-process initializer sets
+    monkeypatch.setattr("pressure_lab.cli._worker_cfg", None)
+    monkeypatch.setattr("pressure_lab.cli._worker_setup", None)
+    assert main([*args, "--out", str(tmp_path / "pool"), "--jobs", "64"]) == 0
+    assert requested == [2]
+    assert (tmp_path / "pool" / "ledger.csv").read_bytes() == \
+        (tmp_path / "serial" / "ledger.csv").read_bytes()
+
+
 def test_study_pool_forks_after_mollify(tmp_path):
     # the pool workers of a study are forked from a process that has run
-    # mollify_velocity; a thread pool kept alive between calls would be
-    # copied into them without its thread, and the workers would wait on it
-    # for ever.  The run is a subprocess with a timeout, so that a hang
-    # fails the test instead of stalling it
+    # mollify_and_solve, the one site that starts a helper thread; a thread
+    # kept alive between calls would be copied into them without its
+    # thread, and the workers would wait on it for ever.  The run is a
+    # subprocess with a timeout, so that a hang fails the test instead of
+    # stalling it
     script = textwrap.dedent(f"""
         import sys
         from pressure_lab.cli import main
         from pressure_lab.fields import InteriorChart, make_rough_stream
         from pressure_lab.geometry import (GeodesicChart, build_curve,
                                            default_cutoffs)
-        from pressure_lab.mollify import mollify_velocity
+        from pressure_lab.pressure import mollify_and_solve
         curve = build_curve({{"kind": "circle", "radius": 1.0}}, 128)
         chart = InteriorChart(curve, 32, 64)
         cutoffs = default_cutoffs(0.4)
         collar = GeodesicChart(curve, cutoffs.delta, 32, 64)
         rough = make_rough_stream(0.5, 0, 1, chart)
-        mollify_velocity(rough.psi, chart, 0.0125, cutoffs, collar)
+        mollify_and_solve(rough.psi, chart, 0.0125, cutoffs, collar)
         sys.exit(main(["study", *{SMALL!r},
                        "--set", "study.alphas=[0.5]",
                        "--set", "study.seeds=[0, 1]",
@@ -342,7 +380,7 @@ def test_study_pool_forks_after_mollify(tmp_path):
     except subprocess.TimeoutExpired:
         os.killpg(proc.pid, signal.SIGKILL)
         proc.communicate()
-        pytest.fail("study --jobs 2 hung after mollify_velocity")
+        pytest.fail("study --jobs 2 hung after mollify_and_solve")
     assert proc.returncode == 0, err.decode()
     rows = (tmp_path / "out" / "ledger.csv").read_text().strip().splitlines()
     assert len(rows) == 1 + 2

@@ -1,4 +1,3 @@
-import sys
 import threading
 
 import numpy as np
@@ -40,14 +39,6 @@ def test_kernel_derivative_tables_are_centered_differences():
         # even in each axis, so each derivative is odd along its own axis
         assert np.array_equal(k.d1, -k.d1[::-1])
         assert np.array_equal(k.d2, -k.d2[:, ::-1])
-
-
-def test_kernel_tables_are_read_only():
-    # the threads of a record share the kernel's tables
-    k = MollifierKernel(0.0125)
-    for table in (k.shifts, k.value, k.d1, k.d2):
-        with pytest.raises(ValueError, match="read-only"):
-            table[0] = 1.0
 
 
 def test_eta_guard(disk_chart, cutoffs, collar):
@@ -333,15 +324,15 @@ def test_pole_and_wall_trace_ride_in_the_node_batches(disk_chart, circle,
 
 
 # ----------------------------------------------------------------------
-# the boundary batch's helper thread
+# no thread in the mollifier
 # ----------------------------------------------------------------------
 
-def test_no_thread_outlives_mollify(disk_chart, cutoffs, collar):
-    # the boundary node batch runs on a helper thread started and joined per
-    # call, beside the interior batch: after a normal call and after either
-    # batch or both raise, no thread is left behind (a study forks its pool
-    # workers afterwards), and the boundary batch's error wins, as it did
-    # when the boundary batch ran first
+def test_no_thread_outlives_mollify(disk_chart, cutoffs, collar,
+                                    monkeypatch):
+    # mollify_velocity starts no thread: psi is called on the caller's
+    # thread only, by the boundary node batch and then by the interior one,
+    # so an error of the boundary batch is raised before the interior batch
+    # runs
     rough = make_rough_stream(1.0 / 3.0, 7, 2, disk_chart)
     caller = threading.current_thread()
     before = threading.active_count()
@@ -352,52 +343,27 @@ def test_no_thread_outlives_mollify(disk_chart, cutoffs, collar):
         return rough.psi(pts)
 
     mollify_velocity(recorded, disk_chart, 0.0125, cutoffs, collar)
-    # psi was called on the caller's thread and on one other
-    assert caller in threads and len(threads) == 2
-    assert not any(t.is_alive() for t in threads - {caller})
+    assert threads == {caller}
     assert threading.active_count() == before
 
     class BoundaryError(Exception):
         pass
 
-    class InteriorError(Exception):
-        pass
+    def raising(pts):
+        raise BoundaryError
 
-    def raising(on_helper, on_caller):
-        def psi(pts):
-            if threading.current_thread() is caller:
-                if on_caller:
-                    raise InteriorError
-            elif on_helper:
-                raise BoundaryError
-            return rough.psi(pts)
-        return psi
+    interior = mollify._InteriorSampler.__call__
+    interior_calls = []
 
-    for on_helper, on_caller, error in ((True, False, BoundaryError),
-                                        (False, True, InteriorError),
-                                        (True, True, BoundaryError)):
-        with pytest.raises(error):
-            mollify_velocity(raising(on_helper, on_caller), disk_chart,
-                             0.0125, cutoffs, collar)
-        assert threading.active_count() == before
+    def counted(self, *args):
+        interior_calls.append(threading.current_thread())
+        return interior(self, *args)
 
-
-def test_outputs_do_not_depend_on_thread_switching(disk_chart, cutoffs,
-                                                   collar):
-    # each shift-sum sees the same operations in the same order whatever
-    # the interleaving of the two threads: a switch every microsecond
-    # changes no bit
-    psi = make_rough_stream(1.0 / 3.0, 7, 2, disk_chart).psi
-    eta = 0.00625
-    default = mollify_velocity(psi, disk_chart, eta, cutoffs, collar)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        switched = mollify_velocity(psi, disk_chart, eta, cutoffs, collar)
-    finally:
-        sys.setswitchinterval(interval)
-    for name in ("boundary_tangential", "normal_component"):
-        assert np.array_equal(getattr(default, name), getattr(switched, name))
-    assert np.array_equal(default.u_eta.values, switched.u_eta.values)
-    assert np.array_equal(default.u_eta.pole, switched.u_eta.pole)
-    assert default.diagnostics() == switched.diagnostics()
+    monkeypatch.setattr(mollify._InteriorSampler, "__call__", counted)
+    with pytest.raises(BoundaryError):
+        mollify_velocity(raising, disk_chart, 0.0125, cutoffs, collar)
+    assert interior_calls == []
+    assert threading.active_count() == before
+    # the counting sampler is the interior batch's
+    mollify_velocity(rough.psi, disk_chart, 0.0125, cutoffs, collar)
+    assert interior_calls and set(interior_calls) == {caller}

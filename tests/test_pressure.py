@@ -329,9 +329,9 @@ def _serial_record(rough, eta, cutoffs, collar, plan, prev_p):
 
 
 def test_record_matches_serial_composition(disk_chart, cutoffs, collar):
-    # the probe runs on a helper thread beside the solve; the record is the
-    # serial composition's bit for bit, also when the threads switch every
-    # microsecond
+    # the probe runs on a helper thread beside the mollifier and the solve;
+    # the record is the serial composition's bit for bit, also when the
+    # threads switch every microsecond
     rough = make_rough_stream(1.0 / 3.0, 7, 2, disk_chart)
     plan = build_pair_plan(disk_chart.points, seed=0, n_random=2000)
     prev = np.zeros(disk_chart.points.shape[:-1])
@@ -350,11 +350,11 @@ def test_record_matches_serial_composition(disk_chart, cutoffs, collar):
         assert threading.active_count() == before
 
 
-def test_no_thread_outlives_a_record(cutoffs):
+def test_no_thread_outlives_a_record(cutoffs, monkeypatch):
     # alpha = 1/3 with one dyadic level fails the compatibility check of
     # the solve at 32x64: a SolverError record.  A probe grid of side 10
     # has no core: the probe's MollifyError, raised beside that same solve,
-    # wins, as it did when the probe ran inside the mollifier
+    # wins
     curve = build_curve({"kind": "circle", "radius": 1.0}, 128)
     chart = InteriorChart(curve, 32, 64)
     collar = GeodesicChart(curve, cutoffs.delta, 32, 64)
@@ -373,6 +373,37 @@ def test_no_thread_outlives_a_record(cutoffs):
             eta_study_record(rough, 0.0125, cutoffs, collar, plan,
                              mollify_kwargs={"n_sub": 4, "probe_n": 10})
         assert threading.active_count() == before
+
+    # a record runs psi on two threads: the caller's (the mollifier) and
+    # one helper (the probe), which is joined before the record returns
+    caller = threading.current_thread()
+    threads = set()
+    psi = good.psi
+
+    def recorded(pts):
+        threads.add(threading.current_thread())
+        return psi(pts)
+
+    monkeypatch.setattr(good, "psi", recorded)
+    eta_study_record(good, 0.0125, cutoffs, collar, plan)
+    assert caller in threads and len(threads) == 2
+    assert not any(t.is_alive() for t in threads - {caller})
+    assert threading.active_count() == before
+
+    # an error of psi on the calling thread is raised once the helper is
+    # joined
+    class CallerError(Exception):
+        pass
+
+    def raising(pts):
+        if threading.current_thread() is caller:
+            raise CallerError
+        return psi(pts)
+
+    monkeypatch.setattr(good, "psi", raising)
+    with pytest.raises(CallerError):
+        eta_study_record(good, 0.0125, cutoffs, collar, plan)
+    assert threading.active_count() == before
 
 
 def test_tensor_square(disk_chart):
