@@ -22,13 +22,13 @@ import numpy as np
 import yaml
 
 from .geometry import GeodesicChart, GeometryError, build_curve, build_cutoffs
-from .fields import (FieldError, InteriorChart, RadialFlow, make_rough_stream,
-                     radial_flow)
+from .fields import (FieldError, GridField, InteriorChart, RadialFlow,
+                     make_rough_stream)
 from .norms import NormError, build_pair_plan, holder_norm
 from .elliptic import SolverError
 from .mollify import MollifyError
 from .pressure import (PressureError, _collar_resample, boundary_trace,
-                       eta_study, mollify_and_solve, solve_pressure,
+                       eta_study, mollify_and_solve, per_uu, solve_pressure,
                        tensor_square)
 from . import report, verification
 
@@ -40,7 +40,7 @@ DEFAULT_CONFIG = {
                 "delta1": 0.1, "delta2": 0.2, "delta3": 0.25},
     "mollify": {"n_sub": 4, "probe_n": 128},
     "field": {"kind": "rough", "alpha": 1.0 / 3.0, "seed": 7, "j_max": 2,
-              "eta": 0.0125},
+              "eta": 0.0},
     "norms": {"plan_seed": 0, "n_random": 20000},
     "study": {"alphas": [0.25, 1.0 / 3.0, 0.5, 0.75],
               "seeds": [0, 1, 2, 3, 4],
@@ -168,10 +168,12 @@ def validate_config(cfg):
         if not value:
             raise ConfigError(f"study.{key} must not be empty")
     guard = c["epsilon"] / 4.0 + 1e-12
-    for key, eta in ([("study.etas", eta) for eta in cfg["study"]["etas"]]
-                     + [("field.eta", cfg["field"]["eta"])]):
-        if eta <= 0.0:
-            raise ConfigError(f"{key} = {eta} must be positive")
+    # field.eta = 0 solves the exact velocity; every study run mollifies
+    for key, eta, least in (
+            [("study.etas", eta, "positive") for eta in cfg["study"]["etas"]]
+            + [("field.eta", cfg["field"]["eta"], ">= 0")]):
+        if eta < 0.0 or (eta == 0.0 and least == "positive"):
+            raise ConfigError(f"{key} = {eta} must be {least}")
         if eta > guard:
             raise ConfigError(
                 f"{key} = {eta} exceeds epsilon/4 = {c['epsilon'] / 4.0}: "
@@ -181,7 +183,9 @@ def validate_config(cfg):
             raise ConfigError(f"alpha = {a} outside (0, 1)")
 
 
-def _build_geometry(cfg):
+def _setup(cfg):
+    """(chart, cutoffs, collar, plan) of the config; each study process
+    builds them once for all its (alpha, seed) runs."""
     dom = cfg["domain"]
     curve = build_curve({"kind": "circle", "radius": dom["radius"]},
                         dom["nodes"])
@@ -190,7 +194,9 @@ def _build_geometry(cfg):
     cutoffs = build_cutoffs(**cfg["cutoffs"])
     collar = GeodesicChart(curve, cutoffs.delta, g["collar_n_s"],
                            g["collar_n_theta"])
-    return curve, chart, cutoffs, collar
+    plan = build_pair_plan(chart.points, seed=cfg["norms"]["plan_seed"],
+                           n_random=cfg["norms"]["n_random"])
+    return chart, cutoffs, collar, plan
 
 
 # the smooth kinds of field: u = V(r) e_theta for the profile V
@@ -199,16 +205,13 @@ _PROFILES = {"rigid": lambda r: r, "radial2": lambda r: r**2,
 
 
 def _make_field(cfg, chart):
-    """(RadialFlow, None) for a smooth kind; (None, rough) for a rough
-    stream, whose velocity is the mollified one."""
+    """The field of the config: psi, velocity and, if known, pressure."""
     f = cfg["field"]
-    kind = f["kind"]
-    if kind in _PROFILES:
-        return RadialFlow(_PROFILES[kind], chart.radius, chart.center), None
-    if kind == "rough":
-        return None, make_rough_stream(f["alpha"], f["seed"], f["j_max"],
-                                       chart)
-    raise ConfigError(f"unknown field.kind: {kind}")
+    if f["kind"] in _PROFILES:
+        return RadialFlow(_PROFILES[f["kind"]], chart.radius, chart.center)
+    if f["kind"] == "rough":
+        return make_rough_stream(f["alpha"], f["seed"], f["j_max"], chart)
+    raise ConfigError(f"unknown field.kind: {f['kind']}")
 
 
 # ----------------------------------------------------------------------
@@ -237,19 +240,21 @@ def cmd_solve(cfg):
         raise ConfigError(f"grid.collar_n_theta = {n_theta} must be an "
                           "integer power of two for the boundary trace's "
                           "H^-2 norm")
-    curve, chart, cutoffs, collar = _build_geometry(cfg)
-    flow, rough = _make_field(cfg, chart)
+    chart, cutoffs, collar, plan = _setup(cfg)
+    field = _make_field(cfg, chart)
+    eta, alpha = cfg["field"]["eta"], cfg["field"]["alpha"]
     outdir = cfg["output"]
     os.makedirs(outdir, exist_ok=True)
 
-    if rough is None:
-        u = radial_flow(flow.profile, chart)
-        sol = solve_pressure(u, chart=chart, cutoffs=cutoffs)
-    else:
+    # eta > 0 mollifies the field's stream; eta = 0 solves its exact velocity
+    if eta > 0.0:
         rv, divergence_max, sol = mollify_and_solve(
-            rough.psi, chart, cfg["field"]["eta"], cutoffs, collar,
-            **cfg["mollify"])
+            field.psi, chart, eta, cutoffs, collar, **cfg["mollify"])
         u = rv.u_eta
+    else:
+        u = GridField(chart, field.velocity(chart.points),
+                      pole=field.velocity(chart.center[None, :])[0])
+        sol = solve_pressure(u, chart=chart, cutoffs=cutoffs)
 
     Pc = _collar_resample(sol.P, collar)
     tc = boundary_trace(Pc, u, collar)
@@ -259,37 +264,25 @@ def cmd_solve(cfg):
     report.write_csv(os.path.join(outdir, "trace.csv"), tc.as_rows(),
                      ["s", "h_minus2_distance"])
 
+    uu = holder_norm(tensor_square(u), alpha, plan)
+    hP = holder_norm(sol.P, alpha, plan)
     payload = {
-        "command": "solve", "field": cfg["field"],
-        "grid": cfg["grid"],
+        "command": "solve", "field": cfg["field"], "grid": cfg["grid"],
         "solver": dataclasses.asdict(sol.report),
         "trace": {"s": tc.s, "distances": tc.distances,
                   "wall_distance": tc.wall_distance, "slope": tc.slope},
+        "C_meas": per_uu(hP.norm, uu.norm),
+        "norms": {"uu": uu.as_record(), "P": hP.as_record()},
     }
-    if rough is None:
+    if hasattr(field, "pressure"):
         payload["oracle_error"] = float(
-            np.max(np.abs(sol.p.values - flow.pressure(chart.points))))
-    else:
-        plan = build_pair_plan(chart.points, seed=cfg["norms"]["plan_seed"],
-                               n_random=cfg["norms"]["n_random"])
-        uu = holder_norm(tensor_square(u), cfg["field"]["alpha"], plan)
-        hP = holder_norm(sol.P, cfg["field"]["alpha"], plan)
-        payload["C_meas"] = hP.norm / uu.norm
-        payload["norms"] = {"uu": uu.as_record(), "P": hP.as_record()}
+            np.max(np.abs(sol.p.values - field.pressure(chart.points))))
+    if eta > 0.0:
         payload["mollify"] = {**rv.diagnostics(),
                               "divergence_max": divergence_max}
     report.write_json_report(os.path.join(outdir, "solve.json"), payload)
     print(f"wrote {outdir}/solve.json")
     return 0
-
-
-def _study_setup(cfg):
-    """(chart, cutoffs, collar, plan) of a study: they depend on the config
-    alone, so each process builds them once for all its (alpha, seed) runs."""
-    curve, chart, cutoffs, collar = _build_geometry(cfg)
-    plan = build_pair_plan(chart.points, seed=cfg["norms"]["plan_seed"],
-                           n_random=cfg["norms"]["n_random"])
-    return chart, cutoffs, collar, plan
 
 
 def _study_records(cfg, setup, alpha, seed):
@@ -315,7 +308,7 @@ def _study_worker(task):
     # map() as the task's own exception instead of breaking the pool
     global _worker_setup
     if _worker_setup is None:
-        _worker_setup = _study_setup(_worker_cfg)
+        _worker_setup = _setup(_worker_cfg)
     return _study_records(_worker_cfg, _worker_setup, *task)
 
 
@@ -334,7 +327,7 @@ def cmd_study(cfg):
             for recs in pool.map(_study_worker, tasks):
                 records.extend(recs)
     else:
-        setup = _study_setup(cfg)
+        setup = _setup(cfg)
         for task in tasks:
             records.extend(_study_records(cfg, setup, *task))
     # every record, an error row too, has these keys

@@ -265,7 +265,7 @@ class GridField:
 # ----------------------------------------------------------------------
 
 class RadialFlow:
-    """u = V(r) e_theta on a disk; analytic pressure is available."""
+    """u = V(r) e_theta on a disk, with its stream function and pressure."""
 
     def __init__(self, profile, radius, center=(0.0, 0.0)):
         self.profile = profile
@@ -273,23 +273,34 @@ class RadialFlow:
         self.center = np.asarray(center, dtype=float)
 
     def velocity(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        rel = pts - self.center
+        rel = np.asarray(pts, dtype=float) - self.center
         r = np.linalg.norm(rel, axis=-1)
         with np.errstate(invalid="ignore", divide="ignore"):
             scale = np.where(r > 0, self.profile(r) / np.where(r > 0, r, 1.0), 0.0)
         return np.stack([-rel[..., 1], rel[..., 0]], axis=-1) * scale[..., None]
 
+    def psi(self, pts):
+        """Stream function, psi' = V and psi(R) = 0: the velocity is
+        grad^perp psi = (-d_2 psi, d_1 psi); (r^2 - R^2)/2 for V = r."""
+        r = np.linalg.norm(np.asarray(pts, dtype=float) - self.center, axis=-1)
+        rq, cumul = self._integral(self.profile)
+        return np.interp(r, rq, cumul - cumul[-1])
+
     def pressure(self, pts, n_quad=2000):
         """Mean-zero pressure from p'(r) = V(r)^2 / r."""
-        pts = np.asarray(pts, dtype=float)
-        r = np.linalg.norm(pts - self.center, axis=-1)
-        rq = np.linspace(0.0, self.radius, n_quad)
+        r = np.linalg.norm(np.asarray(pts, dtype=float) - self.center, axis=-1)
         with np.errstate(invalid="ignore", divide="ignore"):
-            integrand = np.where(rq > 0, self.profile(rq) ** 2 / np.where(rq > 0, rq, 1.0), 0.0)
-        cumul = np.concatenate([[0.0], np.cumsum(0.5 * (integrand[1:] + integrand[:-1]) * np.diff(rq))])
+            rq, cumul = self._integral(lambda q: np.where(
+                q > 0, self.profile(q) ** 2 / np.where(q > 0, q, 1.0), 0.0),
+                n_quad)
         mean = np.trapezoid(cumul * 2.0 * rq / self.radius**2, rq)
         return np.interp(r, rq, cumul) - mean
+
+    def _integral(self, derivative, n_quad=2000):
+        """(rq, F): n_quad points of [0, R], F' = derivative by trapezoids."""
+        rq = np.linspace(0.0, self.radius, n_quad)
+        f = derivative(rq)
+        return rq, np.concatenate([[0.0], np.cumsum(0.5 * (f[1:] + f[:-1]) * np.diff(rq))])
 
 
 def radial_flow(profile, chart: InteriorChart) -> GridField:
@@ -333,9 +344,6 @@ class RoughStream:
         self.freqs = self.base_wavenumber * 4.0**js
         self.kvec = self.freqs[:, None] * self.dirs                # (J, 2)
 
-    def _beta(self, x, y):
-        return 1.0 - (x * x + y * y) / self.radius**2
-
     def _phases(self, pts):
         """(x, y, phase): coordinates relative to the center and the (J, M)
         table k_j . x + phase_j over the M flattened points.  The center is
@@ -365,8 +373,8 @@ class RoughStream:
         np.sin(phase, out=phase)
         phase *= self.amps[:, None]
         # the series is summed in the phase table's first row, beta is
-        # formed in the table of x and y as _beta forms it, and the product
-        # in the series
+        # formed in the table of x and y as grad_psi forms it, and the
+        # product in the series
         series = _sum_modes(phase).reshape(x.shape)
         x *= x
         y *= y
@@ -381,7 +389,7 @@ class RoughStream:
         x, y, phase = self._phases(pts)
         series = _sum_modes(self.amps[:, None] * np.sin(phase))
         slope = self.amps[:, None] * np.cos(phase)
-        beta = self._beta(x, y).ravel()
+        beta = (1.0 - (x * x + y * y) / self.radius**2).ravel()
         grad = [-2.0 * c.ravel() / self.radius**2 * series
                 + beta * _sum_modes(slope * self.kvec[:, k, None])
                 for k, c in enumerate((x, y))]

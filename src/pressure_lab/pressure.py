@@ -7,12 +7,9 @@ gamma < 0 on convex boundaries, and Neumann data d_n p = gamma (u.tau)^2 on
 the wall; the adjusted pressure P = p + phi(d) (u.n)^2 makes that normal
 derivative well defined for rough velocities.
 
-A record runs on one helper thread, owned by mollify_and_solve: the
-divergence probe runs on it from the start of the record, while the
-calling thread mollifies psi and solves for the pressure; the thread is
-joined before the Holder norms are taken.  Each shift-sum and the solve do
-the same operations in the same order as they would alone, so every output
-is the serial one bit for bit.
+A record runs on one helper thread (see mollify_and_solve).  Each
+shift-sum and the solve do the same operations in the same order as they
+would alone, so every output is the serial one bit for bit.
 """
 
 import threading
@@ -90,13 +87,13 @@ def mollify_and_solve(psi, chart: InteriorChart, eta, cutoffs: CutoffProfile,
 
     A record's one helper thread: divergence_probe of psi runs on it, started
     here and joined once the calling thread has run mollify_velocity and then
-    the pressure solve of the mollified velocity.  No thread outlives the
-    call (a study forks its pool workers afterwards), and psi is called from
-    both threads at once, so it must be a pure function of its points, as
-    RoughStream.psi is.  If either side raises, the call raises once both
-    are done; if both raise, the probe's error is raised.  Both check the
-    same eta guard (eta <= epsilon / 4) with the same MollifyError text, so
-    a record that fails it fails with that text either way."""
+    the pressure solve of the mollified velocity.  No thread outlives the call
+    (a study forks its pool workers afterwards), and psi is called from both
+    threads at once, so it must be a pure function of its points, as
+    RoughStream.psi and RadialFlow.psi are.  If either side raises, the call
+    raises once both are done; if both raise, the probe's error is raised.
+    Both check the same eta guard (eta <= epsilon/4) with the same MollifyError
+    text, so a record that fails it fails with that text either way."""
     def mollify_then_solve():
         rv = mollify_velocity(psi, chart, eta, cutoffs, collar, n_sub=n_sub)
         return rv, solve_pressure(rv, chart=chart, cutoffs=cutoffs)
@@ -364,6 +361,11 @@ def tensor_square(u: GridField) -> GridField:
     return GridField(u.chart, comps)
 
 
+def per_uu(bound, uu_norm):
+    """bound / |u x u|, the measured constant; NaN for a zero u x u."""
+    return bound / uu_norm if uu_norm > 0 else float("nan")
+
+
 def eta_study_record(rough, eta, cutoffs, collar, plan, prev_p=None,
                      mollify_kwargs=None):
     """One (field, eta) run: mollify, solve, measure.  Returns the ledger
@@ -384,8 +386,8 @@ def eta_study_record(rough, eta, cutoffs, collar, plan, prev_p=None,
         "n_rho": chart.n_rho, "n_theta": chart.n_theta,
         "uu_holder": uu.norm, "p_holder": hp.norm, "P_holder": hP.norm,
         "P_sup": sup_P,
-        "C_meas": hP.norm / uu.norm if uu.norm > 0 else float("nan"),
-        "C1_meas": sup_P / uu.norm if uu.norm > 0 else float("nan"),
+        "C_meas": per_uu(hP.norm, uu.norm),
+        "C1_meas": per_uu(sup_P, uu.norm),
         "plan_seed": plan.seed, "pair_count": plan.n_pairs,
         "solver_iterations": sol.report.iterations,
         "trace_max": rv.trace_max, "tangency_max": rv.tangency_max,

@@ -8,7 +8,7 @@ versions live in the test suite.
 import numpy as np
 
 from .geometry import GeodesicChart, build_curve
-from .fields import InteriorChart, make_rough_stream, radial_flow
+from .fields import InteriorChart, RadialFlow, make_rough_stream, radial_flow
 from .norms import build_pair_plan, h_minus2_norm, holder_norm
 from .elliptic import SlabOperator, solve_neumann
 from .mollify import divergence_probe, mollify_velocity
@@ -120,7 +120,8 @@ def verify_pressure(cutoffs):
     curve = build_curve({"kind": "circle", "radius": 1.0}, 256)
     chart = InteriorChart(curve, 64, 128)
     collar = GeodesicChart(curve, cutoffs.delta, 64, 128)
-    u = radial_flow(lambda r: r, chart)
+    flow = RadialFlow(lambda r: r, chart.radius, chart.center)
+    u = radial_flow(flow.profile, chart)
     sol = solve_pressure(u, chart=chart, cutoffs=cutoffs)
     r = np.linalg.norm(chart.points - chart.center, axis=-1)
     exact = r**2 / 2 - 0.25
@@ -128,15 +129,11 @@ def verify_pressure(cutoffs):
         "rigid_pressure": _check(np.max(np.abs(sol.p.values - exact)), 1e-3),
         "bc_equivalence": _check(bc_equivalence_check(sol.p, u, collar), 5e-2),
     }
-
-    def uu(pts):
-        return np.stack([-(pts[..., 1] - curve.center[1]),
-                         pts[..., 0] - curve.center[0]], axis=-1)
     Pc = _collar_resample(sol.P, collar)
-    sp = split_Pb(uu, Pc, cutoffs, collar)
+    sp = split_Pb(flow.velocity, Pc, cutoffs, collar)
     checks["pb_reconstruction"] = _check(sp.reconstruction_error, 5e-3)
     checks["green_terms"] = _check(sp.green_sum_error, 5e-3)
-    tc = boundary_trace(Pc, uu, collar)
+    tc = boundary_trace(Pc, flow.velocity, collar)
     checks["trace_wall"] = _check(tc.wall_distance, 5e-2)
     return _suite("pressure", checks)
 

@@ -101,7 +101,7 @@ def test_n_sub_guard():
     "study.seeds=[0.5]", "study.seeds=3", "study.alphas=0.5",
     "study.etas=0.01", "jobs=1.5", "jobs=-3",
     "study.etas=[abc]", "study.alphas=[abc]", "field.alpha=abc",
-    "cutoffs.delta=abc", "domain.radius=abc", "field.eta=0",
+    "cutoffs.delta=abc", "domain.radius=abc",
     "field.eta=-0.001", "study.etas=[0.0]", "grid=5",
 ])
 def test_mollify_integer_guards_exit_code(tmp_path, capsys, override):
@@ -113,7 +113,8 @@ def test_mollify_integer_guards_exit_code(tmp_path, capsys, override):
     # number ended in a TypeError, and a negative jobs ran serially.  A
     # string for a float leaf ended in a TypeError (a ValueError for
     # domain.radius), a section given as one number in an AttributeError,
-    # and an eta <= 0 in a solver error or a ledger of error rows
+    # and a field.eta < 0 or a study eta <= 0 in a solver error or a
+    # ledger of error rows
     out = tmp_path / "out"
     rc = main(["solve", *SMALL, "--set", override, "--out", str(out)])
     err = capsys.readouterr().err
@@ -187,6 +188,8 @@ def test_solve_rigid(tmp_path):
     assert rc == 0
     payload = json.loads((tmp_path / "solve.json").read_text())
     assert payload["oracle_error"] < 5e-3
+    assert np.isfinite(payload["C_meas"]) and payload["C_meas"] > 0
+    assert "mollify" not in payload
     assert (tmp_path / "p.csv").exists()
     assert (tmp_path / "P.csv").exists()
     trace = (tmp_path / "trace.csv").read_text().strip().splitlines()
@@ -203,6 +206,8 @@ def test_solve_zero_field(tmp_path):
     assert np.max(np.abs(vals)) < 1e-10
     payload = json.loads((tmp_path / "solve.json").read_text())
     assert payload["oracle_error"] == 0.0
+    # |u x u| = 0: the constant is undefined
+    assert np.isnan(payload["C_meas"])
 
 
 def test_solve_radial2(tmp_path):
@@ -213,16 +218,44 @@ def test_solve_radial2(tmp_path):
     assert rc == 0
     payload = json.loads((tmp_path / "solve.json").read_text())
     assert payload["oracle_error"] < 1e-3
+    assert np.isfinite(payload["C_meas"]) and payload["C_meas"] > 0
 
 
 def test_solve_rough(tmp_path):
-    # the default rough field (alpha = 1/3, seed 7, j_max 2) at 32x64; with
-    # j_max 1 the same field fails the solver's compatibility check there
-    rc = main(["solve", *SMALL, "--out", str(tmp_path)])
+    # the default rough field (alpha = 1/3, seed 7, j_max 2) at 32x64,
+    # mollified; with j_max 1 the same field fails the solver's
+    # compatibility check there
+    rc = main(["solve", *SMALL, "--set", "field.eta=0.0125",
+               "--out", str(tmp_path)])
     assert rc == 0
     payload = json.loads((tmp_path / "solve.json").read_text())
     assert np.isfinite(payload["C_meas"]) and payload["C_meas"] > 0
     assert payload["mollify"]["trace_max"] < 1e-10
+
+
+def test_solve_rough_exact(tmp_path):
+    # field.eta = 0, the default: the same field's exact velocity, with no
+    # mollifier
+    rc = main(["solve", *SMALL, "--out", str(tmp_path)])
+    assert rc == 0
+    payload = json.loads((tmp_path / "solve.json").read_text())
+    assert payload["field"]["eta"] == 0.0
+    assert "mollify" not in payload and "oracle_error" not in payload
+    assert np.isfinite(payload["C_meas"]) and payload["C_meas"] > 0
+
+
+def test_solve_mollified_rigid_oracle(tmp_path):
+    # the mollify -> solve pipeline against an exact pressure; at 64x128
+    # the compatibility cap rejects the mollified rigid rotation (see
+    # test_mollified_rigid_rotation_pressure), at 128x256 p errs by 6.0e-4
+    eta = 0.00625
+    rc = main(["solve", "--set", "field.kind=rigid",
+               "--set", f"field.eta={eta}", "--set", "grid.n_rho=128",
+               "--set", "grid.n_theta=256", "--out", str(tmp_path)])
+    assert rc == 0
+    payload = json.loads((tmp_path / "solve.json").read_text())
+    assert payload["mollify"]["eta"] == eta
+    assert payload["oracle_error"] <= eta / 4.0
 
 
 def test_verify_smoke(tmp_path):

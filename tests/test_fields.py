@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from pressure_lab.fields import (_THETA_PAD, FieldError, GridField,
-                                 InteriorChart, collar_components,
-                                 make_rough_stream, radial_flow,
-                                 rhs_double_divergence)
+                                 InteriorChart, RadialFlow,
+                                 collar_components, make_rough_stream,
+                                 radial_flow, rhs_double_divergence)
 
 from pressure_lab.geometry import GeodesicChart, GeometryError, build_curve
 
@@ -97,12 +97,38 @@ def test_rigid_rotation_rhs(disk_chart):
 
 def test_radial_flow_pressure_oracle(disk_chart):
     flow_p = radial_flow(lambda r: r, disk_chart)
-    from pressure_lab.fields import RadialFlow
     flow = RadialFlow(lambda r: r, 1.0)
     r = disk_radii(disk_chart)
     p = flow.pressure(disk_chart.points)
     assert np.max(np.abs(p - (r**2 / 2 - 0.25))) < 1e-6
     assert flow_p.is_vector
+
+
+@pytest.mark.parametrize("profile", [lambda r: r, lambda r: r**2],
+                         ids=["rigid", "radial2"])
+def test_radial_flow_psi_wall_and_curl(disk_chart, profile):
+    flow = RadialFlow(profile, 1.0)
+    # psi(R) = 0: exactly at points of radius R, to rounding on the wall row
+    assert np.array_equal(flow.psi(np.array([[1.0, 0.0], [0.0, -1.0]])),
+                          [0.0, 0.0])
+    assert np.max(np.abs(flow.psi(disk_chart.points[-1]))) < 1e-15
+    # grad^perp psi by centred differences of step d = 1e-2 within 5e-5:
+    # the truncation, d^2/6 times the third derivative of psi, is 3.3e-5
+    # for V = r^2, and the linear interpolation of the 2000-point
+    # quadrature adds under 2e-6
+    pts, d = disk_chart.points[:-1], 1e-2
+    ex, ey = np.array([d, 0.0]), np.array([0.0, d])
+    curl = np.stack([-(flow.psi(pts + ey) - flow.psi(pts - ey)),
+                     flow.psi(pts + ex) - flow.psi(pts - ex)], axis=-1)
+    assert np.max(np.abs(curl / (2.0 * d) - flow.velocity(pts))) < 5e-5
+
+
+def test_rigid_rotation_psi_closed_form(disk_chart):
+    # psi = (r^2 - R^2)/2; the trapezoid rule is exact for V = r, and the
+    # linear interpolation between quadrature points errs by h^2/8 = 3.1e-8
+    psi = RadialFlow(lambda r: r, 1.0).psi(disk_chart.points)
+    r = disk_radii(disk_chart)
+    assert np.max(np.abs(psi - (r**2 - 1.0) / 2.0)) < 4e-8
 
 
 def test_rough_stream_determinism(disk_chart):

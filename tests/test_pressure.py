@@ -6,7 +6,8 @@ import pytest
 import sympy as sp
 
 from pressure_lab.elliptic import SolverError
-from pressure_lab.fields import GridField, InteriorChart, make_rough_stream
+from pressure_lab.fields import (GridField, InteriorChart, RadialFlow,
+                                 make_rough_stream)
 from pressure_lab.geometry import GeodesicChart, build_curve
 from pressure_lab.mollify import (MollifyError, divergence_probe,
                                   mollify_velocity)
@@ -50,16 +51,14 @@ def test_rigid_rotation_pressure(disk_chart, cutoffs, collar):
 
 
 # the compatibility cap of solve_neumann rejects all three at 64x128: the
-# O(eta) wall layer of u_eta . tau gives defects of 1.24e-2 / 6.2e-3 /
-# 3.1e-3 against caps of 9.6e-3 / 5.0e-3 / 2.9e-3.  At 128x256 the same
-# solves pass with errors of 2.2e-3 / 6.0e-4 / 1.5e-4.
+# O(eta) wall layer of u_eta . tau gives defects of 1.245e-2 / 6.229e-3 /
+# 3.151e-3 against caps of 9.63e-3 / 5.00e-3 / 2.88e-3.  At 128x256 the
+# same solves pass with errors of 2.2e-3 / 6.0e-4 / 1.5e-4.
 @pytest.mark.xfail(strict=True, raises=SolverError,
                    reason="compatibility cap rejects the mollified field")
 @pytest.mark.parametrize("eta", [0.0125, 0.00625, 0.003125])
 def test_mollified_rigid_rotation_pressure(disk_chart, cutoffs, collar, eta):
-    def psi(pts):
-        return (1.0 - np.einsum("...k,...k->...", pts, pts)) / 2.0
-
+    psi = RadialFlow(lambda r: r, disk_chart.radius).psi
     rv = mollify_velocity(psi, disk_chart, eta, cutoffs, collar)
     sol = solve_pressure(rv, chart=disk_chart, cutoffs=cutoffs)
     exact = disk_radii(disk_chart) ** 2 / 2.0 - 0.25

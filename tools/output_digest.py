@@ -13,8 +13,10 @@ checkouts whose digests agree produce the same outputs bit for bit on:
 - two smooth-128 ops (V = r and V = r^2 at 128x256): the pressure solution,
   the boundary trace, the BC defect and split_Pb;
 - the ledger.csv of a small `pressure-lab study --jobs 2`;
-- p.csv, P.csv and trace.csv of `pressure-lab solve` for the rough, rigid
-  and zero fields at 32x64.
+- p.csv, P.csv and trace.csv of `pressure-lab solve` at 32x64: the rigid
+  and zero fields at the default field.eta = 0 (the exact velocity), and
+  the rough field mollified at field.eta = 0.0125 (solve-cli/rough) and
+  exact at field.eta = 0 (solve-cli/rough-exact).
 
 The package is imported from the src/ directory next to this script, so a
 copy of the script digests the checkout it sits in.  To compare two
@@ -241,9 +243,12 @@ def ledger_groups():
 
 
 def solve_groups():
-    for kind in ("rough", "rigid", "zero"):
-        argv = ["solve", *SMALL, "--set", f"field.kind={kind}"]
-        yield f"solve-cli/{kind}", _cli_outputs(
+    for name, kind, eta in (("rough", "rough", 0.0125),
+                            ("rigid", "rigid", 0.0), ("zero", "zero", 0.0),
+                            ("rough-exact", "rough", 0.0)):
+        argv = ["solve", *SMALL, "--set", f"field.kind={kind}",
+                "--set", f"field.eta={eta}"]
+        yield f"solve-cli/{name}", _cli_outputs(
             argv, ["p.csv", "P.csv", "trace.csv"])
 
 
