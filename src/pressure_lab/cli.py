@@ -3,7 +3,7 @@
 Subcommands:
   verify  -- run the module invariant suites, write a JSON summary.
   solve   -- one pressure solve plus trace diagnostics for a named field.
-  study   -- the eta sweep over rough fields; writes the estimate ledger.
+  study   -- the eta sweeps of field.kind; writes the estimate ledger.
 
 Config is a YAML key tree (see DEFAULT_CONFIG); any leaf can be overridden
 with --set dotted.key=value.  Exit codes: 0 success, 1 validation error,
@@ -22,14 +22,12 @@ import numpy as np
 import yaml
 
 from .geometry import GeodesicChart, GeometryError, build_curve, build_cutoffs
-from .fields import (FieldError, GridField, InteriorChart, RadialFlow,
-                     make_rough_stream)
-from .norms import NormError, build_pair_plan, holder_norm
+from .fields import FieldError, InteriorChart, RadialFlow, make_rough_stream
+from .norms import NormError, build_pair_plan
 from .elliptic import SolverError
 from .mollify import MollifyError
 from .pressure import (PressureError, _collar_resample, boundary_trace,
-                       eta_study, mollify_and_solve, per_uu, solve_pressure,
-                       tensor_square)
+                       eta_study, field_record)
 from . import report, verification
 
 DEFAULT_CONFIG = {
@@ -111,6 +109,11 @@ def load_config(path=None, overrides=(), out=None, jobs=None):
     return cfg
 
 
+# the smooth kinds of field: u = V(r) e_theta for the profile V
+_PROFILES = {"rigid": lambda r: r, "radial2": lambda r: r**2,
+             "zero": lambda r: 0.0 * r}
+
+
 # what a leaf must be, by the type of its default
 _KINDS = {int: "an integer", float: "a finite real number", str: "a string"}
 
@@ -167,13 +170,15 @@ def validate_config(cfg):
     for key, value in cfg["study"].items():
         if not value:
             raise ConfigError(f"study.{key} must not be empty")
+    if cfg["field"]["kind"] not in ("rough", *_PROFILES):
+        raise ConfigError(f"field.kind = {cfg['field']['kind']!r} is not "
+                          f"one of rough, {', '.join(_PROFILES)}")
     guard = c["epsilon"] / 4.0 + 1e-12
-    # field.eta = 0 solves the exact velocity; every study run mollifies
-    for key, eta, least in (
-            [("study.etas", eta, "positive") for eta in cfg["study"]["etas"]]
-            + [("field.eta", cfg["field"]["eta"], ">= 0")]):
-        if eta < 0.0 or (eta == 0.0 and least == "positive"):
-            raise ConfigError(f"{key} = {eta} must be {least}")
+    # eta = 0 solves the exact velocity, eta > 0 mollifies
+    for key, eta in ([("study.etas", eta) for eta in cfg["study"]["etas"]]
+                     + [("field.eta", cfg["field"]["eta"])]):
+        if eta < 0.0:
+            raise ConfigError(f"{key} = {eta} must be >= 0")
         if eta > guard:
             raise ConfigError(
                 f"{key} = {eta} exceeds epsilon/4 = {c['epsilon'] / 4.0}: "
@@ -199,19 +204,11 @@ def _setup(cfg):
     return chart, cutoffs, collar, plan
 
 
-# the smooth kinds of field: u = V(r) e_theta for the profile V
-_PROFILES = {"rigid": lambda r: r, "radial2": lambda r: r**2,
-             "zero": lambda r: 0.0 * r}
-
-
-def _make_field(cfg, chart):
-    """The field of the config: psi, velocity and, if known, pressure."""
-    f = cfg["field"]
-    if f["kind"] in _PROFILES:
-        return RadialFlow(_PROFILES[f["kind"]], chart.radius, chart.center)
+def _make_field(f, chart):
+    """The field of section f; a smooth kind reads neither alpha nor seed."""
     if f["kind"] == "rough":
         return make_rough_stream(f["alpha"], f["seed"], f["j_max"], chart)
-    raise ConfigError(f"unknown field.kind: {f['kind']}")
+    return RadialFlow(_PROFILES[f["kind"]], chart.radius, chart.center)
 
 
 # ----------------------------------------------------------------------
@@ -241,21 +238,14 @@ def cmd_solve(cfg):
                           "integer power of two for the boundary trace's "
                           "H^-2 norm")
     chart, cutoffs, collar, plan = _setup(cfg)
-    field = _make_field(cfg, chart)
-    eta, alpha = cfg["field"]["eta"], cfg["field"]["alpha"]
+    f = cfg["field"]
+    field = _make_field(f, chart)
     outdir = cfg["output"]
     os.makedirs(outdir, exist_ok=True)
 
-    # eta > 0 mollifies the field's stream; eta = 0 solves its exact velocity
-    if eta > 0.0:
-        rv, divergence_max, sol = mollify_and_solve(
-            field.psi, chart, eta, cutoffs, collar, **cfg["mollify"])
-        u = rv.u_eta
-    else:
-        u = GridField(chart, field.velocity(chart.points),
-                      pole=field.velocity(chart.center[None, :])[0])
-        sol = solve_pressure(u, chart=chart, cutoffs=cutoffs)
-
+    u, sol, rec = field_record(field, chart, f["alpha"], f["seed"], f["eta"],
+                               cutoffs, collar, plan,
+                               mollify_kwargs=cfg["mollify"])
     Pc = _collar_resample(sol.P, collar)
     tc = boundary_trace(Pc, u, collar)
 
@@ -264,22 +254,19 @@ def cmd_solve(cfg):
     report.write_csv(os.path.join(outdir, "trace.csv"), tc.as_rows(),
                      ["s", "h_minus2_distance"])
 
-    uu = holder_norm(tensor_square(u), alpha, plan)
-    hP = holder_norm(sol.P, alpha, plan)
     payload = {
-        "command": "solve", "field": cfg["field"], "grid": cfg["grid"],
+        "command": "solve", "field": f, "grid": cfg["grid"],
         "solver": dataclasses.asdict(sol.report),
         "trace": {"s": tc.s, "distances": tc.distances,
                   "wall_distance": tc.wall_distance, "slope": tc.slope},
-        "C_meas": per_uu(hP.norm, uu.norm),
-        "norms": {"uu": uu.as_record(), "P": hP.as_record()},
+        "C_meas": rec["C_meas"], "record": rec,
     }
     if hasattr(field, "pressure"):
         payload["oracle_error"] = float(
             np.max(np.abs(sol.p.values - field.pressure(chart.points))))
-    if eta > 0.0:
-        payload["mollify"] = {**rv.diagnostics(),
-                              "divergence_max": divergence_max}
+    if f["eta"] > 0.0:
+        payload["mollify"] = {k: rec[k] for k in (
+            "eta", "trace_max", "tangency_max", "divergence_max")}
     report.write_json_report(os.path.join(outdir, "solve.json"), payload)
     print(f"wrote {outdir}/solve.json")
     return 0
@@ -287,9 +274,9 @@ def cmd_solve(cfg):
 
 def _study_records(cfg, setup, alpha, seed):
     chart, cutoffs, collar, plan = setup
-    rough = make_rough_stream(alpha, seed, cfg["field"]["j_max"], chart)
-    return eta_study([rough], cfg["study"]["etas"], cutoffs, collar, plan,
-                     mollify_kwargs=cfg["mollify"])
+    field = _make_field({**cfg["field"], "alpha": alpha, "seed": seed}, chart)
+    return eta_study(field, chart, alpha, seed, cfg["study"]["etas"],
+                     cutoffs, collar, plan, mollify_kwargs=cfg["mollify"])
 
 
 # a pool worker process's config and, from its first task on, its set-up

@@ -303,9 +303,15 @@ class RadialFlow:
         return rq, np.concatenate([[0.0], np.cumsum(0.5 * (f[1:] + f[:-1]) * np.diff(rq))])
 
 
+def sample_velocity(velocity, chart: InteriorChart) -> GridField:
+    """velocity sampled on the chart's nodes, and at its center as the pole."""
+    return GridField(chart, velocity(chart.points),
+                     pole=velocity(chart.center[None, :])[0])
+
+
 def radial_flow(profile, chart: InteriorChart) -> GridField:
-    flow = RadialFlow(profile, chart.radius, chart.center)
-    return GridField(chart, flow.velocity(chart.points), pole=np.zeros(2))
+    return sample_velocity(
+        RadialFlow(profile, chart.radius, chart.center).velocity, chart)
 
 
 class RoughStream:
@@ -398,10 +404,6 @@ class RoughStream:
     def velocity(self, pts):
         g = self.grad_psi(pts)
         return np.stack([-g[..., 1], g[..., 0]], axis=-1)
-
-    def velocity_field(self) -> GridField:
-        return GridField(self.chart, self.velocity(self.chart.points),
-                         pole=self.velocity(self.center[None, :])[0])
 
 
 def _sum_modes(terms):

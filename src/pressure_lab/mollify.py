@@ -46,13 +46,14 @@ weights are zero.
 
 mollify_velocity starts no thread: it runs the boundary batch and then
 the interior one on the calling thread.  A record's one helper thread
-belongs to mollify_and_solve (in pressure.py; eta_study_record and the
-solve command call it), which runs divergence_probe on it beside
-mollify_velocity and the pressure solve.  The probe builds its own kernel,
-so the two threads share only psi, which must therefore be a pure function
-of its points.  The probe takes chunks of _PROBE_BLOCK_POINTS pairs, four
-times the nodes' _BLOCK_POINTS: fewer chunks take the GIL less often from
-the calling thread, whose CG makes many short numpy calls.
+belongs to mollify_and_solve (in pressure.py; field_record, the record of
+solve and of every study row, calls it at eta > 0), which runs
+divergence_probe on it beside mollify_velocity and the pressure solve.
+The probe builds its own kernel, so the two threads share only psi, which
+must therefore be a pure function of its points.  The probe takes chunks
+of _PROBE_BLOCK_POINTS pairs, four times the nodes' _BLOCK_POINTS: fewer
+chunks take the GIL less often from the calling thread, whose CG makes
+many short numpy calls.
 
 Both samplers read the stream function through the caller's callable of
 physical points, such as RoughStream.psi.
@@ -297,10 +298,6 @@ class RegularizedVelocity:
     normal_component: np.ndarray         # u^eta . n at the chart nodes
     trace_max: float
     tangency_max: float
-
-    def diagnostics(self):
-        return {"eta": self.eta, "trace_max": self.trace_max,
-                "tangency_max": self.tangency_max}
 
 
 def mollify_velocity(psi, chart: InteriorChart, eta, cutoffs: CutoffProfile,

@@ -1,6 +1,7 @@
 """Pressure pipeline: the Neumann pressure solve and the adjusted pressure,
 collar flux identities, the slab split with its Green-term functionals,
-boundary traces, and the eta sweep study.
+boundary traces, field_record (the one record of solve and of a study row:
+any field kind at any eta >= 0) and the eta sweep of one field.
 
 Sign conventions (validated by the rigid-rotation oracle): interior normal,
 gamma < 0 on convex boundaries, and Neumann data d_n p = gamma (u.tau)^2 on
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import (FieldError, GridField, InteriorChart, collar_components,
-                     rhs_double_divergence, _d_s, _d_theta)
+                     rhs_double_divergence, sample_velocity, _d_s, _d_theta)
 from .geometry import CutoffProfile, GeodesicChart, GeometryError
 from .elliptic import (LinearSolveReport, SlabOperator, SolverError,
                        solve_neumann)
@@ -351,7 +352,7 @@ def bc_equivalence_check(p: GridField, u, collar: GeodesicChart):
 
 
 # ----------------------------------------------------------------------
-# eta study
+# the record and the eta study
 # ----------------------------------------------------------------------
 
 def tensor_square(u: GridField) -> GridField:
@@ -366,23 +367,26 @@ def per_uu(bound, uu_norm):
     return bound / uu_norm if uu_norm > 0 else float("nan")
 
 
-def eta_study_record(rough, eta, cutoffs, collar, plan, prev_p=None,
-                     mollify_kwargs=None):
-    """One (field, eta) run: mollify, solve, measure.  Returns the ledger
-    record plus the pressure samples (for the successive-eta C0 diagnostic).
-    mollify_kwargs may set n_sub and probe_n.
-    """
-    chart = rough.chart
-    rv, divergence_max, sol = mollify_and_solve(rough.psi, chart, eta,
-                                                cutoffs, collar,
-                                                **(mollify_kwargs or {}))
-    alpha = rough.alpha
-    uu = holder_norm(tensor_square(rv.u_eta), alpha, plan)
+def field_record(field, chart, alpha, seed, eta, cutoffs, collar, plan,
+                 prev_p=None, mollify_kwargs=None):
+    """(velocity, PressureSolution, ledger record) of one field at one eta:
+    eta > 0 mollifies field.psi (mollify_kwargs may set n_sub and probe_n),
+    eta = 0 solves field.velocity and records no mollifier diagnostics.
+    alpha is the norms' exponent, alpha and seed label the record, and
+    prev_p (the previous eta's pressure samples) adds p_c0_step."""
+    if eta > 0.0:
+        rv, divergence_max, sol = mollify_and_solve(
+            field.psi, chart, eta, cutoffs, collar, **(mollify_kwargs or {}))
+        u = rv.u_eta
+    else:
+        u = sample_velocity(field.velocity, chart)
+        sol = solve_pressure(u, chart=chart, cutoffs=cutoffs)
+    uu = holder_norm(tensor_square(u), alpha, plan)
     hp = holder_norm(sol.p, alpha, plan)
     hP = holder_norm(sol.P, alpha, plan)
     sup_P = float(np.max(np.abs(sol.P.values)))
     rec = {
-        "alpha": float(alpha), "seed": int(rough.seed), "eta": float(eta),
+        "alpha": float(alpha), "seed": int(seed), "eta": float(eta),
         "n_rho": chart.n_rho, "n_theta": chart.n_theta,
         "uu_holder": uu.norm, "p_holder": hp.norm, "P_holder": hP.norm,
         "P_sup": sup_P,
@@ -390,13 +394,23 @@ def eta_study_record(rough, eta, cutoffs, collar, plan, prev_p=None,
         "C1_meas": per_uu(sup_P, uu.norm),
         "plan_seed": plan.seed, "pair_count": plan.n_pairs,
         "solver_iterations": sol.report.iterations,
-        "trace_max": rv.trace_max, "tangency_max": rv.tangency_max,
-        "divergence_max": divergence_max,
     }
+    if eta > 0.0:
+        rec.update(trace_max=rv.trace_max, tangency_max=rv.tangency_max,
+                   divergence_max=divergence_max)
     if uu.norm == 0.0:
         rec["degenerate"] = True
     if prev_p is not None:
         rec["p_c0_step"] = c0_distance(sol.p.values, prev_p)
+    return u, sol, rec
+
+
+def eta_study_record(rough, eta, cutoffs, collar, plan, prev_p=None,
+                     mollify_kwargs=None):
+    """(record, p samples) of field_record of a RoughStream on its chart."""
+    _, sol, rec = field_record(rough, rough.chart, rough.alpha, rough.seed,
+                               eta, cutoffs, collar, plan, prev_p=prev_p,
+                               mollify_kwargs=mollify_kwargs)
     return rec, sol.p.values
 
 
@@ -406,21 +420,20 @@ _DOMAIN_ERRORS = (SolverError, PressureError, MollifyError, FieldError,
                   GeometryError, NormError)
 
 
-def eta_study(rough_fields, etas, cutoffs, collar, plan,
+def eta_study(field, chart, alpha, seed, etas, cutoffs, collar, plan,
               mollify_kwargs=None):
-    """Sweep eta over each rough field, largest first; returns the list of
-    records.  A run that fails with a domain error is recorded with its
-    error string and the sweep continues."""
+    """field_record of one field at each eta, largest first, chained through
+    prev_p; a domain error becomes an error row and the sweep goes on."""
     records = []
-    for rough in rough_fields:
-        prev = None
-        for eta in sorted(etas, reverse=True):
-            try:
-                rec, prev = eta_study_record(rough, eta, cutoffs, collar,
-                                             plan, prev_p=prev,
-                                             mollify_kwargs=mollify_kwargs)
-            except _DOMAIN_ERRORS as exc:   # partial-failure policy
-                rec = {"alpha": float(rough.alpha), "seed": int(rough.seed),
-                       "eta": float(eta), "error": str(exc)}
-            records.append(rec)
+    prev = None
+    for eta in sorted(etas, reverse=True):
+        try:
+            _, sol, rec = field_record(field, chart, alpha, seed, eta,
+                                       cutoffs, collar, plan, prev_p=prev,
+                                       mollify_kwargs=mollify_kwargs)
+            prev = sol.p.values
+        except _DOMAIN_ERRORS as exc:   # partial-failure policy
+            rec = {"alpha": float(alpha), "seed": int(seed),
+                   "eta": float(eta), "error": str(exc)}
+        records.append(rec)
     return records

@@ -8,7 +8,8 @@ versions live in the test suite.
 import numpy as np
 
 from .geometry import GeodesicChart, build_curve
-from .fields import InteriorChart, RadialFlow, make_rough_stream, radial_flow
+from .fields import (InteriorChart, RadialFlow, make_rough_stream, radial_flow,
+                     sample_velocity)
 from .norms import build_pair_plan, h_minus2_norm, holder_norm
 from .elliptic import SlabOperator, solve_neumann
 from .mollify import divergence_probe, mollify_velocity
@@ -51,7 +52,7 @@ def verify_fields():
     curve = build_curve({"kind": "circle", "radius": 1.0}, 256)
     chart = InteriorChart(curve, 64, 128)
     rough = make_rough_stream(0.5, 0, 2, chart)
-    u = rough.velocity_field()
+    u = sample_velocity(rough.velocity, chart)
     smooth = radial_flow(lambda r: r, chart)
     outward = chart.points[-1] - chart.center
     outward /= np.linalg.norm(outward, axis=-1, keepdims=True)

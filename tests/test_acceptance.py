@@ -11,7 +11,8 @@ import pytest
 
 from pressure_lab._fourier import fourier_diff
 from pressure_lab.elliptic import SlabOperator, solve_neumann
-from pressure_lab.fields import RadialFlow, make_rough_stream, radial_flow
+from pressure_lab.fields import (RadialFlow, make_rough_stream, radial_flow,
+                                 sample_velocity)
 from pressure_lab.geometry import GeodesicChart, build_curve
 from pressure_lab.mollify import divergence_probe, mollify_velocity
 from pressure_lab.norms import (build_pair_plan, c0_distance, h_minus2_norm,
@@ -158,7 +159,7 @@ def test_09_mollifier_suite(disk_chart, cutoffs, collar):
     for alpha in (0.25, 1.0 / 3.0, 0.5, 0.75):
         for seed in range(5):
             rough = make_rough_stream(alpha, seed, 2, disk_chart)
-            u = rough.velocity_field()
+            u = sample_velocity(rough.velocity, disk_chart)
             base = holder_norm(u, alpha, plan).norm
             c0_steps = []
             for eta in ETAS:
@@ -183,7 +184,9 @@ def test_10_pressure_map_boundedness(disk_chart, cutoffs, collar):
     fields = [make_rough_stream(alpha, seed, 2, disk_chart)
               for alpha in (0.25, 1.0 / 3.0, 0.5, 0.75)
               for seed in range(20)]
-    records = eta_study(fields, ETAS, cutoffs, collar, plan)
+    records = [rec for rough in fields
+               for rec in eta_study(rough, disk_chart, rough.alpha,
+                                    rough.seed, ETAS, cutoffs, collar, plan)]
     assert len(records) == len(fields) * len(ETAS)
     for rec in records:
         assert "error" not in rec, rec

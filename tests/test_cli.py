@@ -102,7 +102,7 @@ def test_n_sub_guard():
     "study.etas=0.01", "jobs=1.5", "jobs=-3",
     "study.etas=[abc]", "study.alphas=[abc]", "field.alpha=abc",
     "cutoffs.delta=abc", "domain.radius=abc",
-    "field.eta=-0.001", "study.etas=[0.0]", "grid=5",
+    "field.eta=-0.001", "study.etas=[-0.001]", "grid=5", "field.kind=bogus",
 ])
 def test_mollify_integer_guards_exit_code(tmp_path, capsys, override):
     # a fractional size used to end in a TypeError, probe_n = 1 in an
@@ -113,8 +113,9 @@ def test_mollify_integer_guards_exit_code(tmp_path, capsys, override):
     # number ended in a TypeError, and a negative jobs ran serially.  A
     # string for a float leaf ended in a TypeError (a ValueError for
     # domain.radius), a section given as one number in an AttributeError,
-    # and a field.eta < 0 or a study eta <= 0 in a solver error or a
-    # ledger of error rows
+    # a field.eta < 0 or a study eta < 0 in a solver error or a ledger of
+    # error rows, and an unknown field.kind was rejected only once the
+    # geometry and the pair plan were built
     out = tmp_path / "out"
     rc = main(["solve", *SMALL, "--set", override, "--out", str(out)])
     err = capsys.readouterr().err
@@ -306,6 +307,63 @@ def test_study_deterministic_across_jobs(tmp_path):
         assert float(g["trace_max"]) <= 1e-10
         assert float(g["tangency_max"]) <= 1e-8
         assert float(g["divergence_max"]) <= 1e-8
+
+
+def test_study_unknown_field_kind_exit_code(tmp_path, capsys):
+    # study builds field.kind as solve does, so it rejects the same kinds
+    # with the config, before any work
+    out = tmp_path / "out"
+    rc = main(["study", *SMALL, "--set", "field.kind=bogus",
+               "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("config error") and "field.kind" in err
+    assert not out.exists()
+
+
+def _study_and_solve(tmp_path, study_args, solve_args):
+    """(ledger.csv rows, ledger.json records, solve.json) of a study and a
+    solve at the small grid, both expected to exit 0."""
+    assert main(["study", *SMALL, *study_args, "--jobs", "1",
+                 "--out", str(tmp_path / "study")]) == 0
+    assert main(["solve", *SMALL, *solve_args,
+                 "--out", str(tmp_path / "solve")]) == 0
+    with open(tmp_path / "study" / "ledger.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    records = json.loads((tmp_path / "study" / "ledger.json").read_text())
+    solve = json.loads((tmp_path / "solve" / "solve.json").read_text())
+    return rows, records["records"], solve
+
+
+def test_study_exact_row_is_the_solve_record(tmp_path):
+    # the default rough field (alpha = 1/3, seed 7, j_max 2): the eta = 0
+    # row of a study is the record of solve at field.eta = 0, bit for bit,
+    # but for p_c0_step, its distance to the pressure of the smallest eta
+    rows, records, solve = _study_and_solve(
+        tmp_path, ["--set", "study.alphas=[0.3333333333333333]",
+                   "--set", "study.seeds=[7]",
+                   "--set", "study.etas=[0.0125, 0.0]"], [])
+    assert [r["eta"] for r in rows] == ["0.0", "0.0125"]
+    exact = dict(records[0])
+    assert exact["C_meas"] == solve["C_meas"]
+    assert 0.0 < exact.pop("p_c0_step") < 1.0
+    assert exact == solve["record"]
+    for col in ("trace_max", "tangency_max", "divergence_max"):
+        assert rows[0][col] == "" and rows[1][col] != ""
+    assert rows[0]["p_c0_step"] != "" and rows[1]["p_c0_step"] == ""
+
+
+def test_study_rigid_exact_row_is_the_solve_record(tmp_path):
+    # a smooth kind in study: alpha is only the norms' exponent and the
+    # seed is unused
+    rows, records, solve = _study_and_solve(
+        tmp_path, ["--set", "field.kind=rigid",
+                   "--set", "study.alphas=[0.3333333333333333]",
+                   "--set", "study.seeds=[0]", "--set", "study.etas=[0.0]"],
+        ["--set", "field.kind=rigid"])
+    assert len(rows) == 1 and rows[0]["error"] == ""
+    assert records[0]["C_meas"] == solve["C_meas"]
+    assert {**records[0], "seed": 7} == solve["record"]
 
 
 def test_study_partial_failure_exit_code(tmp_path, capsys):

@@ -4,7 +4,8 @@ import pytest
 from pressure_lab.fields import (_THETA_PAD, FieldError, GridField,
                                  InteriorChart, RadialFlow,
                                  collar_components, make_rough_stream,
-                                 radial_flow, rhs_double_divergence)
+                                 radial_flow, rhs_double_divergence,
+                                 sample_velocity)
 
 from pressure_lab.geometry import GeodesicChart, GeometryError, build_curve
 
@@ -170,7 +171,7 @@ def test_rough_stream_psi_is_pointwise(disk_chart_fine, j_max):
 
 @pytest.mark.parametrize("j_max", [0, 2])
 def test_rough_stream_grad_psi_is_pointwise(disk_chart_fine, j_max):
-    # a lone point (the pole of velocity_field) takes the value it has
+    # a lone point (the pole of sample_velocity) takes the value it has
     # among others
     rough = make_rough_stream(1.0 / 3.0, 5, j_max, disk_chart_fine)
     rng = np.random.default_rng(j_max)
@@ -182,7 +183,7 @@ def test_rough_stream_grad_psi_is_pointwise(disk_chart_fine, j_max):
         [rough.grad_psi(pts[i:i + 7]) for i in range(0, len(pts), 7)]))
     assert np.array_equal(rough.grad_psi(pts.reshape(20, 30, 2)),
                           stacked.reshape(20, 30, 2))
-    pole = rough.velocity_field().pole
+    pole = sample_velocity(rough.velocity, disk_chart_fine).pole
     assert np.array_equal(pole, rough.velocity(np.stack(
         [rough.center, pts[0]]))[0])
 
@@ -193,7 +194,7 @@ def test_rough_stream_boundary_values(disk_chart):
     # and at most 5.4e-16 over 4 alphas x 8 seeds x j_max 1, 2 on the
     # 32x64, 64x128 and 128x256 grids
     assert np.max(np.abs(rough.psi(disk_chart.points[-1]))) <= 1e-15
-    u = rough.velocity_field()
+    u = sample_velocity(rough.velocity, disk_chart)
     outward = disk_chart.points[-1]
     assert np.max(np.abs(np.einsum("jk,jk->j", u.values[-1], outward))) < 1e-12
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pressure_lab import mollify
-from pressure_lab.fields import make_rough_stream
+from pressure_lab.fields import make_rough_stream, sample_velocity
 from pressure_lab.geometry import GeodesicChart
 from pressure_lab.mollify import (MollifierKernel, MollifyError,
                                   divergence_probe, mollify_velocity)
@@ -99,20 +99,12 @@ def test_mollify_preserves_smooth_holder_norm(disk_chart, cutoffs, collar):
     from pressure_lab.norms import build_pair_plan, holder_norm
     rough = make_rough_stream(0.5, 4, 2, disk_chart)
     plan = build_pair_plan(disk_chart.points, seed=0, n_random=10000)
-    base = holder_norm(rough.velocity_field(), 0.5, plan).norm
+    base = holder_norm(sample_velocity(rough.velocity, disk_chart), 0.5,
+                       plan).norm
     for eta in (0.0125, 0.00625):
         rv = mollify_velocity(rough.psi, disk_chart, eta, cutoffs, collar)
         ratio = holder_norm(rv.u_eta, 0.5, plan).norm / base
         assert ratio <= 5.0
-
-
-def test_mollify_diagnostics_record(disk_chart, cutoffs, collar):
-    rough = make_rough_stream(0.25, 1, 1, disk_chart)
-    rv = mollify_velocity(rough.psi, disk_chart, 0.00625, cutoffs, collar)
-    d = rv.diagnostics()
-    # divergence_max is the probe's, not a property of the returned field
-    assert set(d) == {"eta", "trace_max", "tangency_max"}
-    assert d["eta"] == 0.00625
 
 
 # ----------------------------------------------------------------------

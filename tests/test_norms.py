@@ -104,10 +104,11 @@ def _row_gather_holder(values, alpha, plan):
 
 
 def test_holder_matches_row_gather_oracle(disk_chart):
-    from pressure_lab.fields import make_rough_stream
+    from pressure_lab.fields import make_rough_stream, sample_velocity
     from pressure_lab.pressure import tensor_square
     pp = build_pair_plan(disk_chart.points, seed=0, n_random=20000)
-    u = make_rough_stream(1.0 / 3.0, 3, 2, disk_chart).velocity_field()
+    rough = make_rough_stream(1.0 / 3.0, 3, 2, disk_chart)
+    u = sample_velocity(rough.velocity, disk_chart)
     for f in (tensor_square(u), u, u.values[..., 0]):
         values = f.values if hasattr(f, "values") else f
         for alpha in (0.25, 1.0 / 3.0, 0.75):

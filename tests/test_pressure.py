@@ -262,7 +262,8 @@ def per_field(records, key="C_meas"):
 def test_eta_study_ledger(disk_chart, cutoffs, collar):
     rough = make_rough_stream(0.5, 11, 1, disk_chart)
     plan = build_pair_plan(disk_chart.points, seed=0, n_random=2000)
-    recs = eta_study([rough], [0.0125, 0.00625], cutoffs, collar, plan)
+    recs = eta_study(rough, disk_chart, 0.5, 11, [0.0125, 0.00625], cutoffs,
+                     collar, plan)
     # the eta sweep runs largest-first, so the second record carries the
     # successive-pressure diagnostic
     assert [r["eta"] for r in recs] == [0.0125, 0.00625]
@@ -283,7 +284,8 @@ def test_eta_study_partial_failure(disk_chart, cutoffs, collar):
     rough = make_rough_stream(0.5, 1, 1, disk_chart)
     plan = build_pair_plan(disk_chart.points, seed=0, n_random=2000)
     # eta above epsilon/4 pushes kernel supports out of the cutoff bands
-    recs = eta_study([rough], [0.05], cutoffs, collar, plan)
+    recs = eta_study(rough, disk_chart, 0.5, 1, [0.05], cutoffs, collar,
+                     plan)
     assert len(recs) == 1
     assert "error" in recs[0]
     assert per_field(recs) == {}
@@ -295,11 +297,11 @@ def test_eta_study_propagates_programming_errors(disk_chart, cutoffs, collar,
     # a failed run
     def broken(*args, **kwargs):
         raise TypeError("bug")
-    monkeypatch.setattr("pressure_lab.pressure.eta_study_record", broken)
+    monkeypatch.setattr("pressure_lab.pressure.field_record", broken)
     rough = make_rough_stream(0.5, 1, 1, disk_chart)
     plan = build_pair_plan(disk_chart.points, seed=0, n_random=200)
     with pytest.raises(TypeError, match="bug"):
-        eta_study([rough], [0.0125], cutoffs, collar, plan)
+        eta_study(rough, disk_chart, 0.5, 1, [0.0125], cutoffs, collar, plan)
 
 
 def _serial_record(rough, eta, cutoffs, collar, plan, prev_p):

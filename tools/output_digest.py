@@ -12,7 +12,12 @@ checkouts whose digests agree produce the same outputs bit for bit on:
 - mollify_velocity and divergence_probe on a rough stream at 64x128;
 - two smooth-128 ops (V = r and V = r^2 at 128x256): the pressure solution,
   the boundary trace, the BC defect and split_Pb;
-- the ledger.csv of a small `pressure-lab study --jobs 2`;
+- the ledger.csv of three small `pressure-lab study --jobs 2` runs: the
+  rough fields at the default study.etas (study-cli/ledger.csv), the
+  rough field of seed 7 (j_max 2, alpha 1/3 and 0.5) at study.etas =
+  [0.0125, 0.0] (study-cli/exact), and the rigid rotation at study.etas =
+  [0.0] (study-cli/rigid-exact), whose eta = 0 rows solve the exact
+  velocity;
 - p.csv, P.csv and trace.csv of `pressure-lab solve` at 32x64: the rigid
   and zero fields at the default field.eta = 0 (the exact velocity), and
   the rough field mollified at field.eta = 0.0125 (solve-cli/rough) and
@@ -205,7 +210,8 @@ def mollify_groups():
                                               cutoffs, **MOLLIFY)
     yield "mollify/analytic", (rv.u_eta, rv.boundary_tangential,
                                rv.normal_component,
-                               {**rv.diagnostics(),
+                               {"eta": rv.eta, "trace_max": rv.trace_max,
+                                "tangency_max": rv.tangency_max,
                                 "divergence_max": divergence_max})
 
 
@@ -240,6 +246,17 @@ def ledger_groups():
     argv = ["study", *SMALL, "--set", "study.alphas=[0.25, 0.75]",
             "--set", "study.seeds=[0, 1]", "--jobs", "2"]
     yield "study-cli/ledger.csv", _cli_outputs(argv, ["ledger.csv"])
+    # eta = 0 rows: the rough field mollified and exact, and a smooth kind
+    exact = ["study", *SMALL, "--jobs", "2",
+             "--set", "study.alphas=[0.3333333333333333, 0.5]"]
+    for name, field in (("exact", ["--set", "field.j_max=2",
+                                   "--set", "study.seeds=[7]",
+                                   "--set", "study.etas=[0.0125, 0.0]"]),
+                        ("rigid-exact", ["--set", "field.kind=rigid",
+                                         "--set", "study.seeds=[0]",
+                                         "--set", "study.etas=[0.0]"])):
+        yield f"study-cli/{name}", _cli_outputs([*exact, *field],
+                                                ["ledger.csv"])
 
 
 def solve_groups():
