@@ -183,9 +183,10 @@ def validate_config(cfg):
             raise ConfigError(
                 f"{key} = {eta} exceeds epsilon/4 = {c['epsilon'] / 4.0}: "
                 "the mollifier support would leak across the cutoff bands")
-    for a in cfg["study"]["alphas"]:
+    for key, a in ([("study.alphas", a) for a in cfg["study"]["alphas"]]
+                   + [("field.alpha", cfg["field"]["alpha"])]):
         if not 0.0 < a < 1.0:
-            raise ConfigError(f"alpha = {a} outside (0, 1)")
+            raise ConfigError(f"{key} = {a} outside (0, 1)")
 
 
 def _setup(cfg):

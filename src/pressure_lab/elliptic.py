@@ -38,6 +38,9 @@ class SolverError(RuntimeError):
 
 @dataclass
 class LinearSolveReport:
+    """iterations and relative residual of a CG solve; compat_defect is the
+    measured discrete compatibility defect of a Neumann problem's data, a
+    diagnostic that the solve does not judge."""
     iterations: int
     residual: float
     compat_defect: float = 0.0
@@ -186,7 +189,10 @@ def solve_neumann(f, g, chart: InteriorChart, tol=1e-10, maxiter=100_000,
     f: GridField (scalar, optional pole value) or sample array; g: boundary
     samples on the chart's theta nodes.  Returns (GridField, report); a CG
     that has not met tol after maxiter iterations raises SolverError, and
-    maxiter < 1 is a ValueError.
+    maxiter < 1 is a ValueError.  The data need not be compatible: the
+    solve reports their discrete defect, sum f vol + f_pole vol_pole -
+    sum g h_theta, as report.compat_defect, and solves with it spread
+    uniformly over the cells.
     """
     if maxiter < 1:
         raise ValueError(f"maxiter = {maxiter} must be at least 1")
@@ -203,15 +209,10 @@ def solve_neumann(f, g, chart: InteriorChart, tol=1e-10, maxiter=100_000,
     b[-1] -= g * chart.h_theta
     b_pole = float(fpole) * st.vol_pole
 
-    # discrete compatibility: sum of the RHS must vanish for solvability
+    # discrete compatibility: the RHS must sum to zero for solvability, so
+    # its sum is measured, reported and spread uniformly over the volume
     total_vol = float(np.sum(st.vol)) + st.vol_pole
     defect = float(np.sum(b)) + b_pole
-    fnorm = float(np.max(np.abs(fvals))) if np.any(fvals) else 0.0
-    hard_cap = max(1e-3 * fnorm, 1e-12)
-    if abs(defect) > hard_cap:
-        raise SolverError(
-            f"compatibility defect {defect:.3e} exceeds the cap "
-            f"{hard_cap:.3e}: int f != boundary flux of g")
     b -= defect * st.vol / total_vol
     b_pole -= defect * st.vol_pole / total_vol
 

@@ -121,11 +121,6 @@ class HolderEstimate:
     def norm(self):
         return self.sup_norm + self.seminorm
 
-    def as_record(self):
-        return {"alpha": self.alpha, "sup": self.sup_norm,
-                "seminorm": self.seminorm, "plan_seed": self.plan_seed,
-                "pair_count": self.pair_count}
-
 
 def holder_norm(f, alpha, plan: PairPlan) -> HolderEstimate:
     """Sampled lower bound of the C^{0,alpha} norm over the plan's pairs.

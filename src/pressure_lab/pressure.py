@@ -394,6 +394,7 @@ def field_record(field, chart, alpha, seed, eta, cutoffs, collar, plan,
         "C1_meas": per_uu(sup_P, uu.norm),
         "plan_seed": plan.seed, "pair_count": plan.n_pairs,
         "solver_iterations": sol.report.iterations,
+        "compat_defect": sol.report.compat_defect,
     }
     if eta > 0.0:
         rec.update(trace_max=rv.trace_max, tangency_max=rv.tangency_max,

@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 import yaml
 
+from pressure_lab import pressure
 from pressure_lab.cli import (ConfigError, DEFAULT_CONFIG, load_config, main,
                               validate_config)
+from pressure_lab.elliptic import SolverError
 
 
 # ledger.csv of the study in test_study_deterministic_across_jobs, frozen
@@ -125,6 +127,20 @@ def test_mollify_integer_guards_exit_code(tmp_path, capsys, override):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("alpha", ["1.5", "1.0", "0.0"])
+def test_field_alpha_range_exit_code(tmp_path, capsys, alpha):
+    # field.alpha is the norms' exponent for every kind; it was rejected
+    # only by holder_norm, after the set-up and the solve, with the output
+    # directory already made
+    out = tmp_path / "out"
+    rc = main(["solve", *SMALL, "--set", "field.kind=rigid",
+               "--set", f"field.alpha={alpha}", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("config error") and "field.alpha" in err
+    assert not out.exists()
+
+
 def test_smallest_probe_grid_accepted():
     assert load_config(overrides=["mollify.probe_n=11"])["mollify"] == {
         "n_sub": 4, "probe_n": 11}
@@ -213,9 +229,9 @@ def test_solve_zero_field(tmp_path):
 
 def test_solve_radial2(tmp_path):
     # oracle_error measures p against the quadrature pressure of V = r^2,
-    # r^4/4 - 1/12; on the default grid, since at 32x64 the compatibility
-    # cap of the solver rejects this field
-    rc = main(["solve", "--set", "field.kind=radial2", "--out", str(tmp_path)])
+    # r^4/4 - 1/12; the O(h^2) compatibility defect is reported, not fatal
+    rc = main(["solve", "--set", "field.kind=radial2", *SMALL,
+               "--out", str(tmp_path)])
     assert rc == 0
     payload = json.loads((tmp_path / "solve.json").read_text())
     assert payload["oracle_error"] < 1e-3
@@ -224,8 +240,7 @@ def test_solve_radial2(tmp_path):
 
 def test_solve_rough(tmp_path):
     # the default rough field (alpha = 1/3, seed 7, j_max 2) at 32x64,
-    # mollified; with j_max 1 the same field fails the solver's
-    # compatibility check there
+    # mollified
     rc = main(["solve", *SMALL, "--set", "field.eta=0.0125",
                "--out", str(tmp_path)])
     assert rc == 0
@@ -246,9 +261,8 @@ def test_solve_rough_exact(tmp_path):
 
 
 def test_solve_mollified_rigid_oracle(tmp_path):
-    # the mollify -> solve pipeline against an exact pressure; at 64x128
-    # the compatibility cap rejects the mollified rigid rotation (see
-    # test_mollified_rigid_rotation_pressure), at 128x256 p errs by 6.0e-4
+    # the mollify -> solve pipeline against an exact pressure; at 128x256
+    # p errs by 6.0e-4
     eta = 0.00625
     rc = main(["solve", "--set", "field.kind=rigid",
                "--set", f"field.eta={eta}", "--set", "grid.n_rho=128",
@@ -366,19 +380,30 @@ def test_study_rigid_exact_row_is_the_solve_record(tmp_path):
     assert {**records[0], "seed": 7} == solve["record"]
 
 
-def test_study_partial_failure_exit_code(tmp_path, capsys):
-    # alpha = 1/3 with one dyadic level is too rough for the 32x64 grid:
-    # the run fails the source/flux compatibility check and is recorded
+def test_study_partial_failure_exit_code(tmp_path, capsys, monkeypatch):
+    # a record that fails with a domain error becomes an error row, and the
+    # sweep goes on to the next eta
+    record = pressure.field_record
+
+    def field_record(field, chart, alpha, seed, eta, *args, **kwargs):
+        if eta == 0.0125:
+            raise SolverError("solve failed")
+        return record(field, chart, alpha, seed, eta, *args, **kwargs)
+
+    monkeypatch.setattr(pressure, "field_record", field_record)
     rc = main(["study", *SMALL,
-               "--set", "study.alphas=[0.3333333333333333]",
-               "--set", "study.seeds=[7]",
-               "--set", "study.etas=[0.0125]",
+               "--set", "study.alphas=[0.5]",
+               "--set", "study.seeds=[0]",
+               "--set", "study.etas=[0.0125, 0.00625]",
                "--set", "field.j_max=1",
                "--out", str(tmp_path), "--jobs", "1"])
     assert rc == 2
     ledger = json.loads((tmp_path / "ledger.json").read_text())
-    assert len(ledger["records"]) == 1
-    assert "error" in ledger["records"][0]
+    failed, good = ledger["records"][1], ledger["records"][0]
+    assert failed == {"alpha": 0.5, "seed": 0, "eta": 0.0125,
+                      "error": "solve failed"}
+    assert good["eta"] == 0.00625 and "error" not in good
+    assert "1 failed" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

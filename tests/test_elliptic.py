@@ -195,12 +195,23 @@ def test_neumann_uniqueness_from_two_starts(disk_chart):
     assert np.max(np.abs(p1.values - p2.values)) < 1e-8
 
 
-def test_neumann_compatibility_guard(disk_chart):
+def test_neumann_compatibility_defect_reported(disk_chart):
+    # inconsistent data: int f = 4 pi, but the wall flux of g gives -4 pi.
+    # The solve returns and reports the discrete defect, sum f vol +
+    # f_pole vol_pole - sum g h_theta (8 pi here, the cells' volumes being
+    # exact), and spreads it over the volume: f - 8 pi / pi = -4 with the
+    # same g is consistent, and its pressure is r^2 - 1/2
     r = disk_radii(disk_chart)
     f = np.full_like(r, 4.0)
-    g = np.full(disk_chart.n_theta, -2.0)       # flux badly inconsistent
-    with pytest.raises(SolverError, match="compatibility"):
-        solve_neumann(f, g, disk_chart)
+    g = np.full(disk_chart.n_theta, -2.0)
+    p, report = solve_neumann(f, g, disk_chart)
+    st = _StarStencil(disk_chart)
+    want = (float(np.sum(f * st.vol)) + 4.0 * st.vol_pole
+            - float(np.sum(g * disk_chart.h_theta)))
+    assert report.compat_defect == pytest.approx(want, rel=1e-14)
+    assert report.compat_defect == pytest.approx(8.0 * np.pi, rel=1e-14)
+    assert report.residual <= 1e-10
+    assert np.max(np.abs(p.values - (r**2 - 0.5))) < 1e-4
 
 
 def test_neumann_stall_raises(disk_chart):

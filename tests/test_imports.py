@@ -63,8 +63,7 @@ def test_study_loads_no_scipy(tmp_path):
 
 def test_solve_loads_no_scipy(tmp_path):
     # a mollified rough field at the small grid: mollify, solve, the collar
-    # resample of P, the boundary trace and the Hölder norms all run (the
-    # exact field, field.eta = 0, fails the compatibility cap here)
+    # resample of P, the boundary trace and the Hölder norms all run
     argv = ["solve", *SMALL, "--set", "field.kind=rough",
             "--set", "field.j_max=1", "--set", "field.seed=0",
             "--set", "field.eta=0.0125", "--out", str(tmp_path / "solve")]

@@ -7,8 +7,7 @@ checkouts whose digests agree produce the same outputs bit for bit on:
 - eta_study_record records and pressures at 32x64 (j_max 1) and 64x128
   (j_max 2), for alpha in {0.25, 1/3, 0.75} x seeds {0, 5} x three etas,
   chained largest eta first as a study chains them; a run that fails with
-  a domain error (such as the compatibility check) is compared by its
-  error text;
+  a domain error is compared by its error text;
 - mollify_velocity and divergence_probe on a rough stream at 64x128;
 - two smooth-128 ops (V = r and V = r^2 at 128x256): the pressure solution,
   the boundary trace, the BC defect and split_Pb;
