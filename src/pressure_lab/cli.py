@@ -301,8 +301,14 @@ def _study_worker(task):
 
 
 def cmd_study(cfg):
+    seeds = cfg["study"]["seeds"]
+    if cfg["field"]["kind"] != "rough" and len(seeds) > 1:
+        # a smooth kind reads no seed, so every seed would solve the same rows
+        raise ConfigError(f"study.seeds = {seeds!r} must have one entry for "
+                          f"field.kind = {cfg['field']['kind']!r}, which "
+                          f"reads no seed")
     tasks = [(alpha, seed) for alpha in cfg["study"]["alphas"]
-             for seed in cfg["study"]["seeds"]]
+             for seed in seeds]
     jobs = cfg["jobs"] or os.cpu_count() or 1
     records = []
     if jobs > 1 and len(tasks) > 1:

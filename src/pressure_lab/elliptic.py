@@ -136,15 +136,15 @@ class _StarStencil:
         return out[:-1].reshape(p.shape), float(out[-1])
 
 
-def _pcg(apply_a, b, diag, x0, tol, maxiter):
-    """Preconditioned CG on flat vectors; apply_a(v, out) writes A v into
-    out.  Every update writes into a buffer allocated once, with the
-    operations of the textbook form in its order, so the iterates are the
-    same bit for bit.  The constant nullspace of the Neumann operator is
-    removed from iterates and residuals.  The means are np.add.reduce(v) /
-    v.size, the sum and division v.mean() forms, without its Python
-    wrapper: the same bits."""
-    x = x0.copy()
+def _pcg(apply_a, b, diag, tol, maxiter):
+    """Preconditioned CG on flat vectors from a zero start; apply_a(v, out)
+    writes A v into out.  Every update writes into a buffer allocated once,
+    with the operations of the textbook form in its order, so the iterates
+    are the same bit for bit.  The constant nullspace of the Neumann
+    operator is removed from iterates and residuals.  The means are
+    np.add.reduce(v) / v.size, the sum and division v.mean() forms, without
+    its Python wrapper: the same bits."""
+    x = np.zeros_like(b)
     x -= np.add.reduce(x) / x.size
     ap = np.empty_like(b)
     apply_a(x, ap)
@@ -181,8 +181,7 @@ def _pcg(apply_a, b, diag, x0, tol, maxiter):
 # pure-Neumann Poisson solve
 # ----------------------------------------------------------------------
 
-def solve_neumann(f, g, chart: InteriorChart, tol=1e-10, maxiter=100_000,
-                  x0=None):
+def solve_neumann(f, g, chart: InteriorChart, tol=1e-10, maxiter=100_000):
     """-Delta p = f in Omega, d_n p = g on the boundary (interior normal),
     with the volume mean of p, pole cell included, pinned to zero.
 
@@ -216,13 +215,11 @@ def solve_neumann(f, g, chart: InteriorChart, tol=1e-10, maxiter=100_000,
     b -= defect * st.vol / total_vol
     b_pole -= defect * st.vol_pole / total_vol
 
-    n = fvals.size
     bflat = np.concatenate([b.ravel(), [b_pole]])
     diag = np.concatenate([st.diag.ravel(), [st.diag_pole]])
     shape = fvals.shape
 
-    start = np.zeros(n + 1) if x0 is None else np.asarray(x0, dtype=float).copy()
-    x, report = _pcg(st.apply, bflat, diag, start, tol, maxiter)
+    x, report = _pcg(st.apply, bflat, diag, tol, maxiter)
 
     p = x[:-1].reshape(shape)
     pole = float(x[-1])

@@ -46,9 +46,9 @@ weights are zero.
 
 mollify_velocity starts no thread: it runs the boundary batch and then
 the interior one on the calling thread.  A record's one helper thread
-belongs to mollify_and_solve (in pressure.py; field_record, the record of
-solve and of every study row, calls it at eta > 0), which runs
-divergence_probe on it beside mollify_velocity and the pressure solve.
+belongs to pressure.field_record (the record of solve and of every study
+row), which at eta > 0 runs divergence_probe on it beside mollify_velocity
+and the pressure solve.
 The probe builds its own kernel, so the two threads share only psi, which
 must therefore be a pure function of its points.  The probe takes chunks
 of _PROBE_BLOCK_POINTS pairs, four times the nodes' _BLOCK_POINTS: fewer

@@ -8,12 +8,13 @@ gamma < 0 on convex boundaries, and Neumann data d_n p = gamma (u.tau)^2 on
 the wall; the adjusted pressure P = p + phi(d) (u.n)^2 makes that normal
 derivative well defined for rough velocities.
 
-A record runs on one helper thread (see mollify_and_solve).  Each
-shift-sum and the solve do the same operations in the same order as they
-would alone, so every output is the serial one bit for bit.
+field_record owns a mollified record's one helper thread, which runs the
+divergence probe beside the mollifier and the solve.  Each shift-sum and
+the solve do the same operations in the same order as they would alone,
+so every output is the serial one bit for bit.
 """
 
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,54 +80,6 @@ def solve_pressure(u, chart: InteriorChart = None, collar: GeodesicChart = None,
     P = GridField(chart, p.values + cutoffs.phi(chart.node_depth) * un**2,
                   pole=p.pole)
     return PressureSolution(p=p, P=P, report=report)
-
-
-def mollify_and_solve(psi, chart: InteriorChart, eta, cutoffs: CutoffProfile,
-                      collar: GeodesicChart, n_sub=4, probe_n=128):
-    """(RegularizedVelocity, divergence_max, PressureSolution) of the stream
-    psi at scale eta.
-
-    A record's one helper thread: divergence_probe of psi runs on it, started
-    here and joined once the calling thread has run mollify_velocity and then
-    the pressure solve of the mollified velocity.  No thread outlives the call
-    (a study forks its pool workers afterwards), and psi is called from both
-    threads at once, so it must be a pure function of its points, as
-    RoughStream.psi and RadialFlow.psi are.  If either side raises, the call
-    raises once both are done; if both raise, the probe's error is raised.
-    Both check the same eta guard (eta <= epsilon/4) with the same MollifyError
-    text, so a record that fails it fails with that text either way."""
-    def mollify_then_solve():
-        rv = mollify_velocity(psi, chart, eta, cutoffs, collar, n_sub=n_sub)
-        return rv, solve_pressure(rv, chart=chart, cutoffs=cutoffs)
-
-    divergence_max, (rv, sol) = _beside(
-        lambda: divergence_probe(psi, chart, float(eta), cutoffs,
-                                 n_sub=n_sub, probe_n=probe_n),
-        mollify_then_solve)
-    return rv, divergence_max, sol
-
-
-def _beside(helper, main):
-    """(helper(), main()), with helper run on a thread started and joined
-    here and main on the calling thread.  If either raises, the call raises
-    once both are done; if both raise, it raises helper's exception."""
-    box = {}
-
-    def run():
-        try:
-            box["result"] = helper()
-        except BaseException as exc:     # re-raised on the calling thread
-            box["error"] = exc
-
-    thread = threading.Thread(target=run, name="pressure-lab-helper")
-    thread.start()
-    try:
-        result = main()
-    finally:
-        thread.join()
-        if "error" in box:
-            raise box.pop("error")
-    return box["result"], result
 
 
 # ----------------------------------------------------------------------
@@ -373,10 +326,34 @@ def field_record(field, chart, alpha, seed, eta, cutoffs, collar, plan,
     eta > 0 mollifies field.psi (mollify_kwargs may set n_sub and probe_n),
     eta = 0 solves field.velocity and records no mollifier diagnostics.
     alpha is the norms' exponent, alpha and seed label the record, and
-    prev_p (the previous eta's pressure samples) adds p_c0_step."""
+    prev_p (the previous eta's pressure samples) adds p_c0_step.
+
+    At eta > 0 the record owns one helper thread: divergence_probe of psi
+    runs on it while the calling thread runs mollify_velocity and then the
+    pressure solve of the mollified velocity.  The thread is joined before
+    the record returns or raises, so none outlives it (a study forks its
+    pool workers afterwards).  psi is called from both threads at once, so
+    it must be a pure function of its points, as RoughStream.psi and
+    RadialFlow.psi are.  If both sides raise, the probe's error is raised.
+    Both check the same eta guard (eta <= epsilon/4) with the same
+    MollifyError text, so a record that fails it fails with that text
+    either way."""
     if eta > 0.0:
-        rv, divergence_max, sol = mollify_and_solve(
-            field.psi, chart, eta, cutoffs, collar, **(mollify_kwargs or {}))
+        psi = field.psi
+        kwargs = mollify_kwargs or {}
+        n_sub = kwargs.get("n_sub", 4)
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            probe = helper.submit(divergence_probe, psi, chart, float(eta),
+                                  cutoffs, n_sub=n_sub,
+                                  probe_n=kwargs.get("probe_n", 128))
+            try:
+                rv = mollify_velocity(psi, chart, eta, cutoffs, collar,
+                                      n_sub=n_sub)
+                sol = solve_pressure(rv, chart=chart, cutoffs=cutoffs)
+            except BaseException:
+                probe.result()          # the probe's error wins
+                raise
+            divergence_max = probe.result()
         u = rv.u_eta
     else:
         u = sample_velocity(field.velocity, chart)

@@ -335,6 +335,25 @@ def test_study_unknown_field_kind_exit_code(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_study_smooth_kind_needs_one_seed(tmp_path, capsys):
+    # a smooth kind reads no seed, so a study of several seeds would solve
+    # the same rows once per seed: it is rejected before any set-up.  solve
+    # reads no study.seeds and runs with the default list
+    out = tmp_path / "out"
+    rc = main(["study", *SMALL, "--set", "field.kind=rigid",
+               "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "study.seeds" in err
+    assert not out.exists()
+    assert main(["study", *SMALL, "--set", "field.kind=rigid",
+                 "--set", "study.seeds=[0]", "--set", "study.alphas=[0.5]",
+                 "--set", "study.etas=[0.0]", "--jobs", "1",
+                 "--out", str(out)]) == 0
+    assert main(["solve", *SMALL, "--set", "field.kind=rigid",
+                 "--out", str(tmp_path / "solve")]) == 0
+
+
 def _study_and_solve(tmp_path, study_args, solve_args):
     """(ledger.csv rows, ledger.json records, solve.json) of a study and a
     solve at the small grid, both expected to exit 0."""
@@ -456,10 +475,10 @@ def test_study_pool_has_no_more_workers_than_tasks(tmp_path, monkeypatch):
         (tmp_path / "serial" / "ledger.csv").read_bytes()
 
 
-def test_study_pool_forks_after_mollify(tmp_path):
-    # the pool workers of a study are forked from a process that has run
-    # mollify_and_solve, the one site that starts a helper thread; a thread
-    # kept alive between calls would be copied into them without its
+def test_study_pool_forks_after_a_record(tmp_path):
+    # the pool workers of a study are forked from a process that has run a
+    # mollified field_record, the one site that starts a helper thread; a
+    # thread kept alive between calls would be copied into them without its
     # thread, and the workers would wait on it for ever.  The run is a
     # subprocess with a timeout, so that a hang fails the test instead of
     # stalling it
@@ -469,13 +488,15 @@ def test_study_pool_forks_after_mollify(tmp_path):
         from pressure_lab.fields import InteriorChart, make_rough_stream
         from pressure_lab.geometry import (GeodesicChart, build_curve,
                                            default_cutoffs)
-        from pressure_lab.pressure import mollify_and_solve
+        from pressure_lab.norms import build_pair_plan
+        from pressure_lab.pressure import field_record
         curve = build_curve({{"kind": "circle", "radius": 1.0}}, 128)
         chart = InteriorChart(curve, 32, 64)
         cutoffs = default_cutoffs(0.4)
         collar = GeodesicChart(curve, cutoffs.delta, 32, 64)
         rough = make_rough_stream(0.5, 0, 1, chart)
-        mollify_and_solve(rough.psi, chart, 0.0125, cutoffs, collar)
+        plan = build_pair_plan(chart.points, seed=0, n_random=200)
+        field_record(rough, chart, 0.5, 0, 0.0125, cutoffs, collar, plan)
         sys.exit(main(["study", *{SMALL!r},
                        "--set", "study.alphas=[0.5]",
                        "--set", "study.seeds=[0, 1]",
@@ -496,7 +517,7 @@ def test_study_pool_forks_after_mollify(tmp_path):
     except subprocess.TimeoutExpired:
         os.killpg(proc.pid, signal.SIGKILL)
         proc.communicate()
-        pytest.fail("study --jobs 2 hung after mollify_and_solve")
+        pytest.fail("study --jobs 2 hung after a mollified record")
     assert proc.returncode == 0, err.decode()
     rows = (tmp_path / "out" / "ledger.csv").read_text().strip().splitlines()
     assert len(rows) == 1 + 2
