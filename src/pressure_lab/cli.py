@@ -6,8 +6,9 @@ Subcommands:
   study   -- the eta sweeps of field.kind; writes the estimate ledger.
 
 Config is a YAML key tree (see DEFAULT_CONFIG); any leaf can be overridden
-with --set dotted.key=value.  Exit codes: 0 success, 1 validation error,
-2 solver failure, 3 invariant failure.
+with --set dotted.key=value.  A run either succeeds or its first error
+ends it, with one line on stderr and no traceback.  Exit codes: 0 success,
+1 config or validation error, 2 solver error, 3 invariant failure.
 """
 
 import argparse
@@ -22,12 +23,11 @@ import numpy as np
 import yaml
 
 from .geometry import GeodesicChart, GeometryError, build_curve, build_cutoffs
-from .fields import FieldError, InteriorChart, RadialFlow, make_rough_stream
+from .fields import FieldError, InteriorChart, RadialFlow, RoughStream
 from .norms import NormError, build_pair_plan
 from .elliptic import SolverError
 from .mollify import MollifyError
-from .pressure import (PressureError, _collar_resample, boundary_trace,
-                       eta_study, field_record)
+from .pressure import PressureError, boundary_trace, eta_study, field_record
 from . import report, verification
 
 DEFAULT_CONFIG = {
@@ -153,6 +153,15 @@ def validate_config(cfg):
     if cfg["jobs"] < 0:
         raise ConfigError(f"jobs = {cfg['jobs']} must be >= 0 (0 runs one "
                           "worker per core)")
+    g = cfg["grid"]
+    if g["n_rho"] < 3:
+        raise ConfigError(f"grid.n_rho = {g['n_rho']} must be >= 3: the wall "
+                          "row's one-sided difference reads three rings")
+    if g["n_theta"] < 2:
+        raise ConfigError(f"grid.n_theta = {g['n_theta']} must be >= 2")
+    if cfg["norms"]["n_random"] < 0:
+        raise ConfigError(f"norms.n_random = {cfg['norms']['n_random']} "
+                          "must be >= 0")
     c = cfg["cutoffs"]
     try:
         build_cutoffs(**c)
@@ -208,7 +217,7 @@ def _setup(cfg):
 def _make_field(f, chart):
     """The field of section f; a smooth kind reads neither alpha nor seed."""
     if f["kind"] == "rough":
-        return make_rough_stream(f["alpha"], f["seed"], f["j_max"], chart)
+        return RoughStream(f["alpha"], f["seed"], f["j_max"], chart)
     return RadialFlow(_PROFILES[f["kind"]], chart.radius, chart.center)
 
 
@@ -247,7 +256,7 @@ def cmd_solve(cfg):
     u, sol, rec = field_record(field, chart, f["alpha"], f["seed"], f["eta"],
                                cutoffs, collar, plan,
                                mollify_kwargs=cfg["mollify"])
-    Pc = _collar_resample(sol.P, collar)
+    Pc = chart.on_collar(sol.P.values, collar)
     tc = boundary_trace(Pc, u, collar)
 
     report.write_field_csv(os.path.join(outdir, "p.csv"), sol.p)
@@ -324,11 +333,11 @@ def cmd_study(cfg):
         setup = _setup(cfg)
         for task in tasks:
             records.extend(_study_records(cfg, setup, *task))
-    # every record, an error row too, has these keys
     records.sort(key=lambda r: (r["alpha"], r["seed"], r["eta"]))
 
     outdir = cfg["output"]
     os.makedirs(outdir, exist_ok=True)
+    # "error" is always empty; ROADMAP item 2 deletes it
     columns = ["alpha", "seed", "eta", "n_rho", "n_theta", "uu_holder",
                "p_holder", "P_holder", "P_sup", "C_meas", "C1_meas",
                "plan_seed", "pair_count", "solver_iterations", "trace_max",
@@ -338,9 +347,8 @@ def cmd_study(cfg):
     report.write_json_report(os.path.join(outdir, "ledger.json"),
                              {"command": "study", "config": cfg,
                               "records": records})
-    failed = [r for r in records if "error" in r and r["error"]]
-    print(f"{len(records)} runs, {len(failed)} failed -> {outdir}/ledger.csv")
-    return 2 if failed else 0
+    print(f"{len(records)} runs -> {outdir}/ledger.csv")
+    return 0
 
 
 def main(argv=None):
@@ -357,16 +365,15 @@ def main(argv=None):
 
     try:
         cfg = load_config(args.config, args.overrides, args.out, args.jobs)
-    except (ConfigError, GeometryError, OSError, yaml.YAMLError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    try:
         if args.command == "verify":
             return cmd_verify(cfg)
         if args.command == "solve":
             return cmd_solve(cfg)
         return cmd_study(cfg)
-    except (ConfigError, FieldError, GeometryError, NormError) as exc:
+    except (ConfigError, OSError, yaml.YAMLError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    except (FieldError, GeometryError, NormError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 1
     except (SolverError, MollifyError, PressureError) as exc:

@@ -309,6 +309,7 @@ def sample_velocity(velocity, chart: InteriorChart) -> GridField:
                      pole=velocity(chart.center[None, :])[0])
 
 
+# sample_velocity of a RadialFlow; only perfbench/ and tests call it
 def radial_flow(profile, chart: InteriorChart) -> GridField:
     return sample_velocity(
         RadialFlow(profile, chart.radius, chart.center).velocity, chart)
@@ -418,6 +419,7 @@ def _sum_modes(terms):
     return out
 
 
+# RoughStream(...) under its old name; only perfbench/ and tests call it
 def make_rough_stream(alpha, seed, j_max, chart) -> RoughStream:
     return RoughStream(alpha, seed, j_max, chart)
 

@@ -19,14 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import (FieldError, GridField, InteriorChart, collar_components,
+from .fields import (GridField, InteriorChart, collar_components,
                      rhs_double_divergence, sample_velocity, _d_s, _d_theta)
-from .geometry import CutoffProfile, GeodesicChart, GeometryError
-from .elliptic import (LinearSolveReport, SlabOperator, SolverError,
-                       solve_neumann)
-from .mollify import (MollifyError, RegularizedVelocity, divergence_probe,
-                      mollify_velocity)
-from .norms import NormError, h_minus2_norm, holder_norm, c0_distance
+from .geometry import CutoffProfile, GeodesicChart
+from .elliptic import LinearSolveReport, SlabOperator, solve_neumann
+from .mollify import RegularizedVelocity, divergence_probe, mollify_velocity
+from .norms import h_minus2_norm, holder_norm, c0_distance
 
 
 # largest |u.n| on the wall that solve_pressure accepts for a GridField
@@ -55,7 +53,7 @@ def solve_pressure(u, chart: InteriorChart = None, collar: GeodesicChart = None,
 
     u: vector GridField on the interior chart, or a RegularizedVelocity.
     chart defaults to u's chart.  collar is not read (the chart owns the
-    boundary frame); perfbench's smooth-128 workload still passes it.
+    boundary frame); only perfbench/ and tests pass it.
     """
     if isinstance(u, RegularizedVelocity):
         ut_b = u.boundary_tangential
@@ -86,11 +84,8 @@ def solve_pressure(u, chart: InteriorChart = None, collar: GeodesicChart = None,
 # collar identities
 # ----------------------------------------------------------------------
 
+# InteriorChart.on_collar of a field; only perfbench/ and tests call it
 def _collar_resample(fieldv: GridField, collar: GeodesicChart):
-    """Interior-chart scalar resampled onto the collar grid.  On the disk
-    the collar grid is the chart's own tensor grid rho = 1 - s/R by theta,
-    so this is two matrix products with the spline weights the chart keeps
-    for the collar (InteriorChart.on_collar), not a pointwise evaluation."""
     return fieldv.chart.on_collar(fieldv.values, collar)
 
 
@@ -129,7 +124,7 @@ def collar_flux_residual(u, chart_rhs, collar: GeodesicChart):
     if callable(chart_rhs):
         lhs = np.asarray(chart_rhs(collar.X), dtype=float)
     else:
-        lhs = _collar_resample(chart_rhs, collar)
+        lhs = chart_rhs.chart.on_collar(chart_rhs.values, collar)
     return lhs - geodesic
 
 
@@ -297,7 +292,7 @@ def bc_equivalence_check(p: GridField, u, collar: GeodesicChart):
     order must be measured on a pressure that is not quadratic in s.
     """
     un, ut = collar_components(u, collar)
-    q = _collar_resample(p, collar) + un**2
+    q = p.chart.on_collar(p.values, collar) + un**2
     h = collar.h_s
     dq0 = (-3.0 * q[0] + 4.0 * q[1] - q[2]) / (2.0 * h)
     target = collar.gamma_b * ut[0] ** 2
@@ -392,26 +387,16 @@ def eta_study_record(rough, eta, cutoffs, collar, plan, prev_p=None,
     return rec, sol.p.values
 
 
-# domain errors of the pipeline: a run that raises one of these becomes an
-# error row of the ledger; anything else is a bug and propagates
-_DOMAIN_ERRORS = (SolverError, PressureError, MollifyError, FieldError,
-                  GeometryError, NormError)
-
-
 def eta_study(field, chart, alpha, seed, etas, cutoffs, collar, plan,
               mollify_kwargs=None):
     """field_record of one field at each eta, largest first, chained through
-    prev_p; a domain error becomes an error row and the sweep goes on."""
+    prev_p; an error of any record ends the sweep."""
     records = []
     prev = None
     for eta in sorted(etas, reverse=True):
-        try:
-            _, sol, rec = field_record(field, chart, alpha, seed, eta,
-                                       cutoffs, collar, plan, prev_p=prev,
-                                       mollify_kwargs=mollify_kwargs)
-            prev = sol.p.values
-        except _DOMAIN_ERRORS as exc:   # partial-failure policy
-            rec = {"alpha": float(alpha), "seed": int(seed),
-                   "eta": float(eta), "error": str(exc)}
+        _, sol, rec = field_record(field, chart, alpha, seed, eta, cutoffs,
+                                   collar, plan, prev_p=prev,
+                                   mollify_kwargs=mollify_kwargs)
+        prev = sol.p.values
         records.append(rec)
     return records

@@ -8,13 +8,12 @@ versions live in the test suite.
 import numpy as np
 
 from .geometry import GeodesicChart, build_curve
-from .fields import (InteriorChart, RadialFlow, make_rough_stream, radial_flow,
-                     sample_velocity)
+from .fields import InteriorChart, RadialFlow, RoughStream, sample_velocity
 from .norms import build_pair_plan, h_minus2_norm, holder_norm
 from .elliptic import SlabOperator, solve_neumann
 from .mollify import divergence_probe, mollify_velocity
-from .pressure import (bc_equivalence_check, boundary_trace, _collar_resample,
-                       solve_pressure, split_Pb)
+from .pressure import (bc_equivalence_check, boundary_trace, solve_pressure,
+                       split_Pb)
 
 
 def _check(value, bound):
@@ -51,9 +50,10 @@ def verify_geometry():
 def verify_fields():
     curve = build_curve({"kind": "circle", "radius": 1.0}, 256)
     chart = InteriorChart(curve, 64, 128)
-    rough = make_rough_stream(0.5, 0, 2, chart)
+    rough = RoughStream(0.5, 0, 2, chart)
     u = sample_velocity(rough.velocity, chart)
-    smooth = radial_flow(lambda r: r, chart)
+    smooth = sample_velocity(
+        RadialFlow(lambda r: r, chart.radius, chart.center).velocity, chart)
     outward = chart.points[-1] - chart.center
     outward /= np.linalg.norm(outward, axis=-1, keepdims=True)
     checks = {
@@ -106,7 +106,7 @@ def verify_mollify(cutoffs, eta=0.0125):
     curve = build_curve({"kind": "circle", "radius": 1.0}, 256)
     chart = InteriorChart(curve, 64, 128)
     collar = GeodesicChart(curve, cutoffs.delta, 64, 128)
-    rough = make_rough_stream(0.5, 3, 2, chart)
+    rough = RoughStream(0.5, 3, 2, chart)
     rv = mollify_velocity(rough.psi, chart, eta, cutoffs, collar)
     checks = {
         "trace": _check(rv.trace_max, 1e-10),
@@ -122,7 +122,7 @@ def verify_pressure(cutoffs):
     chart = InteriorChart(curve, 64, 128)
     collar = GeodesicChart(curve, cutoffs.delta, 64, 128)
     flow = RadialFlow(lambda r: r, chart.radius, chart.center)
-    u = radial_flow(flow.profile, chart)
+    u = sample_velocity(flow.velocity, chart)
     sol = solve_pressure(u, chart=chart, cutoffs=cutoffs)
     r = np.linalg.norm(chart.points - chart.center, axis=-1)
     exact = r**2 / 2 - 0.25
@@ -130,7 +130,7 @@ def verify_pressure(cutoffs):
         "rigid_pressure": _check(np.max(np.abs(sol.p.values - exact)), 1e-3),
         "bc_equivalence": _check(bc_equivalence_check(sol.p, u, collar), 5e-2),
     }
-    Pc = _collar_resample(sol.P, collar)
+    Pc = chart.on_collar(sol.P.values, collar)
     sp = split_Pb(flow.velocity, Pc, cutoffs, collar)
     checks["pb_reconstruction"] = _check(sp.reconstruction_error, 5e-3)
     checks["green_terms"] = _check(sp.green_sum_error, 5e-3)

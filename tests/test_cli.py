@@ -105,6 +105,7 @@ def test_n_sub_guard():
     "study.etas=[abc]", "study.alphas=[abc]", "field.alpha=abc",
     "cutoffs.delta=abc", "domain.radius=abc",
     "field.eta=-0.001", "study.etas=[-0.001]", "grid=5", "field.kind=bogus",
+    "grid.n_rho=2", "grid.n_rho=0", "grid.n_theta=1", "norms.n_random=-1",
 ])
 def test_mollify_integer_guards_exit_code(tmp_path, capsys, override):
     # a fractional size used to end in a TypeError, probe_n = 1 in an
@@ -117,7 +118,10 @@ def test_mollify_integer_guards_exit_code(tmp_path, capsys, override):
     # domain.radius), a section given as one number in an AttributeError,
     # a field.eta < 0 or a study eta < 0 in a solver error or a ledger of
     # error rows, and an unknown field.kind was rejected only once the
-    # geometry and the pair plan were built
+    # geometry and the pair plan were built.  For a smooth kind,
+    # grid.n_rho = 2 ended in an IndexError of d_rho's wall stencil,
+    # grid.n_rho = 0 in a ZeroDivisionError and grid.n_theta = 1 in a
+    # LinAlgError; norms.n_random = -1 ended in a ValueError
     out = tmp_path / "out"
     rc = main(["solve", *SMALL, "--set", override, "--out", str(out)])
     err = capsys.readouterr().err
@@ -183,17 +187,20 @@ def test_solve_non_disk_domain_exit_code(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("override, message", [
-    pytest.param("grid.collar_n_theta=96", "power of two", id="n_theta_96"),
-    pytest.param("grid.collar_n_s=3", "n_s >= 4", id="n_s_3"),
+@pytest.mark.parametrize("override, message, prefix", [
+    pytest.param("grid.collar_n_theta=96", "power of two", "config error",
+                 id="n_theta_96"),
+    pytest.param("grid.collar_n_s=3", "n_s >= 4", "validation error",
+                 id="n_s_3"),
 ])
-def test_solve_bad_collar_grid_exit_code(tmp_path, capsys, override, message):
+def test_solve_bad_collar_grid_exit_code(tmp_path, capsys, override, message,
+                                         prefix):
     out = tmp_path / "out"
     rc = main(["solve", "--set", "field.kind=rigid", *SMALL,
                "--set", override, "--out", str(out)])
     err = capsys.readouterr().err
     assert rc == 1
-    assert err.startswith("validation error") and message in err
+    assert err.startswith(prefix) and message in err
     assert len(err.strip().splitlines()) == 1
     # rejected before any work: no output directory was made
     assert not out.exists()
@@ -344,7 +351,7 @@ def test_study_smooth_kind_needs_one_seed(tmp_path, capsys):
                "--out", str(out)])
     err = capsys.readouterr().err
     assert rc == 1
-    assert "study.seeds" in err
+    assert err.startswith("config error") and "study.seeds" in err
     assert not out.exists()
     assert main(["study", *SMALL, "--set", "field.kind=rigid",
                  "--set", "study.seeds=[0]", "--set", "study.alphas=[0.5]",
@@ -399,9 +406,9 @@ def test_study_rigid_exact_row_is_the_solve_record(tmp_path):
     assert {**records[0], "seed": 7} == solve["record"]
 
 
-def test_study_partial_failure_exit_code(tmp_path, capsys, monkeypatch):
-    # a record that fails with a domain error becomes an error row, and the
-    # sweep goes on to the next eta
+def test_study_domain_error_exit_code(tmp_path, capsys, monkeypatch):
+    # a record that fails with a domain error ends the study: one line on
+    # stderr, exit 2, and no ledger
     record = pressure.field_record
 
     def field_record(field, chart, alpha, seed, eta, *args, **kwargs):
@@ -415,14 +422,12 @@ def test_study_partial_failure_exit_code(tmp_path, capsys, monkeypatch):
                "--set", "study.seeds=[0]",
                "--set", "study.etas=[0.0125, 0.00625]",
                "--set", "field.j_max=1",
-               "--out", str(tmp_path), "--jobs", "1"])
+               "--out", str(tmp_path / "out"), "--jobs", "1"])
     assert rc == 2
-    ledger = json.loads((tmp_path / "ledger.json").read_text())
-    failed, good = ledger["records"][1], ledger["records"][0]
-    assert failed == {"alpha": 0.5, "seed": 0, "eta": 0.0125,
-                      "error": "solve failed"}
-    assert good["eta"] == 0.00625 and "error" not in good
-    assert "1 failed" in capsys.readouterr().out
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["solver error: solve failed"]
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

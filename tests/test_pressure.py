@@ -249,12 +249,11 @@ def test_bc_equivalence_rigid(disk_chart, cutoffs, collar):
 # ----------------------------------------------------------------------
 
 def per_field(records, key="C_meas"):
-    """The key values of the records without an error, grouped by
-    (alpha, seed), in ascending eta."""
+    """The key values of the records, grouped by (alpha, seed), in
+    ascending eta."""
     groups = {}
     for r in sorted(records, key=lambda r: (r["alpha"], r["seed"], r["eta"])):
-        if "error" not in r:
-            groups.setdefault((r["alpha"], r["seed"]), []).append(r[key])
+        groups.setdefault((r["alpha"], r["seed"]), []).append(r[key])
     return groups
 
 
@@ -279,15 +278,13 @@ def test_eta_study_ledger(disk_chart, cutoffs, collar):
     assert groups[(0.5, 11)] == [recs[1]["C_meas"], recs[0]["C_meas"]]
 
 
-def test_eta_study_partial_failure(disk_chart, cutoffs, collar):
+def test_eta_study_raises_domain_error(disk_chart, cutoffs, collar):
+    # eta above epsilon/4 pushes kernel supports out of the cutoff bands;
+    # the error ends the sweep
     rough = make_rough_stream(0.5, 1, 1, disk_chart)
     plan = build_pair_plan(disk_chart.points, seed=0, n_random=2000)
-    # eta above epsilon/4 pushes kernel supports out of the cutoff bands
-    recs = eta_study(rough, disk_chart, 0.5, 1, [0.05], cutoffs, collar,
-                     plan)
-    assert len(recs) == 1
-    assert "error" in recs[0]
-    assert per_field(recs) == {}
+    with pytest.raises(MollifyError, match="exceeds epsilon/4"):
+        eta_study(rough, disk_chart, 0.5, 1, [0.05], cutoffs, collar, plan)
 
 
 def test_eta_study_propagates_programming_errors(disk_chart, cutoffs, collar,

@@ -6,8 +6,7 @@ checkouts whose digests agree produce the same outputs bit for bit on:
 
 - eta_study_record records and pressures at 32x64 (j_max 1) and 64x128
   (j_max 2), for alpha in {0.25, 1/3, 0.75} x seeds {0, 5} x three etas,
-  chained largest eta first as a study chains them; a run that fails with
-  a domain error is compared by its error text;
+  chained largest eta first as a study chains them;
 - mollify_velocity and divergence_probe on a rough stream at 64x128;
 - two smooth-128 ops (V = r and V = r^2 at 128x256): the pressure solution,
   the boundary trace, the BC defect and split_Pb;
@@ -183,17 +182,13 @@ def study_groups():
         for alpha in ALPHAS:
             records, pressures = [], []
             for seed in SEEDS:
-                rough = fields.make_rough_stream(alpha, seed, j_max, chart)
+                rough = fields.RoughStream(alpha, seed, j_max, chart)
                 prev = None
                 for eta in ETAS:
-                    try:
-                        rec, prev = pressure.eta_study_record(
-                            rough, eta, cutoffs, collar, plan, prev_p=prev,
-                            mollify_kwargs=MOLLIFY)
-                    except pressure._DOMAIN_ERRORS as exc:
-                        rec = f"{type(exc).__name__}: {exc}"
-                    else:
-                        pressures.append(prev)
+                    rec, prev = pressure.eta_study_record(
+                        rough, eta, cutoffs, collar, plan, prev_p=prev,
+                        mollify_kwargs=MOLLIFY)
+                    pressures.append(prev)
                     records.append(rec)
             grid = f"{n_rho}x{2 * n_rho}/alpha={alpha:.4g}"
             yield f"study-records/{grid}", records
@@ -202,7 +197,7 @@ def study_groups():
 
 def mollify_groups():
     chart, cutoffs, collar = _geometry(64)
-    rough = fields.make_rough_stream(1.0 / 3.0, 3, 2, chart)
+    rough = fields.RoughStream(1.0 / 3.0, 3, 2, chart)
     rv = mollify.mollify_velocity(rough.psi, chart, 0.00625, cutoffs, collar,
                                   n_sub=MOLLIFY["n_sub"])
     divergence_max = mollify.divergence_probe(rough.psi, chart, 0.00625,
@@ -218,10 +213,11 @@ def smooth_groups():
     chart, cutoffs, collar = _geometry(128)
     for name, profile, probe_seed in (("r", lambda r: r, 11),
                                       ("r2", lambda r: r**2, 12)):
-        u = fields.radial_flow(profile, chart)
-        sol = pressure.solve_pressure(u, chart=chart, collar=collar,
-                                      cutoffs=cutoffs)
-        P_collar = pressure._collar_resample(sol.P, collar)
+        u = fields.sample_velocity(
+            fields.RadialFlow(profile, chart.radius, chart.center).velocity,
+            chart)
+        sol = pressure.solve_pressure(u, chart=chart, cutoffs=cutoffs)
+        P_collar = chart.on_collar(sol.P.values, collar)
         trace = pressure.boundary_trace(P_collar, u, collar)
         bc_defect = pressure.bc_equivalence_check(sol.p, u, collar)
         split = pressure.split_Pb(u, P_collar, cutoffs, collar, n_probes=10,
